@@ -9,8 +9,9 @@ with a flag saying whether the floor is the exact value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
-from typing import Optional
+from typing import Callable, Optional
 
 from .graph_core import (
     Graph,
@@ -25,7 +26,6 @@ from .graph_core import (
 )
 from .solver import (
     BudgetExceededError,
-    DimensionCertificate,
     edge_metric_dimension,
     metric_dimension,
 )
@@ -175,64 +175,119 @@ class AuditRecord:
         return sorted(name for name, ok in self.checks.items() if not ok)
 
 
-def _certificate_or_none(solve, G, budget) -> Optional[DimensionCertificate]:
-    try:
-        return solve(G, budget=budget)
-    except BudgetExceededError:
+class GraphRecord:
+    """Per-graph statistics shared by ``audit_graph`` and the theorem sweeps.
+    One BFS on construction gives connectivity and diameter; the rest is
+    computed on first use.  ``dim``/``edim`` are None when the budget ran
+    out; ``chromatic`` is greedy past CHROMATIC_EXACT_LIMIT vertices."""
+
+    def __init__(self, G: Graph, budget: Optional[int] = None):
+        D = bfs_all_pairs(G)
+        if not D.connected:
+            raise DisconnectedGraphError("audit requires a connected graph")
+        self.graph = G
+        self.budget = budget
+        self.n = G.n
+        self.m = G.num_edges
+        self.diameter = max(max(row) for row in D.rows)
+        self.chromatic_exact = G.n <= CHROMATIC_EXACT_LIMIT
+
+    def _value(self, solve) -> Optional[int]:
+        try:
+            return solve(self.graph, budget=self.budget).value
+        except BudgetExceededError:
+            return None
+
+    @cached_property
+    def dim(self) -> Optional[int]:
+        return self._value(metric_dimension)
+
+    @cached_property
+    def edim(self) -> Optional[int]:
+        return self._value(edge_metric_dimension)
+
+    @property
+    def budget_exhausted(self) -> bool:
+        return self.dim is None or self.edim is None
+
+    @cached_property
+    def max_degree(self) -> int:
+        return max_star(self.graph)
+
+    @cached_property
+    def degeneracy(self) -> int:
+        return degeneracy(self.graph)
+
+    @cached_property
+    def chromatic(self) -> int:
+        return chromatic_number(self.graph) if self.chromatic_exact else greedy_coloring(self.graph)
+
+    def known(self, needs: tuple[str, ...]) -> bool:
+        """Whether every input a table row needs is available: a dimension
+        whose solve finished, or "diameter" when the diameter is positive."""
+        return all(self.diameter >= 1 if x == "diameter" else getattr(self, x) is not None
+                   for x in needs)
+
+
+def _exceeds(label: str, value: int, bound: int, kind: str, r: GraphRecord,
+             with_diameter: bool = False) -> Optional[str]:
+    """Failure detail reporting dimension ``kind``, or None when value <= bound."""
+    if value <= bound:
         return None
+    tail = f" D={r.diameter}" if with_diameter else ""
+    return f"{label}={value} bound={bound} {kind}={getattr(r, kind)}{tail}"
+
+
+# Every inequality the dimensions imply: name -> (inputs needed, row); a row
+# maps a GraphRecord to a failure detail, or None when it holds.  Bound
+# formulas take the nonempty value max(v, 1), so single-edge graphs pass;
+# the scaled corollary comparisons use the plain values.
+INEQUALITIES: dict[str, tuple[tuple[str, ...], Callable[[GraphRecord], Optional[str]]]] = {
+    "vertex-bound-hernando": (("dim", "diameter"), lambda r: _exceeds(
+        "n", r.n, vertex_bound_hernando(max(r.dim, 1), r.diameter), "dim", r, True)),
+    "subgraph-vertex-self": (("dim",), lambda r: _exceeds(
+        "n", r.n, subgraph_vertex_bound(max(r.dim, 1), r.diameter), "dim", r, True)),
+    "max-star-md": (("dim",), lambda r: _exceeds(
+        "max_degree", r.max_degree, 3 ** max(r.dim, 1) - 1, "dim", r)),
+    "corollary-edges-md": (("dim",), lambda r: _exceeds(
+        "2m", 2 * r.m, (3 ** r.dim - 1) * r.n, "dim", r)),
+    "corollary-chromatic": (("dim",), lambda r: _exceeds(
+        "chromatic", r.chromatic, 3 ** r.dim, "dim", r)),
+    "corollary-degeneracy-md": (("dim",), lambda r: _exceeds(
+        "degeneracy", r.degeneracy, 3 ** r.dim - 1, "dim", r)),
+    "edge-bound-new": (("edim", "diameter"), lambda r: _exceeds(
+        "m", r.m, edge_bound_new(max(r.edim, 1), r.diameter), "edim", r, True)),
+    "edge-bound-zubrilina": (("edim", "diameter"), lambda r: _exceeds(
+        "m", r.m, edge_bound_zubrilina(max(r.edim, 1), r.diameter), "edim", r, True)),
+    "subgraph-edge-self": (("edim",), lambda r: _exceeds(
+        "m", r.m, subgraph_edge_bound(max(r.edim, 1), r.diameter), "edim", r, True)),
+    "max-star-emd": (("edim",), lambda r: _exceeds(
+        "max_degree", r.max_degree, 2 ** max(r.edim, 1), "edim", r)),
+    "corollary-edges-emd": (("edim",), lambda r: _exceeds(
+        "2m", 2 * r.m, 2 ** r.edim * r.n, "edim", r)),
+    "corollary-degeneracy-emd": (("edim",), lambda r: _exceeds(
+        "degeneracy", r.degeneracy, 2 ** r.edim, "edim", r)),
+}
 
 
 def audit_graph(G: Graph, budget: Optional[int] = None) -> AuditRecord:
     """Check every edge/vertex-count, chromatic, and degeneracy inequality
-    that the dimensions of G imply.  Bound formulas take the nonempty
-    dimension value (resolving sets are nonempty as vertex sets even when
-    the empty set distinguishes everything), so single-edge graphs audit
-    cleanly; the scaled corollary comparisons use the plain values."""
-    D = bfs_all_pairs(G)
-    if not D.connected:
-        raise DisconnectedGraphError("audit requires a connected graph")
-    diam = max(max(row) for row in D.rows)
-    m = G.num_edges
-    delta = max_star(G)
-    degen = degeneracy(G)
-    if G.n <= CHROMATIC_EXACT_LIMIT:
-        chi, chi_exact = chromatic_number(G), True
-    else:
-        chi, chi_exact = greedy_coloring(G), False
-
-    dim_cert = _certificate_or_none(metric_dimension, G, budget)
-    edim_cert = _certificate_or_none(edge_metric_dimension, G, budget)
-
-    checks: dict[str, bool] = {}
-    if dim_cert is not None:
-        dim_v, dim_k = dim_cert.value, dim_cert.nonempty_value
-        if diam >= 1:
-            checks["vertex-bound-hernando"] = G.n <= vertex_bound_hernando(dim_k, diam)
-        checks["subgraph-vertex-self"] = G.n <= subgraph_vertex_bound(dim_k, diam)
-        checks["max-star-md"] = delta <= 3 ** dim_k - 1
-        checks["corollary-edges-md"] = 2 * m <= (3 ** dim_v - 1) * G.n
-        checks["corollary-chromatic"] = chi <= 3 ** dim_v
-        checks["corollary-degeneracy-md"] = degen <= 3 ** dim_v - 1
-    if edim_cert is not None:
-        edim_v, edim_k = edim_cert.value, edim_cert.nonempty_value
-        if diam >= 1:
-            checks["edge-bound-new"] = m <= edge_bound_new(edim_k, diam)
-            checks["edge-bound-zubrilina"] = m <= edge_bound_zubrilina(edim_k, diam)
-        checks["subgraph-edge-self"] = m <= subgraph_edge_bound(edim_k, diam)
-        checks["max-star-emd"] = delta <= 2 ** edim_k
-        checks["corollary-edges-emd"] = 2 * m <= 2 ** edim_v * G.n
-        checks["corollary-degeneracy-emd"] = degen <= 2 ** edim_v
-
+    that the dimensions of G imply (the rows of INEQUALITIES).  Rows whose
+    dimension ran out of budget are absent, and so are the three
+    diameter-parameterized bounds at diameter 0."""
+    r = GraphRecord(G, budget)
+    checks = {name: row(r) is None
+              for name, (needs, row) in INEQUALITIES.items() if r.known(needs)}
     return AuditRecord(
-        n=G.n,
-        m=m,
-        diameter=diam,
-        dim_value=None if dim_cert is None else dim_cert.value,
-        edim_value=None if edim_cert is None else edim_cert.value,
-        max_degree=delta,
-        degeneracy=degen,
-        chromatic=chi,
-        chromatic_exact=chi_exact,
+        n=r.n,
+        m=r.m,
+        diameter=r.diameter,
+        dim_value=r.dim,
+        edim_value=r.edim,
+        max_degree=r.max_degree,
+        degeneracy=r.degeneracy,
+        chromatic=r.chromatic,
+        chromatic_exact=r.chromatic_exact,
         checks=checks,
-        budget_exhausted=dim_cert is None or edim_cert is None,
+        budget_exhausted=r.budget_exhausted,
     )

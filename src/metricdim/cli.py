@@ -303,11 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="solver node budget (exit 4 when exhausted)",
     )
-    default_threads = int(os.environ.get("METRICDIM_THREADS", "1"))
+    # argparse applies ``type`` to a string default: a bad env value exits 2
     parser.add_argument(
         "--threads",
         type=int,
-        default=default_threads,
+        default=os.environ.get("METRICDIM_THREADS", "1"),
         help="sweep parallelism (env METRICDIM_THREADS; results are order-normalized)",
     )
     commands = parser.add_subparsers(dest="command", required=True)

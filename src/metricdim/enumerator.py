@@ -26,13 +26,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .bounds import (
-    edge_bound_new,
-    edge_bound_zubrilina,
-    subgraph_edge_bound,
-    subgraph_vertex_bound,
-    vertex_bound_hernando,
-)
+from .bounds import INEQUALITIES, GraphRecord
 from .characterizations import (
     char_edim_eq_n2,
     char_edim_ge_n2,
@@ -41,23 +35,15 @@ from .characterizations import (
 )
 from .graph_core import (
     Graph,
+    GraphInputError,
     SizeLimitError,
-    bfs_all_pairs,
     bits,
-    chromatic_number,
-    degeneracy,
     complete_graph,
     from_edge_list,
     graph6_decode,
     graph6_encode,
     max_clique,
-    max_star,
     relabeled,
-)
-from .solver import (
-    BudgetExceededError,
-    edge_metric_dimension,
-    metric_dimension,
 )
 
 CANONICAL_LIMIT = 10
@@ -141,182 +127,87 @@ def enumerate_connected(n: int, allow_large: bool = False) -> list[Graph]:
 
 
 # ---------------------------------------------------------------------------
-# solved statistics shared by the sweeps
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GraphStats:
-    n: int
-    m: int
-    diameter: int
-    dim: Optional[int]
-    dim_nonempty: Optional[int]
-    edim: Optional[int]
-    edim_nonempty: Optional[int]
-    max_degree: int
-    max_clique_size: int
-    degeneracy: int
-    chromatic: int
-
-    @property
-    def budget_exhausted(self) -> bool:
-        return self.dim is None or self.edim is None
-
-
-@lru_cache(maxsize=65536)
-def _stats(g6: str, budget: Optional[int]) -> GraphStats:
-    G = graph6_decode(g6)
-    D = bfs_all_pairs(G)
-    try:
-        dim_cert = metric_dimension(G, budget=budget)
-    except BudgetExceededError:
-        dim_cert = None
-    try:
-        edim_cert = edge_metric_dimension(G, budget=budget)
-    except BudgetExceededError:
-        edim_cert = None
-    return GraphStats(
-        n=G.n,
-        m=G.num_edges,
-        diameter=max(max(row) for row in D.rows),
-        dim=None if dim_cert is None else dim_cert.value,
-        dim_nonempty=None if dim_cert is None else dim_cert.nonempty_value,
-        edim=None if edim_cert is None else edim_cert.value,
-        edim_nonempty=None if edim_cert is None else edim_cert.nonempty_value,
-        max_degree=max_star(G),
-        max_clique_size=len(max_clique(G)),
-        degeneracy=degeneracy(G),
-        chromatic=chromatic_number(G),
-    )
-
-
-# ---------------------------------------------------------------------------
 # sweep registry
 # ---------------------------------------------------------------------------
 
-# each check maps (graph, its stats) -> failure detail string or None
-_CheckFn = Callable[[Graph, GraphStats], Optional[str]]
+
+@lru_cache(maxsize=65536)
+def _record(g6: str, budget: Optional[int]) -> GraphRecord:
+    """Cached per (class, budget): a process solves each class once."""
+    return GraphRecord(graph6_decode(g6), budget)
 
 
-def _check_char1_equiv(G: Graph, st: GraphStats) -> Optional[str]:
-    holds, pair = char_edim_n1(G)
-    expected = st.edim == st.n - 1
-    if holds != expected:
-        return f"predicate={holds} edim={st.edim} n={st.n} pair={pair}"
+def _char1_equiv(r: GraphRecord) -> Optional[str]:
+    holds, pair = char_edim_n1(r.graph)
+    if holds != (r.edim == r.n - 1):
+        return f"predicate={holds} edim={r.edim} n={r.n} pair={pair}"
     return None
 
 
-def _check_char2_equiv(G: Graph, st: GraphStats) -> Optional[str]:
-    res = char_edim_ge_n2(G)
-    expected = st.edim >= st.n - 2
-    if res.holds != expected:
-        return f"predicate={res.holds} edim={st.edim} n={st.n} triple={res.failing_triple}"
+def _char2_equiv(r: GraphRecord) -> Optional[str]:
+    res = char_edim_ge_n2(r.graph)
+    if res.holds != (r.edim >= r.n - 2):
+        return f"predicate={res.holds} edim={r.edim} n={r.n} triple={res.failing_triple}"
     return None
 
 
-def _check_eq_n2_equiv(G: Graph, st: GraphStats) -> Optional[str]:
-    holds = char_edim_eq_n2(G)
-    expected = st.edim == st.n - 2
-    if holds != expected:
-        return f"predicate={holds} edim={st.edim} n={st.n}"
+def _eq_n2_equiv(r: GraphRecord) -> Optional[str]:
+    holds = char_edim_eq_n2(r.graph)
+    if holds != (r.edim == r.n - 2):
+        return f"predicate={holds} edim={r.edim} n={r.n}"
     return None
 
 
-def _check_tuple_lemma(G: Graph, st: GraphStats) -> Optional[str]:
-    k = st.n - st.edim
-    res = tuple_lemma_check(G, k)
-    if not res.holds:
-        return f"k={k} violating={res.violating}"
+def _tuple_lemma(r: GraphRecord) -> Optional[str]:
+    k = r.n - r.edim
+    res = tuple_lemma_check(r.graph, k)
+    return None if res.holds else f"k={k} violating={res.violating}"
+
+
+def _diam_le_5(r: GraphRecord) -> Optional[str]:
+    if r.edim == r.n - 2 and r.diameter > 5:
+        return f"edim=n-2 but diameter={r.diameter}"
     return None
 
 
-def _check_diam_le_5(G: Graph, st: GraphStats) -> Optional[str]:
-    if st.edim == st.n - 2 and st.diameter > 5:
-        return f"edim=n-2 but diameter={st.diameter}"
+def _diam_le_3k_1(r: GraphRecord) -> Optional[str]:
+    k = r.n - r.edim
+    if r.diameter > 3 * k - 1:
+        return f"k={k} diameter={r.diameter} bound={3 * k - 1}"
     return None
 
 
-def _check_diam_3k1(G: Graph, st: GraphStats) -> Optional[str]:
-    k = st.n - st.edim
-    if st.diameter > 3 * k - 1:
-        return f"k={k} diameter={st.diameter} bound={3 * k - 1}"
-    return None
+# The one table the sweeps evaluate: the six characterization rows beside
+# bounds.INEQUALITIES.  A row maps a GraphRecord whose dimensions are both
+# known to a failure detail, or None when it holds.
+_ROWS: dict[str, Callable[[GraphRecord], Optional[str]]] = {
+    "char1-equiv": _char1_equiv,
+    "char2-equiv": _char2_equiv,
+    "eq-n2-equiv": _eq_n2_equiv,
+    "tuple-lemma": _tuple_lemma,
+    "diam-le-5": _diam_le_5,
+    "diam-le-3k-1": _diam_le_3k_1,
+    **{name: row for name, (_, row) in INEQUALITIES.items()},
+}
 
-
-def _check_edge_bound_new(G: Graph, st: GraphStats) -> Optional[str]:
-    bound = edge_bound_new(st.edim_nonempty, st.diameter)
-    if st.m > bound:
-        return f"m={st.m} bound={bound} edim={st.edim} D={st.diameter}"
-    return None
-
-
-def _check_edge_bound_zubrilina(G: Graph, st: GraphStats) -> Optional[str]:
-    bound = edge_bound_zubrilina(st.edim_nonempty, st.diameter)
-    if st.m > bound:
-        return f"m={st.m} bound={bound} edim={st.edim} D={st.diameter}"
-    return None
-
-
-def _check_vertex_bound_hernando(G: Graph, st: GraphStats) -> Optional[str]:
-    bound = vertex_bound_hernando(st.dim_nonempty, st.diameter)
-    if st.n > bound:
-        return f"n={st.n} bound={bound} dim={st.dim} D={st.diameter}"
-    return None
-
-
-def _check_subgraph_bounds_self(G: Graph, st: GraphStats) -> Optional[str]:
-    vb = subgraph_vertex_bound(st.dim_nonempty, st.diameter)
-    eb = subgraph_edge_bound(st.edim_nonempty, st.diameter)
-    if st.n > vb:
-        return f"n={st.n} bound={vb} dim={st.dim} D={st.diameter}"
-    if st.m > eb:
-        return f"m={st.m} bound={eb} edim={st.edim} D={st.diameter}"
-    return None
-
-
-def _check_corollary_edges_md(G: Graph, st: GraphStats) -> Optional[str]:
-    if 2 * st.m > (3 ** st.dim - 1) * st.n:
-        return f"2m={2 * st.m} bound={(3 ** st.dim - 1) * st.n} dim={st.dim}"
-    return None
-
-
-def _check_corollary_edges_emd(G: Graph, st: GraphStats) -> Optional[str]:
-    if 2 * st.m > 2 ** st.edim * st.n:
-        return f"2m={2 * st.m} bound={2 ** st.edim * st.n} edim={st.edim}"
-    return None
-
-
-def _check_corollary_chromatic(G: Graph, st: GraphStats) -> Optional[str]:
-    if st.chromatic > 3 ** st.dim:
-        return f"chromatic={st.chromatic} bound={3 ** st.dim} dim={st.dim}"
-    return None
-
-
-def _check_corollary_degeneracy(G: Graph, st: GraphStats) -> Optional[str]:
-    if st.degeneracy > 3 ** st.dim - 1:
-        return f"degeneracy={st.degeneracy} bound={3 ** st.dim - 1} dim={st.dim}"
-    if st.degeneracy > 2 ** st.edim:
-        return f"degeneracy={st.degeneracy} bound={2 ** st.edim} edim={st.edim}"
-    return None
-
-
-THEOREM_CHECKS: dict[str, _CheckFn] = {
-    "char1-equiv": _check_char1_equiv,
-    "char2-equiv": _check_char2_equiv,
-    "eq-n2-equiv": _check_eq_n2_equiv,
-    "tuple-lemma": _check_tuple_lemma,
-    "diam-le-5": _check_diam_le_5,
-    "diam-le-3k-1": _check_diam_3k1,
-    "edge-bound-new": _check_edge_bound_new,
-    "edge-bound-zubrilina": _check_edge_bound_zubrilina,
-    "vertex-bound-hernando": _check_vertex_bound_hernando,
-    "subgraph-bounds-self": _check_subgraph_bounds_self,
-    "corollary-edges-md": _check_corollary_edges_md,
-    "corollary-edges-emd": _check_corollary_edges_emd,
-    "corollary-chromatic": _check_corollary_chromatic,
-    "corollary-degeneracy": _check_corollary_degeneracy,
-    "clique-vs-edim-explore": None,  # data sweep, handled separately
+# theorem id -> the table rows it checks, in order; the first failing row's
+# detail is reported.  The explore sweep checks nothing and collects data.
+THEOREM_CHECKS: dict[str, tuple[str, ...]] = {
+    "char1-equiv": ("char1-equiv",),
+    "char2-equiv": ("char2-equiv",),
+    "eq-n2-equiv": ("eq-n2-equiv",),
+    "tuple-lemma": ("tuple-lemma",),
+    "diam-le-5": ("diam-le-5",),
+    "diam-le-3k-1": ("diam-le-3k-1",),
+    "edge-bound-new": ("edge-bound-new",),
+    "edge-bound-zubrilina": ("edge-bound-zubrilina",),
+    "vertex-bound-hernando": ("vertex-bound-hernando",),
+    "subgraph-bounds-self": ("subgraph-vertex-self", "subgraph-edge-self"),
+    "corollary-edges-md": ("corollary-edges-md",),
+    "corollary-edges-emd": ("corollary-edges-emd",),
+    "corollary-chromatic": ("corollary-chromatic",),
+    "corollary-degeneracy": ("corollary-degeneracy-md", "corollary-degeneracy-emd"),
+    "clique-vs-edim-explore": (),
 }
 
 SWEEP_N_MIN = 3
@@ -376,6 +267,8 @@ def sweep(
     and a detail line, sorted for run-to-run and thread-count determinism."""
     if theorem_id not in THEOREM_CHECKS:
         raise KeyError(f"unknown theorem id {theorem_id!r}; known: {sorted(THEOREM_CHECKS)}")
+    if threads < 1:
+        raise GraphInputError(f"sweep needs at least one thread, got threads={threads}")
     limit = ENUMERATION_HARD_LIMIT if allow_large else ENUMERATION_LIMIT
     if n_max > limit:
         raise SizeLimitError(f"sweep range n_max={n_max} exceeds enumeration limit {limit}")
@@ -387,37 +280,27 @@ def sweep(
         counts[n] = len(classes)
         g6_list.extend(classes)
 
-    explore = theorem_id == "clique-vs-edim-explore"
-    check = THEOREM_CHECKS[theorem_id]
+    rows = [_ROWS[name] for name in THEOREM_CHECKS[theorem_id]]
 
     def run_one(g6: str):
-        st = _stats(g6, budget)
-        if st.budget_exhausted:
-            return g6, "budget-exhausted", st
-        if explore:
-            return g6, None, st
-        return g6, check(graph6_decode(g6), st), st
+        r = _record(g6, budget)
+        details = () if r.budget_exhausted else (row(r) for row in rows)
+        return r, next((d for d in details if d is not None), None)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run_one, g6_list))
     else:
         results = [run_one(g6) for g6 in g6_list]
-
-    failures = []
-    exhaustions = 0
-    clique_by_edim: dict[int, int] = {}
-    for g6, detail, st in results:
-        if detail == "budget-exhausted":
-            exhaustions += 1
-        elif detail is not None:
-            failures.append((g6, detail))
-        if explore and not st.budget_exhausted:
-            prev = clique_by_edim.get(st.edim_nonempty, 0)
-            clique_by_edim[st.edim_nonempty] = max(prev, st.max_clique_size)
+    failures = [(g6, d) for g6, (_, d) in zip(g6_list, results) if d is not None]
+    solved = [r for r, _ in results if not r.budget_exhausted]
 
     data = {}
-    if explore:
+    if theorem_id == "clique-vs-edim-explore":
+        clique_by_edim: dict[int, int] = {}
+        for r in solved:
+            k = max(r.edim, 1)
+            clique_by_edim[k] = max(clique_by_edim.get(k, 0), len(max_clique(r.graph)))
         data["max_clique_by_edim"] = {str(k): v for k, v in sorted(clique_by_edim.items())}
     return SweepReport(
         theorem_id=theorem_id,
@@ -426,7 +309,7 @@ def sweep(
         graphs_checked=len(g6_list),
         counts_by_n=counts,
         failures=tuple(sorted(failures)),
-        solver_budget_exhaustions=exhaustions,
+        solver_budget_exhaustions=len(results) - len(solved),
         elapsed_ms=(time.perf_counter() - started) * 1000.0,
         data=data,
     )

@@ -210,7 +210,7 @@ def graph6_decode(text: str) -> Graph:
 
 
 def parse_edge_list_text(text: str) -> Graph:
-    """Parse "n m" followed by m lines "u v"."""
+    """Parse "n m" followed by m lines "u v"; n is capped at GRAPH6_MAX_N."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise GraphInputError("empty edge-list text")
@@ -221,6 +221,8 @@ def parse_edge_list_text(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
         raise GraphInputError(f"edge-list header must be two integers: {lines[0]!r}") from exc
+    if n > GRAPH6_MAX_N:
+        raise SizeLimitError(f"edge-list input supports n <= {GRAPH6_MAX_N}, got {n}")
     if m != len(lines) - 1:
         raise GraphInputError(f"header announces {m} edges but {len(lines) - 1} lines follow")
     edges = []

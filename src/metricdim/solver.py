@@ -286,6 +286,15 @@ def _lex_smallest_basis(families: list[int], value: int, universe: int, budget: 
     return tuple(chosen)
 
 
+def _require_budget(universe: int, budget: int | None):
+    """Refuse a free search past FREE_SEARCH_LIMIT, before any other work."""
+    if universe > FREE_SEARCH_LIMIT and budget is None:
+        raise SizeLimitError(
+            f"universe of {universe} vertices needs an explicit search budget "
+            f"(free search is certified only up to {FREE_SEARCH_LIMIT})"
+        )
+
+
 def min_hitting_set(inst: DistinguisherInstance, budget: int | None = None) -> DimensionCertificate:
     """Certified minimum hitting set for a distinguisher instance.
 
@@ -293,11 +302,7 @@ def min_hitting_set(inst: DistinguisherInstance, budget: int | None = None) -> D
     BudgetExceededError carrying the best bounds found.  Universes above
     FREE_SEARCH_LIMIT vertices require an explicit budget.
     """
-    if inst.universe > FREE_SEARCH_LIMIT and budget is None:
-        raise SizeLimitError(
-            f"universe of {inst.universe} vertices needs an explicit search budget "
-            f"(free search is certified only up to {FREE_SEARCH_LIMIT})"
-        )
+    _require_budget(inst.universe, budget)
     _reject_empty(inst.masks)
     reduced = _minimal_families(inst.masks)
     if not reduced:
@@ -325,9 +330,11 @@ def min_hitting_set(inst: DistinguisherInstance, budget: int | None = None) -> D
 
 def metric_dimension(G: Graph, budget: int | None = None) -> DimensionCertificate:
     """Certified metric dimension with a lexicographically smallest basis."""
+    _require_budget(G.n, budget)
     return min_hitting_set(build_vertex_instance(G), budget)
 
 
 def edge_metric_dimension(G: Graph, budget: int | None = None) -> DimensionCertificate:
     """Certified edge metric dimension with a lexicographically smallest basis."""
+    _require_budget(G.n, budget)
     return min_hitting_set(build_edge_instance(G), budget)

@@ -191,6 +191,21 @@ class TestCheck:
         code, env_free, _ = run(capsys, ["check", "corollary-chromatic", "--max-n", "5"])
         assert solo == env_free
 
+    def test_threads_env_not_an_integer(self, capsys, monkeypatch, g6_file):
+        monkeypatch.setenv("METRICDIM_THREADS", "abc")
+        code, out, err = run(capsys, ["dim", g6_file(path_graph(3))])
+        assert code == 2
+        assert out == ""
+        assert "error: argument --threads: invalid int value: 'abc'" in err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_nonpositive_threads_rejected(self, capsys, monkeypatch, threads):
+        code, out, err = run(capsys, ["--threads", threads, "check", "tuple-lemma", "--max-n", "4"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: sweep needs at least one thread")
+        monkeypatch.setenv("METRICDIM_THREADS", threads)
+        assert run(capsys, ["check", "tuple-lemma", "--max-n", "4"])[0] == 2
+
 
 class TestBounds:
     def test_json_rows(self, capsys):
@@ -238,6 +253,13 @@ class TestExitCodes:
         code, _, err = run(capsys, ["dim", g6_file(G)])
         assert code == 3
         assert "connected" in err
+
+    def test_oversized_edge_list_header(self, capsys, tmp_path):
+        path = tmp_path / "huge.edges"
+        path.write_text("1000000000 0\n")
+        code, out, err = run(capsys, ["dim", str(path), "--format", "edgelist"])
+        assert (code, out) == (3, "")
+        assert "n <= 62" in err
 
     def test_malformed_graph6(self, capsys, tmp_path):
         path = tmp_path / "bad.g6"

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from metricdim import enumerator
+from metricdim.cli import main
 from metricdim.enumerator import (
     ENUMERATION_HARD_LIMIT,
     ENUMERATION_LIMIT,
@@ -15,6 +17,7 @@ from metricdim.enumerator import (
     sweep,
 )
 from metricdim.graph_core import (
+    GraphInputError,
     SizeLimitError,
     cycle_graph,
     graph6_encode,
@@ -101,6 +104,30 @@ class TestSweeps:
         with pytest.raises(KeyError):
             sweep("no-such-theorem", 5)
 
+    def test_registered_ids(self):
+        assert sorted(THEOREM_CHECKS) == [
+            "char1-equiv",
+            "char2-equiv",
+            "clique-vs-edim-explore",
+            "corollary-chromatic",
+            "corollary-degeneracy",
+            "corollary-edges-emd",
+            "corollary-edges-md",
+            "diam-le-3k-1",
+            "diam-le-5",
+            "edge-bound-new",
+            "edge-bound-zubrilina",
+            "eq-n2-equiv",
+            "subgraph-bounds-self",
+            "tuple-lemma",
+            "vertex-bound-hernando",
+        ]
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_nonpositive_threads_rejected(self, threads):
+        with pytest.raises(GraphInputError):
+            sweep("tuple-lemma", 4, threads=threads)
+
     def test_range_validated_before_work(self):
         with pytest.raises(SizeLimitError):
             sweep("tuple-lemma", ENUMERATION_LIMIT + 1)
@@ -139,3 +166,53 @@ class TestSweeps:
             solo = sweep(theorem_id, 6, threads=1).to_json()
             quad = sweep(theorem_id, 6, threads=4).to_json()
             assert solo == quad
+
+
+# record values forged onto every graph, as functions of n
+FORGED = {
+    "zero": lambda n: {"dim": 0, "edim": 0},
+    "edim=n-1": lambda n: {"edim": n - 1},
+    "edim=n-2,D=6": lambda n: {"edim": n - 2, "diameter": 6},
+    "edim=n-3": lambda n: {"edim": n - 3},
+}
+
+
+class TestFailureDetails:
+    """Force a violation through every checking sweep and pin the first
+    failure's exact detail text, as `metricdim check` prints it."""
+
+    @pytest.mark.parametrize(
+        "theorem_id, forged, graph6, detail",
+        [
+            ("char1-equiv", "zero", "Bw", "predicate=True edim=0 n=3 pair=None"),
+            ("char2-equiv", "edim=n-1", "CL", "predicate=False edim=3 n=4 triple=(0, 2, 3)"),
+            ("eq-n2-equiv", "zero", "BW", "predicate=True edim=0 n=3"),
+            ("tuple-lemma", "edim=n-1", "CL", "k=1 violating=(0, 1)"),
+            ("diam-le-5", "edim=n-2,D=6", "BW", "edim=n-2 but diameter=6"),
+            ("diam-le-3k-1", "edim=n-1", "CL", "k=1 diameter=3 bound=2"),
+            ("edge-bound-new", "zero", "Bw", "m=3 bound=2 edim=0 D=1"),
+            ("edge-bound-zubrilina", "zero", "Bw", "m=3 bound=2 edim=0 D=1"),
+            ("vertex-bound-hernando", "zero", "Bw", "n=3 bound=2 dim=0 D=1"),
+            ("subgraph-bounds-self", "zero", "Bw", "n=3 bound=2 dim=0 D=1"),
+            ("subgraph-bounds-self", "edim=n-3", "Bw", "m=3 bound=2 edim=0 D=1"),
+            ("corollary-edges-md", "zero", "BW", "2m=4 bound=0 dim=0"),
+            ("corollary-edges-emd", "zero", "BW", "2m=4 bound=3 edim=0"),
+            ("corollary-chromatic", "zero", "BW", "chromatic=2 bound=1 dim=0"),
+            ("corollary-degeneracy", "zero", "BW", "degeneracy=1 bound=0 dim=0"),
+            ("corollary-degeneracy", "edim=n-3", "Bw", "degeneracy=2 bound=1 edim=0"),
+        ],
+    )
+    def test_forged_violation(self, capsys, monkeypatch, theorem_id, forged, graph6, detail):
+        real = enumerator._record.__wrapped__  # uncached, so the forgery stays local
+
+        def forged_record(g6, budget):
+            r = real(g6, budget)
+            for name, value in FORGED[forged](r.n).items():
+                setattr(r, name, value)
+            return r
+
+        monkeypatch.setattr(enumerator, "_record", forged_record)
+        code = main(["check", theorem_id, "--max-n", "4"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert payload["failures"][0] == {"graph6": graph6, "detail": detail}

@@ -137,6 +137,13 @@ class TestEdgeListText:
         with pytest.raises(GraphInputError, match="edge line"):
             parse_edge_list_text("3 1\n0 1 2\n")
 
+    def test_vertex_count_capped_before_allocation(self):
+        with pytest.raises(SizeLimitError, match="edge-list input supports n <= 62"):
+            parse_edge_list_text("1000000000 0\n")
+        with pytest.raises(SizeLimitError):
+            parse_edge_list_text("63 0\n")
+        assert parse_edge_list_text("62 1\n0 61\n").n == 62
+
 
 class TestDistances:
     @given(graphs)

@@ -173,6 +173,26 @@ class TestBudget:
         cert = metric_dimension(G, budget=10**6)
         assert cert.value == 1
 
+    @pytest.mark.parametrize("solve", [metric_dimension, edge_metric_dimension])
+    def test_large_universe_refused_before_any_work(self, solve, monkeypatch):
+        def no_work(G):
+            raise AssertionError("free search past the limit reached the instance build")
+
+        from metricdim import solver
+
+        for name in ("bfs_all_pairs", "build_vertex_instance", "build_edge_instance"):
+            monkeypatch.setattr(solver, name, no_work)
+        with pytest.raises(SizeLimitError, match="explicit search budget"):
+            solve(path_graph(21))
+
+    def test_large_disconnected_reports_size_limit(self):
+        # the size refusal comes first; both errors map to CLI exit 3
+        G = from_edge_list(22, [(i, i + 1) for i in range(20)])
+        with pytest.raises(SizeLimitError):
+            metric_dimension(G)
+        with pytest.raises(DisconnectedGraphError):
+            metric_dimension(G, budget=10**6)
+
     def test_budget_enough_gives_optimal(self):
         cert = metric_dimension(cycle_graph(10), budget=10**6)
         assert cert.optimal
