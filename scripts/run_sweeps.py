@@ -8,6 +8,7 @@ import argparse
 import sys
 
 from metricdim.enumerator import THEOREM_CHECKS, sweep
+from metricdim.graph_core import GraphInputError, SizeLimitError
 
 
 def main() -> int:
@@ -19,7 +20,10 @@ def main() -> int:
 
     worst = 0
     for theorem_id in sorted(THEOREM_CHECKS):
-        report = sweep(theorem_id, args.max_n, threads=args.threads)
+        try:
+            report = sweep(theorem_id, args.max_n, threads=args.threads)
+        except (GraphInputError, SizeLimitError) as exc:
+            parser.error(str(exc))  # exit 2: the range or worker count is unusable
         print(report.to_json(include_timing=args.timing))
         print(report.summary_line(), file=sys.stderr)
         if not report.passed:

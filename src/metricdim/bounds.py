@@ -58,12 +58,16 @@ def edge_bound_new(k: int, D: int) -> int:
     """Edge count bound (floor(2D/3)+1)^k + k * sum_{i=1}^{ceil(D/3)} (2i)^(k-1).
 
     This is the general-c bound at c = ceil(D/3) - 1 after an index shift;
-    the identity is asserted on every call as a cross-check.
+    the identity is checked on every call as a cross-check, also under -O.
     """
     BoundParams(k, D)
     top = -(-D // 3)  # ceil(D/3)
     value = (2 * D // 3 + 1) ** k + k * sum((2 * i) ** (k - 1) for i in range(1, top + 1))
-    assert value == edge_bound_general_c(k, D, top - 1)
+    general = edge_bound_general_c(k, D, top - 1)
+    if value != general:
+        raise AssertionError(
+            f"edge_bound_new({k}, {D}) = {value} differs from the general-c bound {general}"
+        )
     return value
 
 

@@ -4,10 +4,17 @@ For each unordered object pair (two vertices, or two edges) the set of
 vertices whose distances to the two objects differ forms a distinguisher
 family; a landmark set resolves the objects iff it intersects every family.
 Minimum resolving set size is therefore a minimum hitting set, solved
-exactly by branch and bound: branch on a family of minimum cardinality,
-prune with a greedily built pairwise-disjoint-family lower bound, and seed
-with a greedy max-coverage upper bound.  Ties everywhere break toward the
-lexicographically smallest answer so results are stable across runs.
+exactly by branch and bound.  Duplicate families and supersets of other
+families are dropped first; the rest are held as bits of one int, and
+``hits[v]`` marks the families vertex v hits.  One decision search answers
+"is there a hitting set of at most k allowed vertices?": it prunes with a
+greedily built pairwise-disjoint-family lower bound, branches on the
+disjoint family with the fewest allowed vertices, and bars a refuted
+branch's vertex from its later siblings.  The value is the first k from
+the disjoint lower bound up that the search accepts, else the greedy
+max-coverage upper bound; the basis is the lexicographically smallest
+optimal set, grown one vertex at a time with the same search, so results
+are stable across runs.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from .graph_core import (
     DisconnectedGraphError,
     Graph,
     GraphError,
+    GraphInputError,
     SizeLimitError,
     bfs_all_pairs,
     bits,
@@ -25,9 +33,6 @@ from .graph_core import (
 
 # Universes larger than this require an explicit node budget.
 FREE_SEARCH_LIMIT = 20
-
-# Past this many distinct families, skip the quadratic superset sweep.
-REDUCTION_CUTOFF = 1500
 
 
 class EmptyDistinguisherError(GraphError):
@@ -149,33 +154,32 @@ def build_edge_instance(G: Graph) -> DistinguisherInstance:
 def greedy_upper_bound(inst: DistinguisherInstance) -> tuple[int, ...]:
     """Max-coverage greedy hitting set (ties to the smallest vertex id).
     Always returns a valid hitting set, hence a resolving set."""
-    _reject_empty(inst.masks)
-    remaining = list(inst.masks)
+    _check_families(inst)
+    hits = _transpose(inst.masks)
+    rem = (1 << len(inst.masks)) - 1
     chosen = []
-    while remaining:
-        counts = [0] * inst.universe
-        for m in remaining:
-            for v in bits(m):
-                counts[v] += 1
-        v = max(range(inst.universe), key=lambda u: (counts[u], -u))
+    while rem:
+        v = max(range(len(hits)), key=lambda u: ((rem & hits[u]).bit_count(), -u))
         chosen.append(v)
-        remaining = [m for m in remaining if not (m >> v) & 1]
+        rem &= ~hits[v]
     return tuple(sorted(chosen))
 
 
 def disjoint_pairs_lower_bound(inst: DistinguisherInstance) -> int:
     """Size of a greedily built collection of pairwise-disjoint families;
     any hitting set needs at least one vertex per member."""
-    _reject_empty(inst.masks)
+    _check_families(inst)
     return _disjoint_lb(sorted(inst.masks, key=lambda m: (m.bit_count(), m)))
 
 
-def _reject_empty(masks):
-    for m in masks:
+def _check_families(inst: DistinguisherInstance):
+    for m in inst.masks:
         if m == 0:
             raise EmptyDistinguisherError(
                 "a distinguisher family is empty; two distinct objects share all distances"
             )
+    if max(inst.masks, default=0) >> inst.universe:
+        raise GraphInputError(f"a distinguisher family names a vertex outside 0..{inst.universe - 1}")
 
 
 def _disjoint_lb(sorted_masks) -> int:
@@ -188,17 +192,33 @@ def _disjoint_lb(sorted_masks) -> int:
     return count
 
 
-def _minimal_families(masks) -> list[int]:
-    """Dedupe and (for moderate instance sizes) drop superset families,
-    keeping the result sorted by (cardinality, mask)."""
-    uniq = sorted(set(masks), key=lambda m: (m.bit_count(), m))
-    if len(uniq) > REDUCTION_CUTOFF:
-        return uniq
-    out: list[int] = []
-    for m in uniq:
-        if not any(k & m == k for k in out):
-            out.append(m)
-    return out
+def _transpose(masks) -> list[int]:
+    """``hits[v]``: the bitmask of the indices i with vertex v in ``masks[i]``."""
+    width = max(masks, default=0).bit_length()
+    spec = f"0{width}b"
+    rows = "".join([format(m, spec) for m in reversed(masks)])
+    # column v of the fixed-width binary rows, last mask first, is hits[v]
+    return [int(rows[width - 1 - v :: width], 2) for v in range(width)]
+
+
+def _minimal_families(masks) -> tuple[list[int], list[int]]:
+    """Distinct families with every superset of another dropped, sorted by
+    (cardinality, mask), and their transpose (see ``_transpose``)."""
+    uniq = sorted(set(masks))
+    uniq.sort(key=int.bit_count)  # stable: (cardinality, mask) order
+    cols = _transpose(uniq)
+    kept = []
+    alive = (1 << len(uniq)) - 1
+    while alive:
+        # every smaller family is kept or contains a kept one, so the
+        # first alive family is minimal; it and its supersets leave
+        j = (alive & -alive).bit_length() - 1
+        kept.append(uniq[j])
+        supersets = alive
+        for v in bits(uniq[j]):
+            supersets &= cols[v]
+        alive &= ~supersets
+    return kept, _transpose(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -210,80 +230,48 @@ class _BudgetSignal(Exception):
     pass
 
 
-class _Budget:
-    __slots__ = ("cap", "spent")
+class _Search:
+    """Decision search over the reduced families, with a node budget.
 
-    def __init__(self, cap: int | None):
+    A set of families is an int over family indices; choosing vertex v
+    leaves ``rem & ~hits[v]``.  ``allow`` is the bitmask of usable vertices.
+    """
+
+    __slots__ = ("fams", "clear", "cap", "spent")
+
+    def __init__(self, fams: list[int], hits: list[int], cap: int | None):
+        self.fams = fams
+        self.clear = [~h for h in hits]
         self.cap = cap
         self.spent = 0
 
-    def tick(self):
+    def exists(self, rem: int, k: int, allow: int) -> bool:
+        """Whether the families in ``rem`` have a hitting set of at most k
+        vertices of ``allow``."""
         self.spent += 1
         if self.cap is not None and self.spent > self.cap:
             raise _BudgetSignal
-
-
-def _search_value(families: list[int], lower: int, upper: int, budget: _Budget) -> int:
-    """Exact minimum hitting set size within [lower, upper]."""
-    best = upper
-
-    def rec(chosen: int, rem: list[int]):
-        nonlocal best
-        budget.tick()
         if not rem:
-            if chosen < best:
-                best = chosen
-            return
-        if chosen + _disjoint_lb(rem) >= best:
-            return
-        fam = rem[0]  # rem stays sorted by (cardinality, mask)
-        for v in bits(fam):
-            rec(chosen + 1, [m for m in rem if not (m >> v) & 1])
-
-    rec(0, families)
-    return best
-
-
-def _exists_hitting_set(families: list[int], k: int, budget: _Budget) -> bool:
-    """Decide whether the (already universe-restricted) families admit a
-    hitting set of size at most k."""
-    budget.tick()
-    if not families:
-        return True
-    if k == 0:
-        return False
-    for m in families:
-        if m == 0:
-            return False
-    if _disjoint_lb(families) > k:
-        return False
-    fam = min(families, key=lambda m: (m.bit_count(), m))
-    for v in bits(fam):
-        nxt = [m for m in families if not (m >> v) & 1]
-        if _exists_hitting_set(nxt, k - 1, budget):
             return True
-    return False
-
-
-def _lex_smallest_basis(families: list[int], value: int, universe: int, budget: _Budget):
-    """Lexicographically smallest hitting set of exactly the optimal size,
-    built by greedy prefix extension with a feasibility search per slot."""
-    chosen: list[int] = []
-    rem = list(families)
-    lo = 0
-    for _ in range(value):
-        for v in range(lo, universe):
-            rem_after = [m for m in rem if not (m >> v) & 1]
-            high = -1 << (v + 1)
-            masked = [m & high for m in rem_after]
-            if _exists_hitting_set(masked, value - len(chosen) - 1, budget):
-                chosen.append(v)
-                rem = rem_after
-                lo = v + 1
-                break
-        else:  # pragma: no cover - guarded by the value search
-            raise AssertionError("no extension below the certified optimum")
-    return tuple(chosen)
+        fams, clear = self.fams, self.clear
+        # Greedy pairwise-disjoint families (of their allowed vertices), each
+        # needing its own vertex; a family with no allowed vertex is never
+        # cleared, so it is reached unless the bound already exceeds k.
+        r, count, branch = rem, 0, 0
+        while r:
+            f = fams[(r & -r).bit_length() - 1] & allow
+            count += 1
+            if not f or count > k:
+                return False
+            if not branch or f.bit_count() < branch.bit_count():
+                branch = f
+            for v in bits(f):
+                r &= clear[v]
+        for v in bits(branch):
+            if self.exists(rem & clear[v], k - 1, allow):
+                return True
+            allow &= ~(1 << v)  # refuted: later siblings need not use v
+        return False
 
 
 def _require_budget(universe: int, budget: int | None):
@@ -303,24 +291,34 @@ def min_hitting_set(inst: DistinguisherInstance, budget: int | None = None) -> D
     FREE_SEARCH_LIMIT vertices require an explicit budget.
     """
     _require_budget(inst.universe, budget)
-    _reject_empty(inst.masks)
-    reduced = _minimal_families(inst.masks)
-    if not reduced:
+    _check_families(inst)
+    fams, hits = _minimal_families(inst.masks)
+    if not fams:
         return DimensionCertificate(inst.kind, 0, (), True, 0)
 
-    b = _Budget(budget)
+    search = _Search(fams, hits, budget)
     ub_set = greedy_upper_bound(inst)
-    lower = _disjoint_lb(reduced)
+    lower = _disjoint_lb(fams)
     upper = len(ub_set)
+    rem = (1 << len(fams)) - 1
+    vertices = (1 << len(hits)) - 1
     try:
-        if lower == upper:
-            value = lower  # bounds meet, the search would be a no-op
-        else:
-            value = _search_value(reduced, lower, upper, b)
-        basis = _lex_smallest_basis(reduced, value, inst.universe, b)
+        value = next((k for k in range(lower, upper) if search.exists(rem, k, vertices)), upper)
+        # lex-smallest basis: extend the prefix by the smallest vertex that
+        # still leaves a completion from larger vertices
+        basis = []
+        for v in range(len(hits)):
+            if len(basis) == value:
+                break
+            after = rem & ~hits[v]
+            if search.exists(after, value - len(basis) - 1, vertices & (-1 << (v + 1))):
+                basis.append(v)
+                rem = after
     except _BudgetSignal:
-        raise BudgetExceededError(inst.kind, lower, upper, ub_set, b.spent) from None
-    return DimensionCertificate(inst.kind, value, basis, True, b.spent)
+        raise BudgetExceededError(inst.kind, lower, upper, ub_set, search.spent) from None
+    if len(basis) != value:  # pragma: no cover - guarded by the value search
+        raise AssertionError("no extension below the certified optimum")
+    return DimensionCertificate(inst.kind, value, tuple(basis), True, search.spent)
 
 
 # ---------------------------------------------------------------------------

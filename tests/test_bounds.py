@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +36,22 @@ class TestHandValues:
         assert edge_bound_new(2, 3) == 13
         assert edge_bound_new(2, 6) == 37
         assert edge_bound_new(2, 1) == 5
+
+    def test_edge_bound_new_cross_check_survives_optimize(self):
+        # the identity with the general-c bound must be checked under -O too
+        script = (
+            "import sys\n"
+            "from metricdim import bounds\n"
+            "bounds.edge_bound_general_c = lambda k, D, c: -1\n"
+            "try:\n"
+            "    bounds.edge_bound_new(2, 3)\n"
+            "except AssertionError as exc:\n"
+            "    print(sys.flags.optimize, exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.stdout == "1 edge_bound_new(2, 3) = 13 differs from the general-c bound -1\n"
 
     def test_zubrilina(self):
         assert edge_bound_zubrilina(2, 3) == 16

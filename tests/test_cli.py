@@ -206,6 +206,11 @@ class TestCheck:
         monkeypatch.setenv("METRICDIM_THREADS", threads)
         assert run(capsys, ["check", "tuple-lemma", "--max-n", "4"])[0] == 2
 
+    def test_max_n_below_smallest_size_rejected(self, capsys):
+        code, out, err = run(capsys, ["check", "tuple-lemma", "--max-n", "-5"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: sweep range n_max=-5 is below the smallest swept size 3")
+
 
 class TestBounds:
     def test_json_rows(self, capsys):

@@ -132,6 +132,11 @@ class TestSweeps:
         with pytest.raises(SizeLimitError):
             sweep("tuple-lemma", ENUMERATION_LIMIT + 1)
 
+    @pytest.mark.parametrize("n_max", [SWEEP_N_MIN - 1, -5])
+    def test_range_below_smallest_size_rejected(self, n_max):
+        with pytest.raises(GraphInputError, match="below the smallest swept size"):
+            sweep("tuple-lemma", n_max)
+
     @pytest.mark.parametrize("theorem_id", sorted(THEOREM_CHECKS))
     def test_all_pass_through_n6(self, theorem_id):
         rep = sweep(theorem_id, 6)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from metricdim.graph_core import (
     DisconnectedGraphError,
+    GraphInputError,
     SizeLimitError,
     complete_bipartite_graph,
     complete_graph,
@@ -70,6 +71,22 @@ class TestBoundsHelpers:
             S = greedy_upper_bound(inst)
             ok, _ = is_vertex_resolving(G, S)
             assert ok
+
+    @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=40))))
+    def test_greedy_matches_counting_reference(self, case):
+        # the greedy's picks fix the reported upper bound and best_known
+        from metricdim.solver import DistinguisherInstance
+
+        universe, masks = case
+        remaining, chosen = list(masks), []
+        while remaining:
+            counts = [sum(m >> v & 1 for m in remaining) for v in range(universe)]
+            v = max(range(universe), key=lambda u: (counts[u], -u))
+            chosen.append(v)
+            remaining = [m for m in remaining if not m >> v & 1]
+        inst = DistinguisherInstance("vertex", universe, tuple(range(len(masks))), tuple(masks))
+        assert greedy_upper_bound(inst) == tuple(sorted(chosen))
 
     def test_disjoint_lower_bound_sound(self):
         for G in (path_graph(7), cycle_graph(8), complete_graph(5)):
@@ -140,18 +157,21 @@ class TestOracleEquivalence:
         checked = 0
         for n in range(2, 7):
             for G in enumerate_connected(n):
-                dim_naive, _ = naive_metric_dimension(G)
-                edim_naive, _ = naive_edge_metric_dimension(G)
-                assert metric_dimension(G).value == dim_naive
-                assert edge_metric_dimension(G).value == edim_naive
+                assert _answer(metric_dimension(G)) == naive_metric_dimension(G)
+                assert _answer(edge_metric_dimension(G)) == naive_edge_metric_dimension(G)
                 checked += 1
         assert checked == 1 + 2 + 6 + 21 + 112
 
     @given(st.integers(0, 10_000))
     def test_random_graphs_match_naive(self, seed):
+        # the oracles return the lex-first basis among the smallest sets
         G = random_connected_graph(random.Random(seed), 2 + seed % 7)
-        assert metric_dimension(G).value == naive_metric_dimension(G)[0]
-        assert edge_metric_dimension(G).value == naive_edge_metric_dimension(G)[0]
+        assert _answer(metric_dimension(G)) == naive_metric_dimension(G)
+        assert _answer(edge_metric_dimension(G)) == naive_edge_metric_dimension(G)
+
+
+def _answer(cert):
+    return cert.value, cert.basis
 
 
 class TestBudget:
@@ -193,6 +213,16 @@ class TestBudget:
         with pytest.raises(DisconnectedGraphError):
             metric_dimension(G, budget=10**6)
 
+    @pytest.mark.parametrize("build", [build_vertex_instance, build_edge_instance])
+    def test_exhaustion_reports_the_instance_bounds(self, build):
+        inst = build(cycle_graph(10))
+        with pytest.raises(BudgetExceededError) as exc_info:
+            min_hitting_set(inst, budget=1)
+        err = exc_info.value
+        assert err.lower_bound == disjoint_pairs_lower_bound(inst)
+        assert err.upper_bound == len(greedy_upper_bound(inst))
+        assert err.best_known == greedy_upper_bound(inst)
+
     def test_budget_enough_gives_optimal(self):
         cert = metric_dimension(cycle_graph(10), budget=10**6)
         assert cert.optimal
@@ -209,9 +239,53 @@ class TestHittingSetDirect:
         with pytest.raises(EmptyDistinguisherError):
             min_hitting_set(inst)
 
+    @pytest.mark.parametrize("solve", [min_hitting_set, greedy_upper_bound, disjoint_pairs_lower_bound])
+    def test_rejects_vertex_outside_universe(self, solve):
+        from metricdim.solver import DistinguisherInstance
+
+        inst = DistinguisherInstance(
+            kind="vertex", universe=2, pairs=((0, 1), (0, 2)), masks=(0b11, 0b100)
+        )
+        with pytest.raises(GraphInputError, match="outside 0..1"):
+            solve(inst)
+
     def test_trivial_instances(self):
         from metricdim.solver import DistinguisherInstance
 
         inst = DistinguisherInstance(kind="vertex", universe=3, pairs=(), masks=())
         cert = min_hitting_set(inst)
         assert cert.value == 0 and cert.basis == () and cert.optimal
+
+
+def _superset_filter(masks):
+    """The quadratic reference: distinct masks in (cardinality, mask)
+    order, each kept unless it contains an earlier kept mask."""
+    kept = []
+    for m in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
+        if not any(k & m == k for k in kept):
+            kept.append(m)
+    return kept
+
+
+class TestReduction:
+    @staticmethod
+    def check(masks):
+        from metricdim.solver import _minimal_families
+
+        kept, hits = _minimal_families(masks)
+        assert kept == _superset_filter(masks)
+        for v, column in enumerate(hits):
+            assert column == sum(1 << i for i, m in enumerate(kept) if m >> v & 1)
+        assert len(hits) == max(kept, default=0).bit_length()
+
+    @given(st.lists(st.integers(1, (1 << 10) - 1), max_size=60))
+    def test_matches_quadratic_filter(self, masks):
+        self.check(masks)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_quadratic_filter_past_1500_distinct(self, seed):
+        rng = random.Random(seed)
+        masks = [rng.getrandbits(24) | 1 << rng.randrange(24) for _ in range(2500)]
+        masks += masks[:100]  # duplicates collapse
+        assert len(set(masks)) > 1500
+        self.check(masks)
