@@ -15,7 +15,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=7, dest="max_n")
     parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--timing", action="store_true", help="include elapsed_ms (breaks byte determinism)")
+    parser.add_argument("--timing", action="store_true", help="include elapsed_ms and enumerate_ms (breaks byte determinism)")
     args = parser.parse_args()
 
     worst = 0

@@ -308,7 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=os.environ.get("METRICDIM_THREADS", "1"),
-        help="sweep parallelism (env METRICDIM_THREADS; results are order-normalized)",
+        help="sweep worker count (env METRICDIM_THREADS); validated, but sweeps run "
+        "in one thread because more only contend for the interpreter lock, and "
+        "output is byte-identical for any value",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 

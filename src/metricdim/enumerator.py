@@ -10,18 +10,24 @@ vertex the same adjacency pattern toward the placed sequence -- such states
 have identical futures.  Collapsing keeps highly symmetric graphs (K_n,
 bicliques) from blowing up the state list factorially.
 
-Enumeration is by augmentation: every connected graph on n vertices has a
-non-cut vertex, so deleting one leaves a connected graph on n-1 vertices;
-attaching a new vertex to every nonempty subset of every (n-1)-class and
-deduplicating by canonical form therefore reaches every n-class exactly
-once.
+Enumeration is by canonical deletion (McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998).  Every connected graph has a non-cut
+vertex, so each n-class C has a canonical deletion vertex m: among the
+non-cut vertices with the highest (degree, sum of neighbour degrees), the
+one placed first by the canonical labelling.  Deleting m leaves a connected
+(n-1)-class, the canonical parent of C.  A new vertex x is attached to every
+nonempty subset of every (n-1)-class P, and the child is kept only if
+deleting its m gives P again.  Children in which x does not score highest
+among the non-cut vertices are refused before any labelling; when x scores
+highest alone it is m and the child is kept.  Each n-class is therefore
+kept under exactly one parent, so a per-parent set of canonical strings
+drops the remaining repeats.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
@@ -39,9 +45,9 @@ from .graph_core import (
     SizeLimitError,
     bits,
     complete_graph,
-    from_edge_list,
     graph6_decode,
     graph6_encode,
+    induced_subgraph,
     max_clique,
     relabeled,
 )
@@ -50,6 +56,9 @@ CANONICAL_LIMIT = 10
 ENUMERATION_LIMIT = 8
 ENUMERATION_HARD_LIMIT = 9
 SCHEMA_VERSION = 1
+
+# set bit positions of every mask over at most CANONICAL_LIMIT vertices
+_BITS = tuple(tuple(bits(mask)) for mask in range(1 << CANONICAL_LIMIT))
 
 
 @dataclass(frozen=True)
@@ -67,29 +76,30 @@ def canonical_relabeling(G: Graph) -> tuple[int, ...]:
     if n == 0:
         return ()
     full = (1 << n) - 1
-    # state: (placed mask, placed order, rev) where rev[v] holds v's
-    # adjacency toward the placed sequence, earliest placement most
-    # significant -- exactly the next graph6 column if v is placed next
-    states = [(0, (), (0,) * n)]
+    # One 16-bit field per vertex, vertex v at bits 16v..16v+15.  An
+    # unplaced vertex's field holds its adjacency toward the placed
+    # sequence, earliest placement most significant -- exactly the next
+    # graph6 column if it is placed next; a placed vertex's field is 0xFFFF,
+    # above every column (< 2**CANONICAL_LIMIT), so the minimum field of a
+    # state is its best next column.  state: (placed mask, placed order,
+    # fields, the fields' placed part)
+    spread = [sum(1 << 16 * v for v in _BITS[row]) for row in G.adj]
+    states = [(0, (), 0, 0)]
     for _ in range(n):
-        best = None
-        chosen = []
-        for mask, placed, rev in states:
-            for c in bits(full & ~mask):
-                col = rev[c]
-                if best is None or col < best:
-                    best = col
-                    chosen = [(mask, placed, rev, c)]
-                elif col == best:
-                    chosen.append((mask, placed, rev, c))
+        views = [memoryview(state[2].to_bytes(2 * n, "little")).cast("H") for state in states]
+        lows = [min(view) for view in views]
+        best = min(lows)
         nxt = {}
-        for mask, placed, rev, c in chosen:
-            nmask = mask | 1 << c
-            adjc = G.adj[c]
-            nrev = tuple(rev[v] << 1 | adjc >> v & 1 for v in range(n))
-            key = (nmask, tuple(nrev[v] for v in bits(full & ~nmask)))
-            if key not in nxt:
-                nxt[key] = (nmask, placed + (c,), nrev)
+        for (mask, placed, cols, filled), view, low in zip(states, views, lows):
+            if low != best:
+                continue
+            for c in _BITS[full & ~mask]:
+                if view[c] != best:
+                    continue
+                nfilled = filled | 0xFFFF << 16 * c
+                ncols = (cols & ~nfilled) << 1 | spread[c] | nfilled
+                if ncols not in nxt:  # the 0xFFFF fields spell out the placed set
+                    nxt[ncols] = (mask | 1 << c, placed + (c,), ncols, nfilled)
         states = list(nxt.values())
     return states[0][1]
 
@@ -102,18 +112,59 @@ def canonical_form(G: Graph) -> CanonicalForm:
     return CanonicalForm(canonical_graph6(G).encode("ascii"))
 
 
+def _scores(adj: tuple[int, ...]) -> list[int]:
+    """Isomorphism-invariant score per vertex: (degree, sum of neighbour
+    degrees), packed into one int so scores compare in that order (the sum
+    stays below 2**7 for n <= CANONICAL_LIMIT)."""
+    deg = [row.bit_count() for row in adj]
+    return [deg[v] << 7 | sum(deg[u] for u in _BITS[row]) for v, row in enumerate(adj)]
+
+
+def _non_cut(adj: tuple[int, ...], v: int) -> bool:
+    """True when deleting v leaves the other vertices connected."""
+    rest = ((1 << len(adj)) - 1) & ~(1 << v)
+    reach = frontier = rest & -rest
+    while frontier:
+        grown = 0
+        for u in _BITS[frontier]:
+            grown |= adj[u]
+        frontier = grown & rest & ~reach
+        reach |= frontier
+    return reach == rest
+
+
 @lru_cache(maxsize=None)
 def _connected_classes(n: int) -> tuple[str, ...]:
     if n == 1:
         return (graph6_encode(complete_graph(1)),)
-    seen = set()
+    x = n - 1
+    classes = []
     for parent_g6 in _connected_classes(n - 1):
-        parent = graph6_decode(parent_g6)
-        base_edges = parent.edges()
-        for mask in range(1, 1 << (n - 1)):
-            edges = base_edges + [(v, n - 1) for v in bits(mask)]
-            seen.add(canonical_graph6(from_edge_list(n, edges)))
-    return tuple(sorted(seen))
+        parent_adj = graph6_decode(parent_g6).adj
+        parent_scores = sorted(_scores(parent_adj))
+        kept: dict[str, bool] = {}  # child's canonical graph6 -> accepted
+        for nbrs in range(1, 1 << x):
+            adj = tuple(row | (nbrs >> v & 1) << x for v, row in enumerate(parent_adj)) + (nbrs,)
+            scores = _scores(adj)
+            top = scores[x]
+            # x is non-cut (deleting it leaves P); m must score at least as high
+            if any(s > top and _non_cut(adj, v) for v, s in enumerate(scores)):
+                continue
+            g6 = canonical_graph6(Graph(n, adj))
+            if g6 in kept:
+                continue
+            if not any(s == top and v != x and _non_cut(adj, v) for v, s in enumerate(scores)):
+                kept[g6] = True  # x is m
+                continue
+            # m is the tied vertex placed first in the canonical graph
+            canonical = graph6_decode(g6)
+            cscores = _scores(canonical.adj)
+            m = next(v for v in range(n) if cscores[v] == top and _non_cut(canonical.adj, v))
+            rest, _ = induced_subgraph(canonical, (v for v in range(n) if v != m))
+            kept[g6] = (sorted(_scores(rest.adj)) == parent_scores
+                        and canonical_graph6(rest) == parent_g6)
+        classes.extend(g6 for g6, accepted in kept.items() if accepted)
+    return tuple(sorted(classes))
 
 
 def enumerate_connected(n: int, allow_large: bool = False) -> list[Graph]:
@@ -225,6 +276,7 @@ class SweepReport:
     failures: tuple[tuple[str, str], ...]  # (canonical graph6, detail)
     solver_budget_exhaustions: int
     elapsed_ms: float
+    enumerate_ms: float  # part of elapsed_ms spent building the class lists
     data: dict = field(default_factory=dict)
 
     @property
@@ -245,6 +297,7 @@ class SweepReport:
         }
         if include_timing:
             payload["elapsed_ms"] = self.elapsed_ms
+            payload["enumerate_ms"] = self.enumerate_ms
         return json.dumps(payload, sort_keys=True)
 
     def summary_line(self) -> str:
@@ -264,7 +317,11 @@ def sweep(
 ) -> SweepReport:
     """Run one registered theorem check over every connected graph with
     SWEEP_N_MIN <= n <= n_max.  Failures carry the canonical graph6 string
-    and a detail line, sorted for run-to-run and thread-count determinism."""
+    and a detail line, sorted for run-to-run determinism.
+
+    threads is validated (at least 1) but the sweep runs in the calling
+    thread: the checks are pure-Python work, so more threads only contend
+    for the interpreter lock.  The report is byte-identical for any value."""
     if theorem_id not in THEOREM_CHECKS:
         raise KeyError(f"unknown theorem id {theorem_id!r}; known: {sorted(THEOREM_CHECKS)}")
     if threads < 1:
@@ -281,21 +338,21 @@ def sweep(
         classes = _connected_classes(n)
         counts[n] = len(classes)
         g6_list.extend(classes)
+    enumerated = time.perf_counter()
 
     rows = [_ROWS[name] for name in THEOREM_CHECKS[theorem_id]]
-
-    def run_one(g6: str):
+    failures = []
+    solved = []
+    for g6 in g6_list:
         r = _record(g6, budget)
-        details = () if r.budget_exhausted else (row(r) for row in rows)
-        return r, next((d for d in details if d is not None), None)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, g6_list))
-    else:
-        results = [run_one(g6) for g6 in g6_list]
-    failures = [(g6, d) for g6, (_, d) in zip(g6_list, results) if d is not None]
-    solved = [r for r, _ in results if not r.budget_exhausted]
+        if r.budget_exhausted:
+            continue
+        solved.append(r)
+        for row in rows:
+            detail = row(r)
+            if detail is not None:
+                failures.append((g6, detail))
+                break
 
     data = {}
     if theorem_id == "clique-vs-edim-explore":
@@ -311,7 +368,8 @@ def sweep(
         graphs_checked=len(g6_list),
         counts_by_n=counts,
         failures=tuple(sorted(failures)),
-        solver_budget_exhaustions=len(results) - len(solved),
+        solver_budget_exhaustions=len(g6_list) - len(solved),
         elapsed_ms=(time.perf_counter() - started) * 1000.0,
+        enumerate_ms=(enumerated - started) * 1000.0,
         data=data,
     )

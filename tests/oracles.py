@@ -1,15 +1,25 @@
 """Independent reference implementations used only to cross-check the
 package.  Everything here is written the slow, obvious way on purpose:
 dict-based BFS, all-subsets dimension search, min-over-all-permutations
-canonical forms."""
+canonical forms, and class enumeration that labels every child."""
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from functools import lru_cache
 from itertools import combinations, permutations
 
-from metricdim.graph_core import Graph, from_edge_list, graph6_encode, relabeled
+from metricdim.enumerator import canonical_graph6
+from metricdim.graph_core import (
+    Graph,
+    bits,
+    complete_graph,
+    from_edge_list,
+    graph6_decode,
+    graph6_encode,
+    relabeled,
+)
 
 
 def naive_distances(G: Graph) -> dict[int, dict[int, int]]:
@@ -81,6 +91,22 @@ def naive_is_edge_resolving(G: Graph, S) -> bool:
 
 def brute_canonical_graph6(G: Graph) -> str:
     return min(graph6_encode(relabeled(G, perm)) for perm in permutations(range(G.n)))
+
+
+@lru_cache(maxsize=None)
+def naive_connected_classes(n: int) -> tuple[str, ...]:
+    """Canonical graph6 strings of the connected n-vertex classes: attach a
+    new vertex to every nonempty subset of every (n-1)-class, label every
+    child and deduplicate globally."""
+    if n == 1:
+        return (graph6_encode(complete_graph(1)),)
+    seen = set()
+    for parent_g6 in naive_connected_classes(n - 1):
+        base_edges = graph6_decode(parent_g6).edges()
+        for mask in range(1, 1 << (n - 1)):
+            edges = base_edges + [(v, n - 1) for v in bits(mask)]
+            seen.add(canonical_graph6(from_edge_list(n, edges)))
+    return tuple(sorted(seen))
 
 
 def random_connected_graph(rng: random.Random, n: int) -> Graph:

@@ -1,5 +1,6 @@
 import json
 import random
+import threading
 
 import pytest
 
@@ -10,6 +11,7 @@ from metricdim.enumerator import (
     ENUMERATION_LIMIT,
     SWEEP_N_MIN,
     THEOREM_CHECKS,
+    _connected_classes,
     canonical_form,
     canonical_graph6,
     canonical_relabeling,
@@ -19,6 +21,8 @@ from metricdim.enumerator import (
 from metricdim.graph_core import (
     GraphInputError,
     SizeLimitError,
+    complete_bipartite_graph,
+    complete_graph,
     cycle_graph,
     graph6_encode,
     is_connected,
@@ -26,7 +30,7 @@ from metricdim.graph_core import (
     relabeled,
     star_graph,
 )
-from oracles import brute_canonical_graph6, random_connected_graph
+from oracles import brute_canonical_graph6, naive_connected_classes, random_connected_graph
 
 # one representative per isomorphism class of connected graphs
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
@@ -61,6 +65,23 @@ class TestCanonicalForm:
             G = random_connected_graph(rng, 6)
             assert canonical_graph6(G) == brute_canonical_graph6(G)
 
+    @pytest.mark.parametrize(
+        "name", [f"random-{i}" for i in range(10)] + ["K7", "C7", "K3,4", "star7"]
+    )
+    def test_matches_brute_force_n7(self, name):
+        named = {
+            "K7": complete_graph(7),
+            "C7": cycle_graph(7),
+            "K3,4": complete_bipartite_graph(3, 4),
+            "star7": star_graph(6),
+        }
+        rng = random.Random(f"canonical-n7-{name}")
+        G = named[name] if name in named else random_connected_graph(rng, 7)
+        order = list(range(7))
+        rng.shuffle(order)
+        G = relabeled(G, order)
+        assert canonical_graph6(G) == brute_canonical_graph6(G)
+
     def test_form_equality(self):
         a = canonical_form(cycle_graph(4))
         b = canonical_form(relabeled(cycle_graph(4), [2, 0, 3, 1]))
@@ -75,8 +96,13 @@ class TestEnumeration:
         assert len(enumerate_connected(n)) == EXPECTED_COUNTS[n]
 
     def test_class_count_n8(self):
-        # the one heavyweight case: ~1 minute, cached for the whole session
+        # the one heavyweight case (about 12 s on 2 cores), cached for the
+        # rest of the test run
         assert len(enumerate_connected(8)) == EXPECTED_COUNTS[8]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_labelling_every_child(self, n):
+        assert _connected_classes(n) == naive_connected_classes(n)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_all_connected_no_duplicates(self, n):
@@ -159,12 +185,36 @@ class TestSweeps:
         rep = sweep("char1-equiv", 5)
         text = rep.to_json()
         payload = json.loads(text)
-        assert list(payload) == sorted(payload)
-        assert "elapsed_ms" not in payload
+        assert list(payload) == [
+            "counts_by_n",
+            "data",
+            "failures",
+            "graphs_checked",
+            "n_max",
+            "n_min",
+            "schema_version",
+            "solver_budget_exhaustions",
+            "theorem_id",
+        ]
         assert payload["schema_version"] == 1
         assert payload["counts_by_n"] == {"3": 2, "4": 6, "5": 21}
         timed = json.loads(rep.to_json(include_timing=True))
-        assert "elapsed_ms" in timed
+        assert list(timed) == sorted(timed)
+        assert sorted(set(timed) - set(payload)) == ["elapsed_ms", "enumerate_ms"]
+        assert 0 <= timed["enumerate_ms"] <= timed["elapsed_ms"]
+
+    def test_sweep_starts_no_thread(self, monkeypatch):
+        started = []
+        real_start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        rep = sweep("tuple-lemma", 4, threads=8)
+        assert rep.passed
+        assert started == []
 
     def test_thread_count_does_not_change_output(self):
         for theorem_id in ("char2-equiv", "edge-bound-new", "clique-vs-edim-explore"):
