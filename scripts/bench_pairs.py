@@ -1,0 +1,161 @@
+#!/usr/bin/env python3
+"""Paired benchmark of a parent checkout against this working tree.
+
+    python3 scripts/bench_pairs.py --parent DIR --out BENCH_N.json \
+        [--workloads W ...] [--seeds 21-30]
+
+For every workload (by default those BENCHMARK.json declares) and seed it
+runs each side's own, unchanged ``perfbench/run.py --workload W --seed S
+--seconds T``, with T the declared ``run_seconds``, one run at a time and
+alternating which side goes first.  The JSON written to ``--out`` holds
+every run and, per workload and end-to-end metric, each side's median and
+quartiles, how many pairs the change won, a bound verdict and whether a
+gain may be claimed.  The verdict is "within" or "exceeded" by the change's
+median against the declared bound, or "unresolved" when the parent's
+interquartile range is wider than the bound and the change's runs do not
+all beat the parent's.  A gain needs at least nine tenths of the pairs
+won, the medians further apart than the parent's interquartile range,
+every run correct and no more failed operations than the parent.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from spread import seeds_arg  # noqa: E402
+
+RUN_TIMEOUT_S = 900
+SIDES = ("parent", "change")
+
+
+def src_lines(root: Path) -> int:
+    return sum(len(p.read_text().splitlines()) for p in sorted((root / "src").rglob("*.py")))
+
+
+def commit(root: Path) -> str | None:
+    """``git describe --always --dirty`` of the checkout, None outside git."""
+    try:
+        out = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=root,
+                             capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.stdout.strip()
+
+
+def bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench run of the checkout at ``root``; its result object."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds)]
+    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    if out.returncode != 0:
+        raise SystemExit(f"error: {' '.join(cmd)} in {root} exited {out.returncode}:\n{out.stderr}")
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    return {
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+    }
+
+
+def spread(values: list[float]) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
+
+
+def summarize(pairs: list[dict], declared: list[dict]) -> dict:
+    """Per declared metric: both sides' spread, the change's wins, the bound
+    verdict and whether a gain may be claimed."""
+    sound = (all(p[s]["correct"] for p in pairs for s in SIDES)
+             and sum(p["change"]["failed"] for p in pairs) <= sum(p["parent"]["failed"] for p in pairs))
+    summary = {}
+    for metric in declared:
+        name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+        parent = [p["parent"]["metrics"][name] for p in pairs]
+        change = [p["change"]["metrics"][name] for p in pairs]
+        wins = sum(sign * c < sign * p for p, c in zip(parent, change))
+        before, after = spread(parent), spread(change)
+        worse = sign * (after["median"] - before["median"])
+        iqr = before["q3"] - before["q1"]
+        allowed = metric["bound"] * before["median"]
+        if iqr > allowed and max(sign * c for c in change) >= min(sign * p for p in parent):
+            verdict = "unresolved"
+        else:
+            verdict = "within" if worse <= allowed else "exceeded"
+        summary[name] = {
+            "unit": metric["unit"],
+            "parent": before,
+            "change": after,
+            "change_wins": wins,
+            "pairs": len(pairs),
+            "relative_change": (after["median"] - before["median"]) / before["median"],
+            "bound": verdict,
+            "gain_claimable": sound and wins >= 0.9 * len(pairs) and -worse > iqr,
+        }
+    return summary
+
+
+def main(argv=None) -> int:
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
+    parser.add_argument("--out", required=True, type=Path, help="JSON file to write")
+    parser.add_argument("--workloads", nargs="+",
+                        default=[w["name"] for w in declared["workloads"]])
+    parser.add_argument("--seeds", type=seeds_arg, default=seeds_arg("21-30"), help="N or LO-HI")
+    args = parser.parse_args(argv)
+    parent = args.parent.resolve()
+    if not (parent / "perfbench" / "run.py").is_file():
+        print(f"error: no perfbench/run.py under {parent}", file=sys.stderr)
+        return 2
+    seconds = declared["run_seconds"]
+
+    roots = {"parent": parent, "change": ROOT}
+    workloads = {}
+    for workload in args.workloads:
+        pairs = []
+        for i, seed in enumerate(args.seeds):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = bench(roots[side], workload, seed, seconds)
+                print(f"# {workload} seed {seed} {side}: wall_s "
+                      f"{pair[side]['metrics']['wall_s']:.3f}", file=sys.stderr, flush=True)
+            pairs.append(pair)
+        workloads[workload] = {
+            "all_correct": all(p[s]["correct"] for p in pairs for s in SIDES),
+            "failed": {s: sum(p[s]["failed"] for p in pairs) for s in SIDES},
+            "attempted": {s: sum(p[s]["attempted"] for p in pairs) for s in SIDES},
+            "metrics": summarize(pairs, declared["end_to_end"]),
+            "pairs": pairs,
+        }
+
+    report = {
+        "python": platform.python_version(),
+        "nproc": os.cpu_count(),
+        "run_seconds": seconds,
+        "seeds": args.seeds,
+        "commits": {side: commit(root) for side, root in roots.items()},
+        "src_lines": {side: src_lines(root) for side, root in roots.items()},
+        "workloads": workloads,
+    }
+    args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    for workload, result in workloads.items():
+        for name, m in result["metrics"].items():
+            print(f"{workload} {name}: {m['parent']['median']:.4g} -> {m['change']['median']:.4g}"
+                  f" {m['unit']}, change won {m['change_wins']}/{m['pairs']},"
+                  f" bound {m['bound']}, gain claimable {m['gain_claimable']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

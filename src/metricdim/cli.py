@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -348,8 +349,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=4)
+def _parser_for(threads_env: Optional[str]) -> argparse.ArgumentParser:
+    """build_parser() for the METRICDIM_THREADS value it reads, built once:
+    building a parser costs more than parsing a command line."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser_for(os.environ.get("METRICDIM_THREADS"))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -326,6 +326,8 @@ def sweep(
         raise KeyError(f"unknown theorem id {theorem_id!r}; known: {sorted(THEOREM_CHECKS)}")
     if threads < 1:
         raise GraphInputError(f"sweep needs at least one thread, got threads={threads}")
+    if budget is not None and budget < 0:
+        raise GraphInputError(f"sweep budget must be at least 0, got budget={budget}")
     if n_max < SWEEP_N_MIN:
         raise GraphInputError(f"sweep range n_max={n_max} is below the smallest swept size {SWEEP_N_MIN}")
     limit = ENUMERATION_HARD_LIMIT if allow_large else ENUMERATION_LIMIT

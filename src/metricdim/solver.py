@@ -4,9 +4,13 @@ For each unordered object pair (two vertices, or two edges) the set of
 vertices whose distances to the two objects differ forms a distinguisher
 family; a landmark set resolves the objects iff it intersects every family.
 Minimum resolving set size is therefore a minimum hitting set, solved
-exactly by branch and bound.  Duplicate families and supersets of other
-families are dropped first; the rest are held as bits of one int, and
-``hits[v]`` marks the families vertex v hits.  One decision search answers
+exactly by branch and bound.  The families of all pairs are built at once
+from packed distance rows (see ``_pair_masks``): one byte per landmark,
+bounded blocks of pairs compared by one big-int XOR each, and distances
+of 128 or more packed as 7-bit planes whose XORs are OR-ed per block.
+Duplicate families and supersets of other families are dropped first; the
+rest are held as bits of one int, and ``hits[v]`` marks the families vertex
+v hits.  One decision search answers
 "is there a hitting set of at most k allowed vertices?": it prunes with a
 greedily built pairwise-disjoint-family lower bound, branches on the
 disjoint family with the fewest allowed vertices, and bars a refuted
@@ -20,6 +24,7 @@ are stable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, repeat
 
 from .graph_core import (
     DisconnectedGraphError,
@@ -28,7 +33,6 @@ from .graph_core import (
     GraphInputError,
     SizeLimitError,
     bfs_all_pairs,
-    bits,
 )
 
 # Universes larger than this require an explicit node budget.
@@ -104,20 +108,8 @@ def build_vertex_instance(G: Graph) -> DistinguisherInstance:
     D = bfs_all_pairs(G)
     if not D.connected:
         raise DisconnectedGraphError("distinguisher instances require a connected graph")
-    pairs = []
-    masks = []
-    n = G.n
-    for a in range(n):
-        ra = D.rows[a]
-        for b in range(a + 1, n):
-            rb = D.rows[b]
-            m = 0
-            for x in range(n):
-                if ra[x] != rb[x]:
-                    m |= 1 << x
-            pairs.append((a, b))
-            masks.append(m)
-    return DistinguisherInstance("vertex", n, tuple(pairs), tuple(masks))
+    pairs = tuple(combinations(range(G.n), 2))
+    return DistinguisherInstance("vertex", G.n, pairs, _pair_masks(D.rows))
 
 
 def build_edge_instance(G: Graph) -> DistinguisherInstance:
@@ -125,25 +117,58 @@ def build_edge_instance(G: Graph) -> DistinguisherInstance:
     D = bfs_all_pairs(G)
     if not D.connected:
         raise DisconnectedGraphError("distinguisher instances require a connected graph")
-    n = G.n
     edges = G.edges()
-    dist_rows = []
-    for u, w in edges:
-        ru, rw = D.rows[u], D.rows[w]
-        dist_rows.append([min(ru[x], rw[x]) for x in range(n)])
-    pairs = []
-    masks = []
-    for i in range(len(edges)):
-        di = dist_rows[i]
-        for j in range(i + 1, len(edges)):
-            dj = dist_rows[j]
-            m = 0
-            for x in range(n):
-                if di[x] != dj[x]:
-                    m |= 1 << x
-            pairs.append((edges[i], edges[j]))
-            masks.append(m)
-    return DistinguisherInstance("edge", n, tuple(pairs), tuple(masks))
+    # lists, not tuples: CPython's free lists keep small tuples alive after use
+    rows = [[a if a < b else b for a, b in zip(D.rows[u], D.rows[w])] for u, w in edges]
+    pairs = tuple(combinations(edges, 2))
+    return DistinguisherInstance("edge", G.n, pairs, _pair_masks(rows))
+
+
+# Packed bytes per block of rows in _pair_masks; bounds the build's peak memory.
+_BLOCK_BYTES = 1 << 16
+# XOR of two packed bytes -> ASCII: 0 (equal distances) is a 0 digit, 1..127
+# a 1 digit, and 128 (the separators' XOR) ends a pair
+_DIGITS = b"0" + b"1" * 127 + b" " * 128
+
+
+def _pair_masks(rows) -> tuple[int, ...]:
+    """Masks of all pairs i < j of the distance ``rows``, row-major: bit x is
+    set where the two rows differ at landmark x.
+
+    Rows are packed one byte per landmark, landmark n - 1 first, then a
+    separator byte: 128 on the left side of the XOR, 0 on the right.  For a
+    block of rows i, field i repeated once per j > i is XOR-ed as one int
+    against the fields of those j, so a byte below 128 is nonzero exactly
+    where the rows differ, and the bytes read as one binary token per pair.
+    Distances of 128 and more are packed as 7-bit planes, whose XORs are
+    OR-ed block by block, so that path needs no more mask memory.
+    """
+    m = len(rows)
+    top = max(map(max, rows), default=0)
+    if top < 128:
+        planes = [[bytes(row[::-1]) for row in rows]]
+    else:
+        planes = [[bytes([v >> shift & 127 for v in reversed(row)]) for row in rows]
+                  for shift in range(0, top.bit_length(), 7)]
+    lefts = [[field + b"\x80" for field in plane] for plane in planes]
+    rights = [b"".join([field + b"\0" for field in plane]) for plane in planes]
+    size = len(rights[0]) // m if m else 0
+    masks: list[int] = []
+    i = 0
+    while i < m - 1:
+        # rows i..stop-1: at least one, at most _BLOCK_BYTES packed unless one row is larger
+        stop, count = i + 1, m - 1 - i
+        while stop < m - 1 and (count + m - 1 - stop) * size <= _BLOCK_BYTES:
+            count += m - 1 - stop
+            stop += 1
+        differ = 0
+        for left, right in zip(lefts, rights):
+            differ |= (int.from_bytes(b"".join([left[r] * (m - 1 - r) for r in range(i, stop)]), "big")
+                       ^ int.from_bytes(b"".join([right[(r + 1) * size:] for r in range(i, stop)]), "big"))
+        text = differ.to_bytes(count * size, "big").translate(_DIGITS)
+        masks.extend(map(int, text.split(), repeat(2)))
+        i = stop
+    return tuple(masks)
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +238,13 @@ def _minimal_families(masks) -> tuple[list[int], list[int]]:
         # every smaller family is kept or contains a kept one, so the
         # first alive family is minimal; it and its supersets leave
         j = (alive & -alive).bit_length() - 1
-        kept.append(uniq[j])
+        f = uniq[j]
+        kept.append(f)
         supersets = alive
-        for v in bits(uniq[j]):
-            supersets &= cols[v]
+        while f:
+            low = f & -f
+            supersets &= cols[low.bit_length() - 1]
+            f ^= low
         alive &= ~supersets
     return kept, _transpose(kept)
 
@@ -265,17 +293,24 @@ class _Search:
                 return False
             if not branch or f.bit_count() < branch.bit_count():
                 branch = f
-            for v in bits(f):
-                r &= clear[v]
-        for v in bits(branch):
-            if self.exists(rem & clear[v], k - 1, allow):
+            while f:
+                low = f & -f
+                r &= clear[low.bit_length() - 1]
+                f ^= low
+        while branch:
+            low = branch & -branch
+            if self.exists(rem & clear[low.bit_length() - 1], k - 1, allow):
                 return True
-            allow &= ~(1 << v)  # refuted: later siblings need not use v
+            allow &= ~low  # refuted: later siblings need not use this vertex
+            branch ^= low
         return False
 
 
 def _require_budget(universe: int, budget: int | None):
-    """Refuse a free search past FREE_SEARCH_LIMIT, before any other work."""
+    """Refuse a negative budget, and a free search past FREE_SEARCH_LIMIT,
+    before any other work."""
+    if budget is not None and budget < 0:
+        raise GraphInputError(f"search budget must be at least 0, got {budget}")
     if universe > FREE_SEARCH_LIMIT and budget is None:
         raise SizeLimitError(
             f"universe of {universe} vertices needs an explicit search budget "

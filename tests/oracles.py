@@ -13,6 +13,7 @@ from itertools import combinations, permutations
 from metricdim.enumerator import canonical_graph6
 from metricdim.graph_core import (
     Graph,
+    bfs_all_pairs,
     bits,
     complete_graph,
     from_edge_list,
@@ -39,6 +40,38 @@ def naive_distances(G: Graph) -> dict[int, dict[int, int]]:
                     queue.append(y)
         dist[src] = row
     return dist
+
+
+def reference_vertex_instance(G: Graph) -> tuple[tuple, tuple[int, ...]]:
+    """(pairs, masks) of the vertex distinguisher instance, pair by pair."""
+    rows = bfs_all_pairs(G).rows
+    pairs, masks = [], []
+    for a in range(G.n):
+        for b in range(a + 1, G.n):
+            m = 0
+            for x in range(G.n):
+                if rows[a][x] != rows[b][x]:
+                    m |= 1 << x
+            pairs.append((a, b))
+            masks.append(m)
+    return tuple(pairs), tuple(masks)
+
+
+def reference_edge_instance(G: Graph) -> tuple[tuple, tuple[int, ...]]:
+    """(pairs, masks) of the edge distinguisher instance, pair by pair."""
+    rows = bfs_all_pairs(G).rows
+    edges = G.edges()
+    dist = [[min(rows[u][x], rows[w][x]) for x in range(G.n)] for u, w in edges]
+    pairs, masks = [], []
+    for i in range(len(edges)):
+        for j in range(i + 1, len(edges)):
+            m = 0
+            for x in range(G.n):
+                if dist[i][x] != dist[j][x]:
+                    m |= 1 << x
+            pairs.append((edges[i], edges[j]))
+            masks.append(m)
+    return tuple(pairs), tuple(masks)
 
 
 def naive_is_connected(G: Graph) -> bool:

@@ -206,6 +206,25 @@ class TestCheck:
         monkeypatch.setenv("METRICDIM_THREADS", threads)
         assert run(capsys, ["check", "tuple-lemma", "--max-n", "4"])[0] == 2
 
+    def test_parser_reuse_honours_each_threads_env(self, capsys, monkeypatch, g6_file):
+        path = g6_file(cycle_graph(6))
+        monkeypatch.setenv("METRICDIM_THREADS", "2")
+        first = run(capsys, ["dim", path])
+        assert first[0] == 0
+        assert run(capsys, ["dim", path]) == first
+        monkeypatch.setenv("METRICDIM_THREADS", "0")
+        code, out, err = run(capsys, ["check", "tuple-lemma", "--max-n", "4"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: sweep needs at least one thread")
+        monkeypatch.setenv("METRICDIM_THREADS", "abc")
+        for _ in range(2):
+            code, out, err = run(capsys, ["dim", path])
+            assert (code, out) == (2, "")
+            assert "error: argument --threads: invalid int value: 'abc'" in err
+        monkeypatch.delenv("METRICDIM_THREADS")
+        assert run(capsys, ["dim", path]) == first
+        assert run(capsys, ["check", "tuple-lemma", "--max-n", "4"])[0] == 0
+
     def test_max_n_below_smallest_size_rejected(self, capsys):
         code, out, err = run(capsys, ["check", "tuple-lemma", "--max-n", "-5"])
         assert (code, out) == (2, "")
@@ -252,6 +271,19 @@ class TestExitCodes:
         assert payload["kind"] == "vertex"
         assert payload["lower_bound"] >= 1
         assert payload["upper_bound"] >= payload["lower_bound"]
+
+    def test_negative_budget_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("Bw\n"))  # K3
+        code, out, err = run(capsys, ["--budget", "-3", "dim", "-"])
+        assert (code, out) == (2, "")
+        assert err == "error: search budget must be at least 0, got -3\n"
+        code, out, err = run(capsys, ["--budget", "-3", "check", "tuple-lemma", "--max-n", "4"])
+        assert (code, out) == (2, "")
+        assert err == "error: sweep budget must be at least 0, got budget=-3\n"
+
+    def test_zero_budget_stays_valid(self, capsys, g6_file):
+        assert run(capsys, ["--budget", "0", "dim", g6_file(path_graph(1))])[0] == 0
+        assert run(capsys, ["--budget", "0", "dim", g6_file(cycle_graph(6))])[0] == 4
 
     def test_disconnected_input(self, capsys, g6_file):
         G = Graph(n=4, adj=(2, 1, 8, 4))

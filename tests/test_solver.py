@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metricdim.graph_core import (
@@ -12,6 +12,7 @@ from metricdim.graph_core import (
     complete_graph,
     cycle_graph,
     from_edge_list,
+    graph6_encode,
     path_graph,
     star_graph,
 )
@@ -32,6 +33,8 @@ from oracles import (
     naive_edge_metric_dimension,
     naive_metric_dimension,
     random_connected_graph,
+    reference_edge_instance,
+    reference_vertex_instance,
 )
 
 
@@ -62,6 +65,63 @@ class TestInstances:
         for G in (path_graph(6), cycle_graph(6), complete_graph(5), star_graph(5)):
             inst = build_vertex_instance(G)
             assert all(inst.masks)
+
+
+def _check_builds(G, kinds=("vertex", "edge")):
+    """The packed builders give the pair-by-pair reference's pairs and masks."""
+    builds = {"vertex": (build_vertex_instance, reference_vertex_instance),
+              "edge": (build_edge_instance, reference_edge_instance)}
+    for kind in kinds:
+        build, reference = builds[kind]
+        inst = build(G)
+        assert (inst.pairs, inst.masks) == reference(G), (kind, graph6_encode(G))
+
+
+GRID_MEMBERS = [[2], [2, 2], [3, 4], [7, 8], [2, 2, 2], [2, 3, 4], [3, 3, 3],
+                [2, 2, 2, 2], [2, 2, 2, 3], [2, 31], [31, 2], [62]]
+
+
+class TestPackedBuilds:
+    def test_every_class_to_n7(self):
+        from metricdim.enumerator import enumerate_connected
+
+        graphs = [G for n in range(1, 8) for G in enumerate_connected(n)]
+        assert len(graphs) == 1 + 1 + 2 + 6 + 21 + 112 + 853
+        for G in graphs:
+            _check_builds(G)
+
+    @given(st.integers(0, 10_000), st.integers(1, 30))
+    @settings(max_examples=25)
+    def test_random_graphs_to_30_vertices(self, seed, n):
+        _check_builds(random_connected_graph(random.Random(seed), n))
+
+    def test_construction_members(self):
+        from metricdim.constructions import (
+            edim_biclique, edim_star, grid, md_biclique, md_complete, md_star,
+        )
+
+        outs = [maker(k) for maker, ks in ((md_complete, range(1, 6)), (edim_star, range(1, 6)),
+                                           (md_star, range(1, 4)), (md_biclique, range(2, 8)),
+                                           (edim_biclique, range(2, 8))) for k in ks]
+        graphs = [out.graph for out in outs]
+        assert len(graphs) == 5 + 5 + 3 + 6 + 6
+        graphs += [grid(dims) for dims in GRID_MEMBERS]
+        assert max(G.n for G in graphs) == 62
+        for G in graphs:
+            _check_builds(G)
+
+    @pytest.mark.parametrize("n", [129, 200])
+    def test_distances_past_one_byte(self, n):
+        # the largest distance, n - 1, needs more than 7 bits from n = 129 on
+        _check_builds(path_graph(n))
+
+    def test_k30_edges_span_many_blocks(self):
+        from metricdim.solver import _BLOCK_BYTES
+
+        G = complete_graph(30)
+        assert len(G.edges()) * (len(G.edges()) - 1) // 2 * (G.n + 1) > 20 * _BLOCK_BYTES
+        _check_builds(G, kinds=("edge",))
+        assert len(build_edge_instance(G).masks) == 94_395
 
 
 class TestBoundsHelpers:
@@ -222,6 +282,19 @@ class TestBudget:
         assert err.lower_bound == disjoint_pairs_lower_bound(inst)
         assert err.upper_bound == len(greedy_upper_bound(inst))
         assert err.best_known == greedy_upper_bound(inst)
+
+    @pytest.mark.parametrize("solve", [metric_dimension, edge_metric_dimension,
+                                       lambda G, budget: min_hitting_set(build_vertex_instance(G), budget)])
+    def test_negative_budget_is_an_input_error(self, solve):
+        with pytest.raises(GraphInputError, match="budget must be at least 0, got -3"):
+            solve(complete_graph(3), budget=-3)
+        with pytest.raises(GraphInputError):
+            solve(path_graph(25), budget=-1)  # past FREE_SEARCH_LIMIT too
+
+    def test_zero_budget_stays_valid(self):
+        assert metric_dimension(path_graph(1), budget=0).value == 0
+        with pytest.raises(BudgetExceededError):
+            metric_dimension(cycle_graph(10), budget=0)
 
     def test_budget_enough_gives_optimal(self):
         cert = metric_dimension(cycle_graph(10), budget=10**6)
