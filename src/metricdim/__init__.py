@@ -56,7 +56,6 @@ from .characterizations import (
     char_edim_eq_n2,
     char_edim_ge_n2,
     char_edim_n1,
-    diameter_theorem_check,
     non_mutual_neighbors,
     tuple_lemma_check,
 )
@@ -74,79 +73,12 @@ from .bounds import (
     vertex_bound_hernando,
 )
 from .enumerator import (
-    CanonicalForm,
     SweepReport,
     THEOREM_CHECKS,
-    canonical_form,
     canonical_graph6,
     canonical_relabeling,
     enumerate_connected,
     sweep,
 )
-
-__all__ = [
-    "AuditRecord",
-    "BoundParams",
-    "BudgetExceededError",
-    "CanonicalForm",
-    "Char2Result",
-    "ConstructionError",
-    "ConstructionOutput",
-    "DimensionCertificate",
-    "DisconnectedGraphError",
-    "DistanceMatrix",
-    "DistinguisherInstance",
-    "Graph",
-    "GraphError",
-    "GraphInputError",
-    "PatternBounds",
-    "ResolutionWitness",
-    "SizeLimitError",
-    "SweepReport",
-    "THEOREM_CHECKS",
-    "TripleWitness",
-    "UNREACHABLE",
-    "audit_graph",
-    "bfs_all_pairs",
-    "build_edge_instance",
-    "build_vertex_instance",
-    "canonical_form",
-    "canonical_graph6",
-    "canonical_relabeling",
-    "char_edim_eq_n2",
-    "char_edim_ge_n2",
-    "char_edim_n1",
-    "diameter",
-    "diameter_theorem_check",
-    "edge_bound_general_c",
-    "edge_bound_new",
-    "edge_bound_zubrilina",
-    "edge_distance_vector",
-    "edge_metric_dimension",
-    "edim_biclique",
-    "edim_star",
-    "enumerate_connected",
-    "from_edge_list",
-    "graph6_decode",
-    "graph6_encode",
-    "grid",
-    "grid_edge_landmarks",
-    "is_connected",
-    "is_edge_resolving",
-    "is_vertex_resolving",
-    "md_biclique",
-    "md_complete",
-    "md_star",
-    "metric_dimension",
-    "min_hitting_set",
-    "non_mutual_neighbors",
-    "pattern_bounds",
-    "subgraph_edge_bound",
-    "subgraph_vertex_bound",
-    "sweep",
-    "tuple_lemma_check",
-    "vertex_bound_hernando",
-    "vertex_distance_vector",
-]
 
 __version__ = "0.1.0"

@@ -8,6 +8,9 @@ to the other, not to itself).  The predicates quantify over vertices
 adjacent to both endpoints, or over vertices outside the triple, so the
 endpoints' own membership never changes a verdict; the exhaustive
 equivalence suite against the solver is the arbiter either way.
+
+tuple_lemma_check tests the (k+1)-tuple lemma on one graph; the diameter
+theorems are rows of the sweep table in ``enumerator``.
 """
 
 from __future__ import annotations
@@ -21,9 +24,7 @@ from .graph_core import (
     SizeLimitError,
     bfs_all_pairs,
     bits,
-    diameter,
 )
-from .solver import edge_metric_dimension
 
 
 def non_mutual_neighbors(G: Graph, u: int, v: int) -> set[int]:
@@ -164,41 +165,3 @@ def tuple_lemma_check(G: Graph, k: int) -> TupleLemmaResult:
         if all(close[t] & mask == 0 for t in tup):
             return TupleLemmaResult(False, False, tup)
     return TupleLemmaResult(True, False, None)
-
-
-@dataclass(frozen=True)
-class DiameterCheck:
-    n: int
-    edim: int
-    k: int
-    diameter: int
-    bound_3k1: int
-    ok_3k1: bool
-    applies_le5: bool
-    ok_le5: bool
-    tuple_lemma_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.ok_3k1 and self.ok_le5 and self.tuple_lemma_ok
-
-
-def diameter_theorem_check(G: Graph, budget: Optional[int] = None) -> DiameterCheck:
-    """Solve edim, set k = n - edim, and test diameter <= 3k-1, plus
-    diameter <= 5 when edim = n-2, plus the (k+1)-tuple lemma at this k."""
-    cert = edge_metric_dimension(G, budget=budget)
-    diam = diameter(G)
-    k = G.n - cert.value
-    lemma = tuple_lemma_check(G, k) if k >= 1 else TupleLemmaResult(True, True, None)
-    applies = cert.value == G.n - 2
-    return DiameterCheck(
-        n=G.n,
-        edim=cert.value,
-        k=k,
-        diameter=diam,
-        bound_3k1=3 * k - 1,
-        ok_3k1=diam <= 3 * k - 1,
-        applies_le5=applies,
-        ok_le5=diam <= 5 if applies else True,
-        tuple_lemma_ok=lemma.holds,
-    )

@@ -59,25 +59,30 @@ from .solver import (
 
 SCHEMA_VERSION = 1
 
+# bounds table limits: one row costs big-int work superlinear in k and D
+BOUNDS_MAX_VALUE = 256
+BOUNDS_MAX_ROWS = 4096
+
+# family -> (maker, resolving kind its landmarks certify); grid is built from --dims
 CONSTRUCT_FAMILIES = {
-    "md-complete": (md_complete, "k", "vertex"),
-    "edim-star": (edim_star, "k", "edge"),
-    "md-star": (md_star, "k", "vertex"),
-    "md-biclique": (md_biclique, "k", "vertex"),
-    "edim-biclique": (edim_biclique, "k", "edge"),
-    "grid": (None, "dims", "edge"),
+    "md-complete": (md_complete, "vertex"),
+    "edim-star": (edim_star, "edge"),
+    "md-star": (md_star, "vertex"),
+    "md-biclique": (md_biclique, "vertex"),
+    "edim-biclique": (edim_biclique, "edge"),
+    "grid": (None, "edge"),
 }
 
 
 def _read_graph(path: str, fmt: str) -> Graph:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, "r", encoding="ascii") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise GraphInputError(f"cannot read graph input: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GraphInputError(f"cannot read graph input: {exc}")
     if fmt == "graph6":
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if len(lines) != 1:
@@ -93,16 +98,15 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise GraphInputError(f"bad {what} list {text!r}; expected comma-separated integers")
 
 
-def _parse_range(text: str, what: str) -> list[int]:
+def _parse_range(text: str, what: str) -> range:
     """Accept "3" or "2..20" inclusive."""
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ValueError
-            return list(range(lo, hi + 1))
-        return [int(text)]
+        lo, dots, hi = text.partition("..")
+        lo = int(lo)
+        hi = int(hi) if dots else lo
+        if hi < lo:
+            raise ValueError
+        return range(lo, hi + 1)
     except ValueError:
         raise GraphInputError(f"bad {what} range {text!r}; expected N or LO..HI")
 
@@ -182,6 +186,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    maker, check_kind = CONSTRUCT_FAMILIES[args.family]
     if args.family == "grid":
         if not args.dims:
             raise GraphInputError("grid construction requires --dims")
@@ -189,9 +194,7 @@ def cmd_construct(args) -> int:
         G = grid(dims)
         out = ConstructionOutput(G, grid_edge_landmarks(dims))
         params = {"dims": dims}
-        check_kind = "edge"
     else:
-        maker, _, check_kind = CONSTRUCT_FAMILIES[args.family]
         if args.k is None:
             raise GraphInputError(f"{args.family} construction requires --k")
         out = maker(args.k)
@@ -257,8 +260,12 @@ def cmd_check(args) -> int:
 def cmd_bounds(args) -> int:
     ks = _parse_range(args.k, "k")
     ds = _parse_range(args.d, "D")
-    if min(ks) < 1 or min(ds) < 1:
+    if ks[0] < 1 or ds[0] < 1:
         raise GraphInputError("bounds require k >= 1 and D >= 1")
+    # checked on the ranges, before any row is built
+    if max(ks[-1], ds[-1]) > BOUNDS_MAX_VALUE or len(ks) * len(ds) > BOUNDS_MAX_ROWS:
+        raise SizeLimitError(f"bounds tables allow k, D <= {BOUNDS_MAX_VALUE} and at most "
+                             f"{BOUNDS_MAX_ROWS} rows; got k <= {ks[-1]}, D <= {ds[-1]}")
     rows = [
         {
             "k": k,

@@ -61,13 +61,6 @@ SCHEMA_VERSION = 1
 _BITS = tuple(tuple(bits(mask)) for mask in range(1 << CANONICAL_LIMIT))
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Canonical adjacency encoding; equal forms iff isomorphic graphs."""
-
-    bytes: bytes
-
-
 def canonical_relabeling(G: Graph) -> tuple[int, ...]:
     """Vertex order (new index -> old vertex) minimizing the graph6 string."""
     n = G.n
@@ -106,10 +99,6 @@ def canonical_relabeling(G: Graph) -> tuple[int, ...]:
 
 def canonical_graph6(G: Graph) -> str:
     return graph6_encode(relabeled(G, canonical_relabeling(G)))
-
-
-def canonical_form(G: Graph) -> CanonicalForm:
-    return CanonicalForm(canonical_graph6(G).encode("ascii"))
 
 
 def _scores(adj: tuple[int, ...]) -> list[int]:

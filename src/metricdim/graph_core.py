@@ -442,8 +442,9 @@ def degeneracy(G: Graph) -> int:
     return out
 
 
-def greedy_color_assignment(G: Graph, order=None) -> tuple[int, ...]:
-    """Greedy proper coloring along ``order`` (default: ascending ids)."""
+def greedy_coloring(G: Graph, order=None) -> int:
+    """Color count of the greedy proper coloring along ``order`` (default:
+    ascending ids)."""
     if order is None:
         order = range(G.n)
     order = list(order)
@@ -456,12 +457,6 @@ def greedy_color_assignment(G: Graph, order=None) -> tuple[int, ...]:
         while c in used:
             c += 1
         colors[v] = c
-    return tuple(colors)
-
-
-def greedy_coloring(G: Graph, order=None) -> int:
-    """Color count of the greedy proper coloring along ``order``."""
-    colors = greedy_color_assignment(G, order)
     return max(colors) + 1 if colors else 0
 
 

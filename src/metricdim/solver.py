@@ -24,7 +24,7 @@ are stable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import repeat
 
 from .graph_core import (
     DisconnectedGraphError,
@@ -64,17 +64,15 @@ class DistinguisherInstance:
     """Hitting-set instance: one family per unordered object pair.
 
     ``universe`` is the candidate landmark count (vertex ids 0..universe-1);
-    ``masks[i]`` is the distinguisher set of ``pairs[i]`` as a bitmask.
+    ``masks[i]`` is the distinguisher set of the i-th object pair as a
+    bitmask, the pairs taken in ``itertools.combinations(objects, 2)``
+    order, where the objects are ``range(G.n)`` for a vertex instance and
+    ``G.edges()`` for an edge instance.
     """
 
     kind: str  # "vertex" or "edge"
     universe: int
-    pairs: tuple[tuple, ...]
     masks: tuple[int, ...]
-
-    @property
-    def families(self):
-        return tuple(zip(self.pairs, self.masks))
 
 
 @dataclass(frozen=True)
@@ -108,8 +106,7 @@ def build_vertex_instance(G: Graph) -> DistinguisherInstance:
     D = bfs_all_pairs(G)
     if not D.connected:
         raise DisconnectedGraphError("distinguisher instances require a connected graph")
-    pairs = tuple(combinations(range(G.n), 2))
-    return DistinguisherInstance("vertex", G.n, pairs, _pair_masks(D.rows))
+    return DistinguisherInstance("vertex", G.n, _pair_masks(D.rows))
 
 
 def build_edge_instance(G: Graph) -> DistinguisherInstance:
@@ -117,11 +114,9 @@ def build_edge_instance(G: Graph) -> DistinguisherInstance:
     D = bfs_all_pairs(G)
     if not D.connected:
         raise DisconnectedGraphError("distinguisher instances require a connected graph")
-    edges = G.edges()
     # lists, not tuples: CPython's free lists keep small tuples alive after use
-    rows = [[a if a < b else b for a, b in zip(D.rows[u], D.rows[w])] for u, w in edges]
-    pairs = tuple(combinations(edges, 2))
-    return DistinguisherInstance("edge", G.n, pairs, _pair_masks(rows))
+    rows = [[a if a < b else b for a, b in zip(D.rows[u], D.rows[w])] for u, w in G.edges()]
+    return DistinguisherInstance("edge", G.n, _pair_masks(rows))
 
 
 # Packed bytes per block of rows in _pair_masks; bounds the build's peak memory.

@@ -2,15 +2,15 @@ import itertools
 
 import pytest
 
+from metricdim.bounds import GraphRecord
 from metricdim.characterizations import (
     char_edim_eq_n2,
     char_edim_ge_n2,
     char_edim_n1,
-    diameter_theorem_check,
     non_mutual_neighbors,
     tuple_lemma_check,
 )
-from metricdim.enumerator import enumerate_connected
+from metricdim.enumerator import _diam_le_3k_1, _diam_le_5, _tuple_lemma, enumerate_connected
 from metricdim.graph_core import (
     SizeLimitError,
     complete_bipartite_graph,
@@ -135,28 +135,25 @@ class TestTupleLemma:
 
 
 class TestDiameterTheorem:
+    """The diameter theorems and the tuple lemma are sweep rows evaluated on
+    one GraphRecord; each row returns None when its theorem holds."""
+
     def test_c5_report(self):
-        chk = diameter_theorem_check(cycle_graph(5))
-        assert chk.n == 5
-        assert chk.edim == 2
-        assert chk.k == 3
-        assert chk.diameter == 2
-        assert chk.bound_3k1 == 8
-        assert chk.ok_3k1
-        assert not chk.applies_le5
-        assert chk.ok_le5
-        assert chk.passed
+        r = GraphRecord(cycle_graph(5))
+        assert (r.n, r.edim, r.diameter) == (5, 2, 2)
+        k = r.n - r.edim
+        assert k == 3 and 3 * k - 1 == 8 and r.diameter <= 8
+        assert r.edim != r.n - 2  # the diameter <= 5 theorem does not apply
+        assert _diam_le_3k_1(r) is None
+        assert _diam_le_5(r) is None
+        assert _tuple_lemma(r) is None
 
     def test_second_tier_diameter_cap(self):
         # edim = n-2 forces diameter at most 5
         for G in (path_graph(3), cycle_graph(4), complete_bipartite_graph(2, 3)):
-            chk = diameter_theorem_check(G)
-            assert chk.applies_le5
-            assert chk.ok_le5
-            assert chk.diameter <= 5
-
-    @pytest.mark.parametrize("n", range(3, 7))
-    def test_sweep_small(self, n):
-        for G in enumerate_connected(n):
-            chk = diameter_theorem_check(G)
-            assert chk.passed, graph6_encode(G)
+            r = GraphRecord(G)
+            assert r.edim == r.n - 2, graph6_encode(G)
+            assert r.diameter <= 5
+            assert _diam_le_5(r) is None
+            assert _diam_le_3k_1(r) is None
+            assert _tuple_lemma(r) is None

@@ -1,9 +1,15 @@
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from metricdim.cli import main
+from metricdim.cli import BOUNDS_MAX_ROWS, BOUNDS_MAX_VALUE, main
 from metricdim.graph_core import (
     Graph,
     cycle_graph,
@@ -248,9 +254,11 @@ class TestBounds:
         assert rows[1]["edge_new"] == 8
 
     def test_range_grid(self, capsys):
-        code, out, _ = run(capsys, ["bounds", "--k", "1..3", "--d", "2..4"])
-        rows = json.loads(out)["rows"]
-        assert len(rows) == 9
+        # the README example
+        code, out, _ = run(capsys, ["bounds", "--k", "1..3", "--d", "2..6"])
+        assert code == 0
+        assert [(row["k"], row["D"]) for row in json.loads(out)["rows"]] == [
+            (k, D) for k in range(1, 4) for D in range(2, 7)]
 
     def test_table_lines(self, capsys):
         code, out, _ = run(capsys, ["--output", "table", "bounds", "--k", "2", "--d", "1"])
@@ -259,6 +267,45 @@ class TestBounds:
 
     def test_bad_range(self, capsys):
         assert run(capsys, ["bounds", "--k", "2..x", "--d", "1"])[0] == 2
+
+    @pytest.mark.parametrize("k,d", [
+        (str(BOUNDS_MAX_VALUE), "1"),
+        ("1", str(BOUNDS_MAX_VALUE)),
+        ("1..64", "193..256"),
+    ])
+    def test_largest_accepted_tables(self, capsys, k, d):
+        assert BOUNDS_MAX_ROWS == 64 * 64
+        assert run(capsys, ["bounds", "--k", k, "--d", d])[0] == 0
+
+    @pytest.mark.parametrize("k,d", [
+        (str(BOUNDS_MAX_VALUE + 1), "1"),
+        ("1", f"1..{BOUNDS_MAX_VALUE + 1}"),
+        ("1..64", "1..65"),
+    ])
+    def test_past_the_limits(self, capsys, k, d):
+        code, out, err = run(capsys, ["bounds", "--k", k, "--d", d])
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: bounds tables allow k, D <= {BOUNDS_MAX_VALUE} "
+                              f"and at most {BOUNDS_MAX_ROWS} rows")
+
+    @pytest.mark.parametrize("k,d", [("1..1000000000", "1"), ("6000", "6000")],
+                             ids=["billion-rows", "k-and-D-6000"])
+    def test_hostile_tables_exit_3_promptly(self, k, d):
+        # a child process under a 1 GiB address-space cap, so that a build of
+        # the table (a billion rows, or one costly big-int row) cannot take
+        # the machine's memory before the limit check refuses it
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        started = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "metricdim.cli", "bounds", "--k", k, "--d", d],
+            capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap_memory,
+        )
+        assert time.perf_counter() - started < 10
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.startswith("error: bounds tables allow")
 
 
 class TestExitCodes:
@@ -297,6 +344,17 @@ class TestExitCodes:
         code, out, err = run(capsys, ["dim", str(path), "--format", "edgelist"])
         assert (code, out) == (3, "")
         assert "n <= 62" in err
+
+    @pytest.mark.parametrize("fmt", ["graph6", "edgelist"])
+    @pytest.mark.parametrize("command", [["dim"], ["edim"], ["verify", "--landmarks", "0"]],
+                             ids=["dim", "edim", "verify"])
+    def test_non_ascii_file_is_usage_error(self, capsys, tmp_path, command, fmt):
+        path = tmp_path / "binary.g6"
+        path.write_bytes(b"\xff\xfe\n")
+        code, out, err = run(capsys, [command[0], str(path), *command[1:], "--format", fmt])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read graph input: ")
+        assert len(err.splitlines()) == 1
 
     def test_malformed_graph6(self, capsys, tmp_path):
         path = tmp_path / "bad.g6"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import threading
@@ -12,7 +13,6 @@ from metricdim.enumerator import (
     SWEEP_N_MIN,
     THEOREM_CHECKS,
     _connected_classes,
-    canonical_form,
     canonical_graph6,
     canonical_relabeling,
     enumerate_connected,
@@ -83,11 +83,10 @@ class TestCanonicalForm:
         assert canonical_graph6(G) == brute_canonical_graph6(G)
 
     def test_form_equality(self):
-        a = canonical_form(cycle_graph(4))
-        b = canonical_form(relabeled(cycle_graph(4), [2, 0, 3, 1]))
+        a = canonical_graph6(cycle_graph(4))
+        b = canonical_graph6(relabeled(cycle_graph(4), [2, 0, 3, 1]))
         assert a == b
-        assert hash(a) == hash(b)
-        assert a != canonical_form(path_graph(4))
+        assert a != canonical_graph6(path_graph(4))
 
 
 class TestEnumeration:
@@ -172,6 +171,12 @@ class TestSweeps:
         assert rep.graphs_checked == 2 + 6 + 21 + 112
         assert rep.counts_by_n == {3: 2, 4: 6, 5: 21, 6: 112}
         assert rep.solver_budget_exhaustions == 0
+
+    def test_run_sweeps_n7_bytes(self):
+        # the stdout of scripts/run_sweeps.py --max-n 7: one report per id
+        stdout = "".join(sweep(theorem_id, 7).to_json() + "\n" for theorem_id in sorted(THEOREM_CHECKS))
+        assert hashlib.sha256(stdout.encode()).hexdigest() == (
+            "8db8be5710b059d5de7ffe3c6cb2122016185a176bd67620ea4e6a1aa99c9b4b")
 
     def test_explore_data(self):
         rep = sweep("clique-vs-edim-explore", 6)

@@ -256,3 +256,19 @@ class TestColoringDegeneracy:
         H.add_edges_from(G.edges())
         expected = max(nx.core_number(H).values()) if G.n else 0
         assert degeneracy(G) == expected
+
+
+def test_star_import_binds_every_reexported_name():
+    # the package re-exports by its import block alone, with no __all__ list
+    import ast
+    from pathlib import Path
+
+    import metricdim
+
+    tree = ast.parse(Path(metricdim.__file__).read_text())
+    names = [alias.asname or alias.name for node in tree.body
+             if isinstance(node, ast.ImportFrom) for alias in node.names]
+    namespace = {}
+    exec("from metricdim import *", namespace)
+    assert len(names) == 59
+    assert [name for name in names if name not in namespace] == []

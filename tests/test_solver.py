@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -43,15 +44,15 @@ class TestInstances:
         inst = build_vertex_instance(path_graph(3))
         assert inst.kind == "vertex"
         assert inst.universe == 3
-        assert len(inst.pairs) == 3
+        assert len(inst.masks) == 3
         # every distinguisher contains at least one of the pair's endpoints
-        for (a, b), mask in zip(inst.pairs, inst.masks):
+        for (a, b), mask in zip(combinations(range(3), 2), inst.masks):
             assert mask & ((1 << a) | (1 << b))
 
     def test_edge_instance_uses_endpoint_min(self):
         inst = build_edge_instance(cycle_graph(4))
         assert inst.kind == "edge"
-        assert len(inst.pairs) == 6
+        assert len(inst.masks) == 6
 
     def test_rejects_disconnected(self):
         G = from_edge_list(4, [(0, 1), (2, 3)])
@@ -68,13 +69,15 @@ class TestInstances:
 
 
 def _check_builds(G, kinds=("vertex", "edge")):
-    """The packed builders give the pair-by-pair reference's pairs and masks."""
-    builds = {"vertex": (build_vertex_instance, reference_vertex_instance),
-              "edge": (build_edge_instance, reference_edge_instance)}
+    """The packed builders give the pair-by-pair reference's masks, whose
+    pairs run in itertools.combinations order of the vertices or edges."""
+    builds = {"vertex": (build_vertex_instance, reference_vertex_instance, range(G.n)),
+              "edge": (build_edge_instance, reference_edge_instance, G.edges())}
     for kind in kinds:
-        build, reference = builds[kind]
-        inst = build(G)
-        assert (inst.pairs, inst.masks) == reference(G), (kind, graph6_encode(G))
+        build, reference, objects = builds[kind]
+        pairs, masks = reference(G)
+        assert pairs == tuple(combinations(objects, 2))
+        assert build(G).masks == masks, (kind, graph6_encode(G))
 
 
 GRID_MEMBERS = [[2], [2, 2], [3, 4], [7, 8], [2, 2, 2], [2, 3, 4], [3, 3, 3],
@@ -145,7 +148,7 @@ class TestBoundsHelpers:
             v = max(range(universe), key=lambda u: (counts[u], -u))
             chosen.append(v)
             remaining = [m for m in remaining if not m >> v & 1]
-        inst = DistinguisherInstance("vertex", universe, tuple(range(len(masks))), tuple(masks))
+        inst = DistinguisherInstance("vertex", universe, tuple(masks))
         assert greedy_upper_bound(inst) == tuple(sorted(chosen))
 
     def test_disjoint_lower_bound_sound(self):
@@ -306,9 +309,7 @@ class TestHittingSetDirect:
     def test_rejects_empty_family_with_multiple_objects(self):
         from metricdim.solver import DistinguisherInstance
 
-        inst = DistinguisherInstance(
-            kind="vertex", universe=3, pairs=((0, 1),), masks=(0,)
-        )
+        inst = DistinguisherInstance(kind="vertex", universe=3, masks=(0,))
         with pytest.raises(EmptyDistinguisherError):
             min_hitting_set(inst)
 
@@ -316,16 +317,14 @@ class TestHittingSetDirect:
     def test_rejects_vertex_outside_universe(self, solve):
         from metricdim.solver import DistinguisherInstance
 
-        inst = DistinguisherInstance(
-            kind="vertex", universe=2, pairs=((0, 1), (0, 2)), masks=(0b11, 0b100)
-        )
+        inst = DistinguisherInstance(kind="vertex", universe=2, masks=(0b11, 0b100))
         with pytest.raises(GraphInputError, match="outside 0..1"):
             solve(inst)
 
     def test_trivial_instances(self):
         from metricdim.solver import DistinguisherInstance
 
-        inst = DistinguisherInstance(kind="vertex", universe=3, pairs=(), masks=())
+        inst = DistinguisherInstance(kind="vertex", universe=3, masks=())
         cert = min_hitting_set(inst)
         assert cert.value == 0 and cert.basis == () and cert.optimal
 
