@@ -17,7 +17,6 @@ from .graph_core import (
     Graph,
     GraphInputError,
     DisconnectedGraphError,
-    bfs_all_pairs,
     chromatic_number,
     degeneracy,
     greedy_coloring,
@@ -181,12 +180,14 @@ class AuditRecord:
 
 class GraphRecord:
     """Per-graph statistics shared by ``audit_graph`` and the theorem sweeps.
-    One BFS on construction gives connectivity and diameter; the rest is
-    computed on first use.  ``dim``/``edim`` are None when the budget ran
-    out; ``chromatic`` is greedy past CHROMATIC_EXACT_LIMIT vertices."""
+    The graph's distance matrix gives connectivity and diameter on
+    construction, and the solver and predicates read the same matrix; the
+    rest is computed on first use.  ``dim``/``edim`` are None when the
+    budget ran out; ``chromatic`` is greedy past CHROMATIC_EXACT_LIMIT
+    vertices."""
 
     def __init__(self, G: Graph, budget: Optional[int] = None):
-        D = bfs_all_pairs(G)
+        D = G.distances
         if not D.connected:
             raise DisconnectedGraphError("audit requires a connected graph")
         self.graph = G

@@ -9,6 +9,11 @@ adjacent to both endpoints, or over vertices outside the triple, so the
 endpoints' own membership never changes a verdict; the exhaustive
 equivalence suite against the solver is the arbiter either way.
 
+Both distance conditions (condition 2 of char_edim_ge_n2, and the
+(k+1)-tuple lemma) are about which vertices lie within distance 2, so the
+predicates read the graph's one distance matrix as per-vertex radius-2
+bitmasks (``_within_two``) and test them with mask algebra.
+
 tuple_lemma_check tests the (k+1)-tuple lemma on one graph; the diameter
 theorems are rows of the sweep table in ``enumerator``.
 """
@@ -22,7 +27,6 @@ from typing import Optional
 from .graph_core import (
     Graph,
     SizeLimitError,
-    bfs_all_pairs,
     bits,
 )
 
@@ -33,6 +37,11 @@ def non_mutual_neighbors(G: Graph, u: int, v: int) -> set[int]:
     if u == v:
         raise ValueError("non-mutual neighbors need a pair of distinct vertices")
     return set(bits(G.adj[u] ^ G.adj[v]))
+
+
+def _within_two(G: Graph) -> list[int]:
+    """Per vertex v, the mask of the other vertices at distance at most 2."""
+    return [sum(1 << x for x, d in enumerate(row) if 0 < d <= 2) for row in G.distances.rows]
 
 
 def _require_small_ok(G: Graph):
@@ -80,23 +89,6 @@ class Char2Result:
     failing_triple: Optional[tuple[int, int, int]]
 
 
-def _cond2_ok(G: Graph, D, v1: int, v2: int, v3: int, u: int) -> bool:
-    # u outside the triple, adjacent to v1 and v2
-    if not (G.has_edge(u, v1) and G.has_edge(u, v2)):
-        return False
-    triple_mask = (1 << v1) | (1 << v2) | (1 << v3)
-    outside = ((1 << G.n) - 1) & ~triple_mask
-    nmn = G.adj[v1] ^ G.adj[v2]
-    if nmn & outside & ~G.adj[u]:
-        return False
-    d1, d2, du = D.rows[v1], D.rows[v2], D.rows[u]
-    for x in bits(outside):
-        if (d1[x] == 2 and d2[x] > 2) or (d2[x] == 2 and d1[x] > 2):
-            if du[x] > 2:
-                return False
-    return True
-
-
 def char_edim_ge_n2(G: Graph) -> Char2Result:
     """Decide whether every vertex triple admits an ordering with a
     dominating apex (condition 1) or an outside near-dominating vertex
@@ -106,7 +98,9 @@ def char_edim_ge_n2(G: Graph) -> Char2Result:
     order, then condition 2 over the three ordered pairs lexicographically
     with candidate u ascending; the first hit is recorded per triple."""
     _require_small_ok(G)
-    D = bfs_all_pairs(G)
+    adj = G.adj
+    near = _within_two(G)
+    full = (1 << G.n) - 1
     witnesses: dict[tuple[int, int, int], TripleWitness] = {}
     for triple in combinations(range(G.n), 3):
         hit = None
@@ -114,19 +108,23 @@ def char_edim_ge_n2(G: Graph) -> Char2Result:
             a, b = (t for t in triple if t != apex)
             if not (G.has_edge(apex, a) and G.has_edge(apex, b)):
                 continue
-            if (G.adj[a] ^ G.adj[b]) & ~G.adj[apex] == 0:
+            if (adj[a] ^ adj[b]) & ~adj[apex] == 0:
                 hit = TripleWitness(triple, "condition-1", apex)
                 break
         if hit is None:
+            outside = full & ~sum(1 << t for t in triple)
             for v1, v2 in combinations(triple, 2):
-                v3 = next(t for t in triple if t not in (v1, v2))
-                for u in range(G.n):
-                    if u in triple:
-                        continue
-                    if _cond2_ok(G, D, v1, v2, v3, u):
-                        hit = TripleWitness((v1, v2, v3), "condition-2", u)
-                        break
-                if hit:
+                # u must be adjacent to their non-mutual neighbours outside
+                # the triple and within 2 of every outside vertex within 2 of
+                # just one of them; such a vertex adjacent to one of them is a
+                # non-mutual neighbour, so only the distance-2 ones add a test
+                nmn = (adj[v1] ^ adj[v2]) & outside
+                lone = (near[v1] ^ near[v2]) & outside
+                u = next((u for u in bits(adj[v1] & adj[v2] & outside)
+                          if not nmn & ~adj[u] and not lone & ~near[u]), None)
+                if u is not None:
+                    v3 = next(t for t in triple if t not in (v1, v2))
+                    hit = TripleWitness((v1, v2, v3), "condition-2", u)
                     break
         if hit is None:
             return Char2Result(False, witnesses, triple)
@@ -155,11 +153,7 @@ def tuple_lemma_check(G: Graph, k: int) -> TupleLemmaResult:
         raise ValueError(f"tuple lemma needs k >= 1, got {k}")
     if G.n < k + 1:
         return TupleLemmaResult(True, True, None)
-    D = bfs_all_pairs(G)
-    close = [
-        sum(1 << x for x in range(G.n) if x != v and D.rows[v][x] <= 2)
-        for v in range(G.n)
-    ]
+    close = _within_two(G)
     for tup in combinations(range(G.n), k + 1):
         mask = sum(1 << t for t in tup)
         if all(close[t] & mask == 0 for t in tup):

@@ -18,7 +18,6 @@ import argparse
 import csv
 import functools
 import json
-import os
 import sys
 from typing import Optional
 
@@ -235,7 +234,6 @@ def cmd_check(args) -> int:
     report = sweep(
         args.theorem_id,
         args.max_n,
-        threads=args.threads,
         budget=args.budget,
         allow_large=args.allow_large,
     )
@@ -311,15 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="solver node budget (exit 4 when exhausted)",
     )
-    # argparse applies ``type`` to a string default: a bad env value exits 2
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=os.environ.get("METRICDIM_THREADS", "1"),
-        help="sweep worker count (env METRICDIM_THREADS); validated, but sweeps run "
-        "in one thread because more only contend for the interpreter lock, and "
-        "output is byte-identical for any value",
-    )
     commands = parser.add_subparsers(dest="command", required=True)
 
     p_dim = commands.add_parser("dim", help="vertex metric dimension with certificate")
@@ -356,15 +345,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=4)
-def _parser_for(threads_env: Optional[str]) -> argparse.ArgumentParser:
-    """build_parser() for the METRICDIM_THREADS value it reads, built once:
-    building a parser costs more than parsing a command line."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once: building a parser costs more than parsing
+    a command line."""
     return build_parser()
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _parser_for(os.environ.get("METRICDIM_THREADS"))
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -25,7 +25,6 @@ from .graph_core import (
     Graph,
     GraphError,
     SizeLimitError,
-    bfs_all_pairs,
     from_edge_list,
     induced_subgraph,
     is_connected,
@@ -151,7 +150,7 @@ def md_star(k: int) -> ConstructionOutput:
     while True:
         keep = [v for v in range(G.n) if v not in doomed]
         G2, remap = induced_subgraph(G, keep)
-        D = bfs_all_pairs(G2)
+        D = G2.distances
         vec = {v: tuple(D.rows[remap[v]][remap[s]] for s in s_ids) for v in keep}
         shared = Counter(vec.values())
         colliding = (v for v in keep if v < size and shared[vec[v]] > 1)
@@ -173,7 +172,7 @@ def md_star(k: int) -> ConstructionOutput:
         {remap[v]: labels[v] for v in keep if v in labels},
         tuple(("leaf", labels[v]) for v in doomed),
     )
-    ok, witness = is_vertex_resolving(out.graph, out.landmarks, D)
+    ok, witness = is_vertex_resolving(out.graph, out.landmarks)
     if not ok:
         raise ConstructionError(
             f"md_star({k}) landmark set fails after deletion: {witness}"

@@ -310,7 +310,9 @@ def sweep(
 
     threads is validated (at least 1) but the sweep runs in the calling
     thread: the checks are pure-Python work, so more threads only contend
-    for the interpreter lock.  The report is byte-identical for any value."""
+    for the interpreter lock.  The report is byte-identical for any value.
+    The keyword stays for existing callers (the benchmark workloads pass
+    threads=2); the command line no longer offers it."""
     if theorem_id not in THEOREM_CHECKS:
         raise KeyError(f"unknown theorem id {theorem_id!r}; known: {sorted(THEOREM_CHECKS)}")
     if threads < 1:

@@ -4,7 +4,9 @@ rest of the package is built on.
 Vertices are dense integers 0..n-1.  Adjacency is stored as one Python int
 per vertex, with bit v of ``adj[u]`` set iff {u, v} is an edge, so all
 neighbourhood algebra is plain integer bit arithmetic.  Graphs are immutable
-after construction and every operation here is a pure function.
+after construction and every operation here is a pure function.  All-pairs
+distances are computed once per graph, on first read of ``Graph.distances``,
+and kept on it; every layer that needs distances reads that one matrix.
 
 Interchange formats: graph6 (short form, n <= 62) and a plain edge-list
 text format (header line "n m", then one "u v" line per edge).
@@ -13,6 +15,7 @@ text format (header line "n m", then one "u v" line per edge).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 UNREACHABLE = 1 << 30  # distance sentinel for disconnected pairs; safe to add offsets to
 GRAPH6_MAX_N = 62
@@ -76,6 +79,12 @@ class Graph:
 
     def neighbors(self, v: int):
         return bits(self.adj[v])
+
+    @cached_property
+    def distances(self) -> DistanceMatrix:
+        """All-pairs hop distances, computed on first read and kept; not a
+        field, so equality and hashing still see only ``n`` and ``adj``."""
+        return bfs_all_pairs(self)
 
     @property
     def num_edges(self) -> int:
@@ -300,16 +309,10 @@ def is_connected(G: Graph) -> bool:
 
 
 def diameter(G: Graph) -> int:
-    D = bfs_all_pairs(G)
+    D = G.distances
     if not D.connected:
         raise DisconnectedGraphError("diameter requires a connected graph")
     return max(max(row) for row in D.rows)
-
-
-def edge_vertex_distance(D: DistanceMatrix, e: tuple[int, int], v: int) -> int:
-    """Distance from an edge to a vertex: the smaller endpoint distance."""
-    u, w = e
-    return min(D.rows[u][v], D.rows[w][v])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from .graph_core import (
     DistanceMatrix,
     Graph,
     GraphInputError,
-    bfs_all_pairs,
 )
 
 
@@ -64,20 +63,17 @@ def _first_collision(objs, vecs):
     return min(cands) if cands else None
 
 
-def _require_connected(G: Graph, D: DistanceMatrix | None) -> DistanceMatrix:
-    if D is None:
-        D = bfs_all_pairs(G)
+def _require_connected(G: Graph) -> DistanceMatrix:
+    D = G.distances
     if not D.connected:
         raise DisconnectedGraphError("resolving checks require a connected graph")
     return D
 
 
-def is_vertex_resolving(
-    G: Graph, S, D: DistanceMatrix | None = None
-) -> tuple[bool, ResolutionWitness | None]:
+def is_vertex_resolving(G: Graph, S) -> tuple[bool, ResolutionWitness | None]:
     """Whether S distinguishes every vertex pair; on failure, also the
     lexicographically first colliding pair."""
-    D = _require_connected(G, D)
+    D = _require_connected(G)
     St = landmark_tuple(S, G.n)
     vecs = [tuple(D.rows[v][s] for s in St) for v in range(G.n)]
     hit = _first_collision(range(G.n), vecs)
@@ -87,12 +83,10 @@ def is_vertex_resolving(
     return False, ResolutionWitness("vertex", a, b, vec)
 
 
-def is_edge_resolving(
-    G: Graph, S, D: DistanceMatrix | None = None
-) -> tuple[bool, ResolutionWitness | None]:
+def is_edge_resolving(G: Graph, S) -> tuple[bool, ResolutionWitness | None]:
     """Whether S distinguishes every edge pair; on failure, also the
     lexicographically first colliding pair."""
-    D = _require_connected(G, D)
+    D = _require_connected(G)
     St = landmark_tuple(S, G.n)
     edges = G.edges()
     vecs = []

@@ -32,7 +32,6 @@ from .graph_core import (
     GraphError,
     GraphInputError,
     SizeLimitError,
-    bfs_all_pairs,
 )
 
 # Universes larger than this require an explicit node budget.
@@ -103,7 +102,7 @@ class DimensionCertificate:
 
 def build_vertex_instance(G: Graph) -> DistinguisherInstance:
     """One family per vertex pair: the vertices at differing distance."""
-    D = bfs_all_pairs(G)
+    D = G.distances
     if not D.connected:
         raise DisconnectedGraphError("distinguisher instances require a connected graph")
     return DistinguisherInstance("vertex", G.n, _pair_masks(D.rows))
@@ -111,7 +110,7 @@ def build_vertex_instance(G: Graph) -> DistinguisherInstance:
 
 def build_edge_instance(G: Graph) -> DistinguisherInstance:
     """One family per edge pair: the vertices at differing edge distance."""
-    D = bfs_all_pairs(G)
+    D = G.distances
     if not D.connected:
         raise DisconnectedGraphError("distinguisher instances require a connected graph")
     # lists, not tuples: CPython's free lists keep small tuples alive after use
@@ -321,13 +320,12 @@ def min_hitting_set(inst: DistinguisherInstance, budget: int | None = None) -> D
     FREE_SEARCH_LIMIT vertices require an explicit budget.
     """
     _require_budget(inst.universe, budget)
-    _check_families(inst)
+    ub_set = greedy_upper_bound(inst)  # validates the families first
     fams, hits = _minimal_families(inst.masks)
     if not fams:
         return DimensionCertificate(inst.kind, 0, (), True, 0)
 
     search = _Search(fams, hits, budget)
-    ub_set = greedy_upper_bound(inst)
     lower = _disjoint_lb(fams)
     upper = len(ub_set)
     rem = (1 << len(fams)) - 1

@@ -1,4 +1,7 @@
+import pytest
 from hypothesis import HealthCheck, settings
+
+from metricdim import graph_core
 
 settings.register_profile(
     "suite",
@@ -19,3 +22,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance summary")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def bfs_calls(monkeypatch):
+    """The graphs ``graph_core.bfs_all_pairs`` is called on, in call order."""
+    calls = []
+    real = graph_core.bfs_all_pairs
+
+    def counted(G):
+        calls.append(G)
+        return real(G)
+
+    monkeypatch.setattr(graph_core, "bfs_all_pairs", counted)
+    return calls

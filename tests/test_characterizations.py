@@ -1,8 +1,9 @@
+import hashlib
 import itertools
 
 import pytest
 
-from metricdim.bounds import GraphRecord
+from metricdim.bounds import GraphRecord, audit_graph
 from metricdim.characterizations import (
     char_edim_eq_n2,
     char_edim_ge_n2,
@@ -157,3 +158,30 @@ class TestDiameterTheorem:
             assert _diam_le_5(r) is None
             assert _diam_le_3k_1(r) is None
             assert _tuple_lemma(r) is None
+
+
+class TestOneDistanceMatrix:
+    def test_audit_and_predicates_share_one_bfs(self, bfs_calls):
+        G = cycle_graph(7)
+        audit_graph(G)
+        char_edim_n1(G)
+        char_edim_ge_n2(G)
+        tuple_lemma_check(G, 2)
+        assert bfs_calls == [G]
+
+    def test_predicate_results_digest(self):
+        # pins every verdict, failing triple and chosen witness over the 994
+        # classes with 3 <= n <= 7, as first recorded before the radius-2 masks
+        h = hashlib.sha256()
+        count = 0
+        for n in range(3, 8):
+            for G in enumerate_connected(n):
+                count += 1
+                res = char_edim_ge_n2(G)
+                witnesses = sorted((t, (w.triple, w.mode, w.u)) for t, w in res.witnesses.items())
+                h.update(repr((res.holds, res.failing_triple, witnesses)).encode())
+                for k in range(1, n + 1):
+                    t = tuple_lemma_check(G, k)
+                    h.update(repr((k, t.holds, t.vacuous, t.violating)).encode())
+        assert count == 994
+        assert h.hexdigest() == "5f5ec37a88ba53dc153a892505bb949317214b01a73d390b06166a1501cebe29"

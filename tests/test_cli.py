@@ -150,7 +150,7 @@ class TestConstruct:
 
     def test_md_star_failed_recheck_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setattr("metricdim.constructions.is_vertex_resolving",
-                            lambda G, S, D=None: (False, None))
+                            lambda G, S: (False, None))
         code, out, err = run(capsys, ["construct", "md-star", "--k", "2"])
         assert code == 2
         assert out == ""
@@ -189,47 +189,13 @@ class TestCheck:
         assert code == 0
         assert out.startswith("char1-equiv: 29 graphs, n=3..5, PASS")
 
-    def test_threads_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("METRICDIM_THREADS", "3")
-        code, solo, _ = run(capsys, ["check", "corollary-chromatic", "--max-n", "5"])
-        assert code == 0
-        monkeypatch.delenv("METRICDIM_THREADS")
-        code, env_free, _ = run(capsys, ["check", "corollary-chromatic", "--max-n", "5"])
-        assert solo == env_free
-
-    def test_threads_env_not_an_integer(self, capsys, monkeypatch, g6_file):
-        monkeypatch.setenv("METRICDIM_THREADS", "abc")
-        code, out, err = run(capsys, ["dim", g6_file(path_graph(3))])
-        assert code == 2
-        assert out == ""
-        assert "error: argument --threads: invalid int value: 'abc'" in err
-
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_nonpositive_threads_rejected(self, capsys, monkeypatch, threads):
-        code, out, err = run(capsys, ["--threads", threads, "check", "tuple-lemma", "--max-n", "4"])
+    def test_threads_option_is_gone(self, capsys):
+        code, out, err = run(capsys, ["--threads", "2", "check", "tuple-lemma", "--max-n", "4"])
         assert (code, out) == (2, "")
-        assert err.startswith("error: sweep needs at least one thread")
-        monkeypatch.setenv("METRICDIM_THREADS", threads)
-        assert run(capsys, ["check", "tuple-lemma", "--max-n", "4"])[0] == 2
-
-    def test_parser_reuse_honours_each_threads_env(self, capsys, monkeypatch, g6_file):
-        path = g6_file(cycle_graph(6))
-        monkeypatch.setenv("METRICDIM_THREADS", "2")
-        first = run(capsys, ["dim", path])
-        assert first[0] == 0
-        assert run(capsys, ["dim", path]) == first
-        monkeypatch.setenv("METRICDIM_THREADS", "0")
-        code, out, err = run(capsys, ["check", "tuple-lemma", "--max-n", "4"])
+        assert "metricdim: error: argument command: invalid choice: '2'" in err
+        code, out, err = run(capsys, ["check", "tuple-lemma", "--max-n", "4", "--threads", "2"])
         assert (code, out) == (2, "")
-        assert err.startswith("error: sweep needs at least one thread")
-        monkeypatch.setenv("METRICDIM_THREADS", "abc")
-        for _ in range(2):
-            code, out, err = run(capsys, ["dim", path])
-            assert (code, out) == (2, "")
-            assert "error: argument --threads: invalid int value: 'abc'" in err
-        monkeypatch.delenv("METRICDIM_THREADS")
-        assert run(capsys, ["dim", path]) == first
-        assert run(capsys, ["check", "tuple-lemma", "--max-n", "4"])[0] == 0
+        assert "metricdim: error: unrecognized arguments: --threads 2" in err
 
     def test_max_n_below_smallest_size_rejected(self, capsys):
         code, out, err = run(capsys, ["check", "tuple-lemma", "--max-n", "-5"])

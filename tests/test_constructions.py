@@ -171,7 +171,7 @@ class TestMdStar:
 
     def test_failed_recheck_raises(self, monkeypatch):
         monkeypatch.setattr("metricdim.constructions.is_vertex_resolving",
-                            lambda G, S, D=None: (False, None))
+                            lambda G, S: (False, None))
         with pytest.raises(ConstructionError, match="landmark set fails"):
             md_star(2)
 

@@ -178,6 +178,14 @@ class TestSweeps:
         assert hashlib.sha256(stdout.encode()).hexdigest() == (
             "8db8be5710b059d5de7ffe3c6cb2122016185a176bd67620ea4e6a1aa99c9b4b")
 
+    def test_one_bfs_per_class(self, bfs_calls):
+        enumerator._record.cache_clear()
+        for theorem_id in sorted(THEOREM_CHECKS):
+            sweep(theorem_id, 5)
+        assert len(THEOREM_CHECKS) == 15
+        assert len(bfs_calls) == 29
+        assert len({graph6_encode(G) for G in bfs_calls}) == 29
+
     def test_explore_data(self):
         rep = sweep("clique-vs-edim-explore", 6)
         assert rep.data == {"max_clique_by_edim": {"1": 2, "2": 3, "3": 4, "4": 5, "5": 6}}

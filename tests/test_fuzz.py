@@ -70,7 +70,6 @@ GLOBAL_OPTIONS = st.lists(
     st.one_of(
         st.tuples(st.just("--output"), st.sampled_from(["json", "csv", "table", "xml"])),
         st.tuples(st.just("--budget"), st.integers(-3, 5000).map(str)),
-        st.tuples(st.just("--threads"), st.integers(0, 3).map(str)),
     ),
     max_size=3,
 ).map(lambda pairs: [word for pair in pairs for word in pair])

@@ -16,7 +16,6 @@ from metricdim.graph_core import (
     cycle_graph,
     degeneracy,
     diameter,
-    edge_vertex_distance,
     format_edge_list_text,
     from_edge_list,
     graph6_decode,
@@ -32,6 +31,7 @@ from metricdim.graph_core import (
     relabeled,
     star_graph,
 )
+from metricdim.metric import edge_distance_vector
 
 # random-ish but deterministic edge sets for property tests
 graphs = st.integers(1, 9).flatmap(
@@ -172,11 +172,24 @@ class TestDistances:
             diameter(from_edge_list(3, [(0, 1)]))
 
     def test_edge_vertex_distance(self):
-        G = path_graph(5)
-        D = bfs_all_pairs(G)
-        assert edge_vertex_distance(D, (1, 2), 0) == 1
-        assert edge_vertex_distance(D, (1, 2), 4) == 2
-        assert edge_vertex_distance(D, (1, 2), 2) == 0
+        # the edge-distance rule (smaller endpoint distance) on the cached matrix
+        D = path_graph(5).distances
+        assert edge_distance_vector(D, (1, 2), (0,)) == (1,)
+        assert edge_distance_vector(D, (1, 2), (4,)) == (2,)
+        assert edge_distance_vector(D, (1, 2), (2,)) == (0,)
+
+    @given(graphs)
+    def test_distances_computed_once_and_kept(self, G):
+        D = G.distances
+        assert D == bfs_all_pairs(G)
+        assert G.distances is D
+
+    def test_distances_leave_equality_and_hash_alone(self):
+        read, unread = cycle_graph(5), cycle_graph(5)
+        read.distances
+        assert read == unread and hash(read) == hash(unread)
+        assert "distances" in vars(read) and "distances" not in vars(unread)
+        assert len({read, unread}) == 1
 
 
 class TestRelabeling:

@@ -18,7 +18,7 @@ def run_script(name, *args):
 
 class TestRunSweeps:
     @pytest.mark.parametrize("args,message", [
-        (["--max-n", "3", "--threads", "0"], "sweep needs at least one thread"),
+        (["--max-n", "3", "--threads", "0"], "unrecognized arguments: --threads 0"),
         (["--max-n", "2"], "sweep range n_max=2 is below the smallest swept size 3"),
         (["--max-n", "12"], "sweep range n_max=12 exceeds enumeration limit"),
     ])

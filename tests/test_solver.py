@@ -261,9 +261,10 @@ class TestBudget:
         def no_work(G):
             raise AssertionError("free search past the limit reached the instance build")
 
-        from metricdim import solver
+        from metricdim import graph_core, solver
 
-        for name in ("bfs_all_pairs", "build_vertex_instance", "build_edge_instance"):
+        monkeypatch.setattr(graph_core, "bfs_all_pairs", no_work)
+        for name in ("build_vertex_instance", "build_edge_instance"):
             monkeypatch.setattr(solver, name, no_work)
         with pytest.raises(SizeLimitError, match="explicit search budget"):
             solve(path_graph(21))
@@ -320,6 +321,16 @@ class TestHittingSetDirect:
         inst = DistinguisherInstance(kind="vertex", universe=2, masks=(0b11, 0b100))
         with pytest.raises(GraphInputError, match="outside 0..1"):
             solve(inst)
+
+    def test_families_checked_once_per_solve(self, monkeypatch):
+        from metricdim import solver
+
+        checked = []
+        real = solver._check_families
+        monkeypatch.setattr(solver, "_check_families", lambda inst: checked.append(inst) or real(inst))
+        inst = build_edge_instance(cycle_graph(6))
+        min_hitting_set(inst)
+        assert checked == [inst]
 
     def test_trivial_instances(self):
         from metricdim.solver import DistinguisherInstance
