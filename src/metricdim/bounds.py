@@ -13,11 +13,12 @@ from functools import cached_property
 from math import isqrt
 from typing import Callable, Optional
 
+from .characterizations import char_edim_ge_n2, char_edim_n1
 from .graph_core import (
     Graph,
     GraphInputError,
-    DisconnectedGraphError,
     chromatic_number,
+    connected_distances,
     degeneracy,
     greedy_coloring,
     max_star,
@@ -84,17 +85,14 @@ def vertex_bound_hernando(k: int, D: int) -> int:
 
 
 def subgraph_vertex_bound(k: int, D: int) -> int:
-    """Vertex count bound (D+1)^k for subgraphs of diameter D, via metric dimension k."""
+    """Count bound (D+1)^k for subgraphs of diameter D: vertices via metric
+    dimension k, or edges via edge metric dimension k (``subgraph_edge_bound``)."""
     if k < 1 or D < 0:
         raise GraphInputError(f"subgraph bound requires k >= 1 and D >= 0, got k={k} D={D}")
     return (D + 1) ** k
 
 
-def subgraph_edge_bound(k: int, D: int) -> int:
-    """Edge count bound (D+1)^k for subgraphs of diameter D, via edge metric dimension k."""
-    if k < 1 or D < 0:
-        raise GraphInputError(f"subgraph bound requires k >= 1 and D >= 0, got k={k} D={D}")
-    return (D + 1) ** k
+subgraph_edge_bound = subgraph_vertex_bound
 
 
 @dataclass(frozen=True)
@@ -181,20 +179,17 @@ class AuditRecord:
 class GraphRecord:
     """Per-graph statistics shared by ``audit_graph`` and the theorem sweeps.
     The graph's distance matrix gives connectivity and diameter on
-    construction, and the solver and predicates read the same matrix; the
-    rest is computed on first use.  ``dim``/``edim`` are None when the
-    budget ran out; ``chromatic`` is greedy past CHROMATIC_EXACT_LIMIT
-    vertices."""
+    construction; the rest is computed on first use.  ``dim``/``edim`` are
+    None when the budget ran out; ``chromatic`` is greedy past
+    CHROMATIC_EXACT_LIMIT vertices; ``char_n1``/``char_ge_n2`` are the two
+    characterization verdicts, kept without their witnesses."""
 
     def __init__(self, G: Graph, budget: Optional[int] = None):
-        D = G.distances
-        if not D.connected:
-            raise DisconnectedGraphError("audit requires a connected graph")
         self.graph = G
         self.budget = budget
         self.n = G.n
         self.m = G.num_edges
-        self.diameter = max(max(row) for row in D.rows)
+        self.diameter = connected_distances(G, "audit requires a connected graph").diameter
         self.chromatic_exact = G.n <= CHROMATIC_EXACT_LIMIT
 
     def _value(self, solve) -> Optional[int]:
@@ -226,6 +221,14 @@ class GraphRecord:
     @cached_property
     def chromatic(self) -> int:
         return chromatic_number(self.graph) if self.chromatic_exact else greedy_coloring(self.graph)
+
+    @cached_property
+    def char_n1(self) -> bool:
+        return char_edim_n1(self.graph)[0]
+
+    @cached_property
+    def char_ge_n2(self) -> bool:
+        return char_edim_ge_n2(self.graph).holds
 
     def known(self, needs: tuple[str, ...]) -> bool:
         """Whether every input a table row needs is available: a dimension

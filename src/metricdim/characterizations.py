@@ -11,8 +11,9 @@ equivalence suite against the solver is the arbiter either way.
 
 Both distance conditions (condition 2 of char_edim_ge_n2, and the
 (k+1)-tuple lemma) are about which vertices lie within distance 2, so the
-predicates read the graph's one distance matrix as per-vertex radius-2
-bitmasks (``_within_two``) and test them with mask algebra.
+predicates build per-vertex radius-2 bitmasks straight from adjacency
+(``_within_two``: N(v) together with N(N(v)), less v) and test them with
+mask algebra; no distance matrix is needed.
 
 tuple_lemma_check tests the (k+1)-tuple lemma on one graph; the diameter
 theorems are rows of the sweep table in ``enumerator``.
@@ -40,8 +41,13 @@ def non_mutual_neighbors(G: Graph, u: int, v: int) -> set[int]:
 
 
 def _within_two(G: Graph) -> list[int]:
-    """Per vertex v, the mask of the other vertices at distance at most 2."""
-    return [sum(1 << x for x, d in enumerate(row) if 0 < d <= 2) for row in G.distances.rows]
+    """Per vertex v, the mask of the other vertices at distance at most 2:
+    its neighbours and their neighbours, less v itself."""
+    near = list(G.adj)
+    for row in G.adj:
+        for v in bits(row):
+            near[v] |= row  # row is the neighbourhood of a neighbour of v
+    return [mask & ~(1 << v) for v, mask in enumerate(near)]
 
 
 def _require_small_ok(G: Graph):

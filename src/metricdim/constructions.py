@@ -251,6 +251,16 @@ def md_biclique(k: int) -> ConstructionOutput:
 # ---------------------------------------------------------------------------
 
 
+def _grid_dims(dims) -> list[int]:
+    """``dims`` as a list, checked: at least one axis, every side at least 2."""
+    dims = list(dims)
+    if not dims:
+        raise ConstructionError("grid requires at least one dimension")
+    if any(r < 2 for r in dims):
+        raise ConstructionError(f"grid sides must be at least 2, got {dims}")
+    return dims
+
+
 def _grid_strides(dims: list[int]) -> list[int]:
     strides = [1] * len(dims)
     for i in range(len(dims) - 2, -1, -1):
@@ -262,11 +272,7 @@ def grid(dims) -> Graph:
     """Cartesian lattice product of paths: one axis per entry of ``dims``,
     each side at least 2.  Vertex index is mixed radix with the first axis
     most significant."""
-    dims = list(dims)
-    if not dims:
-        raise ConstructionError("grid requires at least one dimension")
-    if any(r < 2 for r in dims):
-        raise ConstructionError(f"grid sides must be at least 2, got {dims}")
+    dims = _grid_dims(dims)
     total = prod(dims)
     if total > GRID_MAX_VERTICES:
         raise SizeLimitError(f"grid would have {total} vertices, supported max is {GRID_MAX_VERTICES}")
@@ -285,11 +291,7 @@ def grid(dims) -> Graph:
 def grid_edge_landmarks(dims) -> tuple[int, ...]:
     """Edge-resolving landmarks for a grid: the origin plus, for every axis
     except the last, the far corner point along that axis alone."""
-    dims = list(dims)
-    if not dims:
-        raise ConstructionError("grid requires at least one dimension")
-    if any(r < 2 for r in dims):
-        raise ConstructionError(f"grid sides must be at least 2, got {dims}")
+    dims = _grid_dims(dims)
     strides = _grid_strides(dims)
     lms = [0]
     lms.extend((dims[i] - 1) * strides[i] for i in range(len(dims) - 1))

@@ -33,12 +33,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from .bounds import INEQUALITIES, GraphRecord
-from .characterizations import (
-    char_edim_eq_n2,
-    char_edim_ge_n2,
-    char_edim_n1,
-    tuple_lemma_check,
-)
+from .characterizations import char_edim_ge_n2, char_edim_n1, tuple_lemma_check
 from .graph_core import (
     Graph,
     GraphInputError,
@@ -156,13 +151,18 @@ def _connected_classes(n: int) -> tuple[str, ...]:
     return tuple(sorted(classes))
 
 
+def _require_enumerable(n: int, allow_large: bool, message: str) -> None:
+    """SizeLimitError(message, ``{n}``/``{limit}`` filled) unless 1 <= n <= limit."""
+    limit = ENUMERATION_HARD_LIMIT if allow_large else ENUMERATION_LIMIT
+    if not 1 <= n <= limit:
+        raise SizeLimitError(message.format(n=n, limit=limit))
+
+
 def enumerate_connected(n: int, allow_large: bool = False) -> list[Graph]:
     """One representative per isomorphism class of connected n-vertex
     graphs, ordered by canonical graph6 string.  n = 9 takes minutes and
     sits behind the allow_large flag."""
-    limit = ENUMERATION_HARD_LIMIT if allow_large else ENUMERATION_LIMIT
-    if not 1 <= n <= limit:
-        raise SizeLimitError(f"enumeration supports 1 <= n <= {limit}, got n={n}")
+    _require_enumerable(n, allow_large, "enumeration supports 1 <= n <= {limit}, got n={n}")
     return [graph6_decode(s) for s in _connected_classes(n)]
 
 
@@ -177,22 +177,23 @@ def _record(g6: str, budget: Optional[int]) -> GraphRecord:
     return GraphRecord(graph6_decode(g6), budget)
 
 
+# Characterization rows read the record's verdicts; only a failing row reruns its predicate.
 def _char1_equiv(r: GraphRecord) -> Optional[str]:
-    holds, pair = char_edim_n1(r.graph)
-    if holds != (r.edim == r.n - 1):
-        return f"predicate={holds} edim={r.edim} n={r.n} pair={pair}"
+    if r.char_n1 != (r.edim == r.n - 1):
+        _, pair = char_edim_n1(r.graph)
+        return f"predicate={r.char_n1} edim={r.edim} n={r.n} pair={pair}"
     return None
 
 
 def _char2_equiv(r: GraphRecord) -> Optional[str]:
-    res = char_edim_ge_n2(r.graph)
-    if res.holds != (r.edim >= r.n - 2):
-        return f"predicate={res.holds} edim={r.edim} n={r.n} triple={res.failing_triple}"
+    if r.char_ge_n2 != (r.edim >= r.n - 2):
+        triple = char_edim_ge_n2(r.graph).failing_triple
+        return f"predicate={r.char_ge_n2} edim={r.edim} n={r.n} triple={triple}"
     return None
 
 
 def _eq_n2_equiv(r: GraphRecord) -> Optional[str]:
-    holds = char_edim_eq_n2(r.graph)
+    holds = not r.char_n1 and r.char_ge_n2  # char_edim_eq_n2 on the verdicts
     if holds != (r.edim == r.n - 2):
         return f"predicate={holds} edim={r.edim} n={r.n}"
     return None
@@ -321,9 +322,7 @@ def sweep(
         raise GraphInputError(f"sweep budget must be at least 0, got budget={budget}")
     if n_max < SWEEP_N_MIN:
         raise GraphInputError(f"sweep range n_max={n_max} is below the smallest swept size {SWEEP_N_MIN}")
-    limit = ENUMERATION_HARD_LIMIT if allow_large else ENUMERATION_LIMIT
-    if n_max > limit:
-        raise SizeLimitError(f"sweep range n_max={n_max} exceeds enumeration limit {limit}")
+    _require_enumerable(n_max, allow_large, "sweep range n_max={n} exceeds enumeration limit {limit}")
     started = time.perf_counter()
     counts: dict[int, int] = {}
     g6_list: list[str] = []

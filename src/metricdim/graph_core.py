@@ -271,6 +271,10 @@ class DistanceMatrix:
     def connected(self) -> bool:
         return self.n > 0 and all(UNREACHABLE not in row for row in self.rows)
 
+    @property
+    def diameter(self) -> int:  # UNREACHABLE when disconnected
+        return max(map(max, self.rows))
+
 
 def bfs_all_pairs(G: Graph) -> DistanceMatrix:
     """Breadth-first distances from every vertex, via bitset frontier expansion."""
@@ -308,11 +312,17 @@ def is_connected(G: Graph) -> bool:
     return seen == (1 << G.n) - 1
 
 
-def diameter(G: Graph) -> int:
+def connected_distances(G: Graph, message: str) -> DistanceMatrix:
+    """``G.distances`` of a connected graph; DisconnectedGraphError(message)
+    otherwise.  The one connectivity precondition of every layer."""
     D = G.distances
     if not D.connected:
-        raise DisconnectedGraphError("diameter requires a connected graph")
-    return max(max(row) for row in D.rows)
+        raise DisconnectedGraphError(message)
+    return D
+
+
+def diameter(G: Graph) -> int:
+    return connected_distances(G, "diameter requires a connected graph").diameter
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +357,14 @@ def induced_subgraph(G: Graph, keep) -> tuple[Graph, dict[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def max_clique(G: Graph, limit: int = MAX_CLIQUE_LIMIT) -> tuple[int, ...]:
+def max_clique(G: Graph) -> tuple[int, ...]:
     """A maximum clique, certified by exhausted branch and bound.
 
     Candidates are visited in ascending vertex order with the popcount bound
     |R| + |P| <= best as the pruning rule, so the result is deterministic.
     """
-    if G.n > limit:
-        raise SizeLimitError(f"max_clique is certified for n <= {limit}, got {G.n}")
+    if G.n > MAX_CLIQUE_LIMIT:
+        raise SizeLimitError(f"max_clique is certified for n <= {MAX_CLIQUE_LIMIT}, got {G.n}")
     best_mask = 0
     best_size = 0
     adj = G.adj
@@ -384,11 +394,11 @@ def max_star(G: Graph) -> int:
     return max((row.bit_count() for row in G.adj), default=0)
 
 
-def max_balanced_biclique(G: Graph, cap: int | None = None, limit: int = BICLIQUE_LIMIT) -> int:
+def max_balanced_biclique(G: Graph, cap: int | None = None) -> int:
     """Largest m with a (not necessarily induced) K_{m,m} subgraph, searched
     exhaustively up to ``cap`` with degree-order pruning."""
-    if G.n > limit:
-        raise SizeLimitError(f"max_balanced_biclique is certified for n <= {limit}, got {G.n}")
+    if G.n > BICLIQUE_LIMIT:
+        raise SizeLimitError(f"max_balanced_biclique is certified for n <= {BICLIQUE_LIMIT}, got {G.n}")
     n = G.n
     hard = n // 2
     cap = hard if cap is None else min(cap, hard)
@@ -445,16 +455,10 @@ def degeneracy(G: Graph) -> int:
     return out
 
 
-def greedy_coloring(G: Graph, order=None) -> int:
-    """Color count of the greedy proper coloring along ``order`` (default:
-    ascending ids)."""
-    if order is None:
-        order = range(G.n)
-    order = list(order)
-    if sorted(order) != list(range(G.n)):
-        raise GraphInputError("coloring order must be a permutation of the vertices")
+def greedy_coloring(G: Graph) -> int:
+    """Color count of the greedy proper coloring in ascending vertex order."""
     colors = [-1] * G.n
-    for v in order:
+    for v in range(G.n):
         used = {colors[w] for w in bits(G.adj[v]) if colors[w] >= 0}
         c = 0
         while c in used:
@@ -463,11 +467,11 @@ def greedy_coloring(G: Graph, order=None) -> int:
     return max(colors) + 1 if colors else 0
 
 
-def chromatic_number(G: Graph, limit: int = CHROMATIC_EXACT_LIMIT) -> int:
+def chromatic_number(G: Graph) -> int:
     """Exact chromatic number by branch and bound between the clique lower
     bound and the greedy upper bound."""
-    if G.n > limit:
-        raise SizeLimitError(f"chromatic_number is certified for n <= {limit}, got {G.n}")
+    if G.n > CHROMATIC_EXACT_LIMIT:
+        raise SizeLimitError(f"chromatic_number is certified for n <= {CHROMATIC_EXACT_LIMIT}, got {G.n}")
     if G.n == 0:
         return 0
     if G.num_edges == 0:

@@ -12,11 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph_core import (
-    DisconnectedGraphError,
     DistanceMatrix,
     Graph,
     GraphInputError,
+    connected_distances,
 )
+
+_DISCONNECTED = "resolving checks require a connected graph"
 
 
 @dataclass(frozen=True)
@@ -54,47 +56,33 @@ def edge_distance_vector(D: DistanceMatrix, e: tuple[int, int], S) -> tuple[int,
     return tuple(min(ru[s], rw[s]) for s in landmark_tuple(S, D.n))
 
 
-def _first_collision(objs, vecs):
-    """Lexicographically first colliding object pair, or None."""
+def _first_collision(kind: str, objs, vecs) -> tuple[bool, ResolutionWitness | None]:
+    """(True, None) when the vectors are pairwise distinct, else False and
+    the lexicographically first colliding object pair."""
     groups: dict[tuple[int, ...], list] = {}
     for o, vec in zip(objs, vecs):
         groups.setdefault(vec, []).append(o)
     cands = [(g[0], g[1], vec) for vec, g in groups.items() if len(g) > 1]
-    return min(cands) if cands else None
-
-
-def _require_connected(G: Graph) -> DistanceMatrix:
-    D = G.distances
-    if not D.connected:
-        raise DisconnectedGraphError("resolving checks require a connected graph")
-    return D
+    return (False, ResolutionWitness(kind, *min(cands))) if cands else (True, None)
 
 
 def is_vertex_resolving(G: Graph, S) -> tuple[bool, ResolutionWitness | None]:
     """Whether S distinguishes every vertex pair; on failure, also the
     lexicographically first colliding pair."""
-    D = _require_connected(G)
+    D = connected_distances(G, _DISCONNECTED)
     St = landmark_tuple(S, G.n)
     vecs = [tuple(D.rows[v][s] for s in St) for v in range(G.n)]
-    hit = _first_collision(range(G.n), vecs)
-    if hit is None:
-        return True, None
-    a, b, vec = hit
-    return False, ResolutionWitness("vertex", a, b, vec)
+    return _first_collision("vertex", range(G.n), vecs)
 
 
 def is_edge_resolving(G: Graph, S) -> tuple[bool, ResolutionWitness | None]:
     """Whether S distinguishes every edge pair; on failure, also the
     lexicographically first colliding pair."""
-    D = _require_connected(G)
+    D = connected_distances(G, _DISCONNECTED)
     St = landmark_tuple(S, G.n)
     edges = G.edges()
     vecs = []
     for u, w in edges:
         ru, rw = D.rows[u], D.rows[w]
         vecs.append(tuple(min(ru[s], rw[s]) for s in St))
-    hit = _first_collision(edges, vecs)
-    if hit is None:
-        return True, None
-    a, b, vec = hit
-    return False, ResolutionWitness("edge", a, b, vec)
+    return _first_collision("edge", edges, vecs)

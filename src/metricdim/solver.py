@@ -27,11 +27,11 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .graph_core import (
-    DisconnectedGraphError,
     Graph,
     GraphError,
     GraphInputError,
     SizeLimitError,
+    connected_distances,
 )
 
 # Universes larger than this require an explicit node budget.
@@ -99,20 +99,17 @@ class DimensionCertificate:
 # instance construction
 # ---------------------------------------------------------------------------
 
+_DISCONNECTED = "distinguisher instances require a connected graph"
+
 
 def build_vertex_instance(G: Graph) -> DistinguisherInstance:
     """One family per vertex pair: the vertices at differing distance."""
-    D = G.distances
-    if not D.connected:
-        raise DisconnectedGraphError("distinguisher instances require a connected graph")
-    return DistinguisherInstance("vertex", G.n, _pair_masks(D.rows))
+    return DistinguisherInstance("vertex", G.n, _pair_masks(connected_distances(G, _DISCONNECTED).rows))
 
 
 def build_edge_instance(G: Graph) -> DistinguisherInstance:
     """One family per edge pair: the vertices at differing edge distance."""
-    D = G.distances
-    if not D.connected:
-        raise DisconnectedGraphError("distinguisher instances require a connected graph")
+    D = connected_distances(G, _DISCONNECTED)
     # lists, not tuples: CPython's free lists keep small tuples alive after use
     rows = [[a if a < b else b for a, b in zip(D.rows[u], D.rows[w])] for u, w in G.edges()]
     return DistinguisherInstance("edge", G.n, _pair_masks(rows))

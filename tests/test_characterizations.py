@@ -5,6 +5,7 @@ import pytest
 
 from metricdim.bounds import GraphRecord, audit_graph
 from metricdim.characterizations import (
+    _within_two,
     char_edim_eq_n2,
     char_edim_ge_n2,
     char_edim_n1,
@@ -17,11 +18,14 @@ from metricdim.graph_core import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    from_edge_list,
     graph6_encode,
     path_graph,
     star_graph,
 )
 from metricdim.solver import edge_metric_dimension
+
+from oracles import naive_distances
 
 
 class TestNonMutualNeighbors:
@@ -168,6 +172,16 @@ class TestOneDistanceMatrix:
         char_edim_ge_n2(G)
         tuple_lemma_check(G, 2)
         assert bfs_calls == [G]
+
+    def test_radius_two_masks_match_bfs(self):
+        # the masks come from adjacency alone; the oracle's BFS is the reference
+        graphs = [G for n in range(1, 8) for G in enumerate_connected(n)]
+        assert len(graphs) == 996
+        graphs.append(from_edge_list(5, [(0, 1), (1, 2), (3, 4)]))  # disconnected
+        for G in graphs:
+            dist = naive_distances(G)
+            expected = [sum(1 << x for x, d in dist[v].items() if 0 < d <= 2) for v in range(G.n)]
+            assert _within_two(G) == expected, graph6_encode(G)
 
     def test_predicate_results_digest(self):
         # pins every verdict, failing triple and chosen witness over the 994

@@ -1,11 +1,13 @@
 import hashlib
 import json
 import random
+import sys
 import threading
+from collections import Counter
 
 import pytest
 
-from metricdim import enumerator
+from metricdim import characterizations, enumerator
 from metricdim.cli import main
 from metricdim.enumerator import (
     ENUMERATION_HARD_LIMIT,
@@ -185,6 +187,26 @@ class TestSweeps:
         assert len(THEOREM_CHECKS) == 15
         assert len(bfs_calls) == 29
         assert len({graph6_encode(G) for G in bfs_calls}) == 29
+
+    def test_one_characterization_per_class(self, monkeypatch):
+        # each predicate runs once per class across all 15 sweeps, wherever
+        # it is called from, and builds the radius-2 masks once per call
+        counts = Counter()
+        for name in ("char_edim_n1", "char_edim_ge_n2", "_within_two"):
+            real = getattr(characterizations, name)
+
+            def counted(G, real=real, name=name):
+                counts[name] += 1
+                return real(G)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("metricdim") and getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counted)
+        enumerator._record.cache_clear()
+        for theorem_id in sorted(THEOREM_CHECKS):
+            sweep(theorem_id, 5)
+        # _within_two: once in char_edim_ge_n2 and once in tuple_lemma_check
+        assert counts == {"char_edim_n1": 29, "char_edim_ge_n2": 29, "_within_two": 58}
 
     def test_explore_data(self):
         rep = sweep("clique-vs-edim-explore", 6)

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -28,6 +29,14 @@ class TestRunSweeps:
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert proc.stderr.splitlines()[-1].startswith(f"run_sweeps.py: error: {message}")
+
+    def test_n7_stdout_bytes(self):
+        # the script's own stdout, not just the in-process sweep() reports
+        proc = run_script("run_sweeps.py", "--max-n", "7")
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.splitlines()) == 15
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+            "8db8be5710b059d5de7ffe3c6cb2122016185a176bd67620ea4e6a1aa99c9b4b")
 
 
 def _load_script(name):
