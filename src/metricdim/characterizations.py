@@ -16,7 +16,12 @@ predicates build per-vertex radius-2 bitmasks straight from adjacency
 mask algebra; no distance matrix is needed.
 
 tuple_lemma_check tests the (k+1)-tuple lemma on one graph; the diameter
-theorems are rows of the sweep table in ``enumerator``.
+theorems are rows of the sweep table in ``enumerator``.  A violation is an
+independent (k+1)-set of the radius-2 graph, so the check is a depth-first
+search in ascending vertex order that drops a branch once fewer candidates
+remain than are still needed.  Its witness is the lexicographically first
+violating subset, and it never reaches more leaves than walking every
+(k+1)-subset would.
 """
 
 from __future__ import annotations
@@ -109,17 +114,16 @@ def char_edim_ge_n2(G: Graph) -> Char2Result:
     full = (1 << G.n) - 1
     witnesses: dict[tuple[int, int, int], TripleWitness] = {}
     for triple in combinations(range(G.n), 3):
+        x, y, z = triple
         hit = None
-        for apex in triple:
-            a, b = (t for t in triple if t != apex)
-            if not (G.has_edge(apex, a) and G.has_edge(apex, b)):
-                continue
-            if (adj[a] ^ adj[b]) & ~adj[apex] == 0:
+        for apex, a, b in ((x, y, z), (y, x, z), (z, x, y)):
+            ends = (1 << a) | (1 << b)
+            if adj[apex] & ends == ends and (adj[a] ^ adj[b]) & ~adj[apex] == 0:
                 hit = TripleWitness(triple, "condition-1", apex)
                 break
         if hit is None:
-            outside = full & ~sum(1 << t for t in triple)
-            for v1, v2 in combinations(triple, 2):
+            outside = full & ~((1 << x) | (1 << y) | (1 << z))
+            for v1, v2, v3 in ((x, y, z), (x, z, y), (y, z, x)):
                 # u must be adjacent to their non-mutual neighbours outside
                 # the triple and within 2 of every outside vertex within 2 of
                 # just one of them; such a vertex adjacent to one of them is a
@@ -129,7 +133,6 @@ def char_edim_ge_n2(G: Graph) -> Char2Result:
                 u = next((u for u in bits(adj[v1] & adj[v2] & outside)
                           if not nmn & ~adj[u] and not lone & ~near[u]), None)
                 if u is not None:
-                    v3 = next(t for t in triple if t not in (v1, v2))
                     hit = TripleWitness((v1, v2, v3), "condition-2", u)
                     break
         if hit is None:
@@ -154,14 +157,30 @@ class TupleLemmaResult:
 
 def tuple_lemma_check(G: Graph, k: int) -> TupleLemmaResult:
     """Every (k+1)-subset of vertices must contain two vertices at distance
-    at most 2.  Vacuously true (with the flag set) when n < k+1."""
+    at most 2.  Vacuously true (with the flag set) when n < k+1.
+
+    The search takes the lowest candidate v, keeps the candidates above v
+    more than 2 from it, and backtracks when fewer remain than are still
+    needed; ``violating`` is the first violating subset in
+    ``combinations`` order."""
     if k < 1:
         raise ValueError(f"tuple lemma needs k >= 1, got {k}")
     if G.n < k + 1:
         return TupleLemmaResult(True, True, None)
     close = _within_two(G)
-    for tup in combinations(range(G.n), k + 1):
-        mask = sum(1 << t for t in tup)
-        if all(close[t] & mask == 0 for t in tup):
-            return TupleLemmaResult(False, False, tup)
+    need = k + 1
+    chosen: list[int] = []
+    cands = [(1 << G.n) - 1]  # cands[d]: vertices that may extend chosen[:d]
+    while cands:
+        cand = cands[-1]
+        if cand.bit_count() < need - len(chosen):
+            cands.pop()
+            if chosen:
+                cands[-1] &= ~(1 << chosen.pop())
+            continue
+        v = (cand & -cand).bit_length() - 1
+        chosen.append(v)
+        if len(chosen) == need:
+            return TupleLemmaResult(False, False, tuple(chosen))
+        cands.append(cand & ~close[v] & ~(1 << v))
     return TupleLemmaResult(True, False, None)

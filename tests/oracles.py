@@ -10,6 +10,7 @@ from collections import deque
 from functools import lru_cache
 from itertools import combinations, permutations
 
+from metricdim.characterizations import TupleLemmaResult
 from metricdim.enumerator import canonical_graph6
 from metricdim.graph_core import (
     Graph,
@@ -120,6 +121,23 @@ def naive_is_edge_resolving(G: Graph, S) -> bool:
     dist = naive_distances(G)
     vecs = _edge_vectors(dist, tuple(S), G.edges())
     return len(set(vecs)) == G.num_edges
+
+
+def brute_tuple_lemma(G: Graph, k: int) -> TupleLemmaResult:
+    """The (k+1)-tuple lemma by testing every (k+1)-subset in
+    ``combinations`` order; the first subset with no two vertices within
+    distance 2 is the witness."""
+    if k < 1:
+        raise ValueError(f"tuple lemma needs k >= 1, got {k}")
+    if G.n < k + 1:
+        return TupleLemmaResult(True, True, None)
+    dist = naive_distances(G)
+    close = [sum(1 << x for x, d in dist[v].items() if 0 < d <= 2) for v in range(G.n)]
+    for tup in combinations(range(G.n), k + 1):
+        mask = sum(1 << t for t in tup)
+        if all(close[t] & mask == 0 for t in tup):
+            return TupleLemmaResult(False, False, tup)
+    return TupleLemmaResult(True, False, None)
 
 
 def brute_canonical_graph6(G: Graph) -> str:

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -25,7 +26,7 @@ from metricdim.graph_core import (
 )
 from metricdim.solver import edge_metric_dimension
 
-from oracles import naive_distances
+from oracles import brute_tuple_lemma, naive_distances
 
 
 class TestNonMutualNeighbors:
@@ -130,6 +131,41 @@ class TestTupleLemma:
     def test_vacuous_when_too_few_vertices(self):
         res = tuple_lemma_check(path_graph(3), 5)
         assert res.holds and res.vacuous and res.violating is None
+
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            tuple_lemma_check(path_graph(4), 0)
+
+    def test_matches_oracle_on_every_small_class(self):
+        checked = 0
+        for n in range(1, 8):
+            for G in enumerate_connected(n):
+                for k in range(1, n + 2):
+                    assert tuple_lemma_check(G, k) == brute_tuple_lemma(G, k), (graph6_encode(G), k)
+                    checked += 1
+        assert checked == 7777
+
+    def test_matches_oracle_on_random_graphs(self):
+        # sparse and dense G(n, p) samples, connected or not, so that both
+        # verdicts occur and the violating tuples are compared too
+        rng = random.Random(10)
+        violated = disconnected = 0
+        for _ in range(400):
+            n = rng.randint(1, 14)
+            p = rng.uniform(0.05, 0.6)
+            G = from_edge_list(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+            k = rng.randint(1, 6)
+            res = tuple_lemma_check(G, k)
+            assert res == brute_tuple_lemma(G, k), (graph6_encode(G), k)
+            violated += not res.holds
+            disconnected += len(naive_distances(G)[0]) < n
+        assert violated >= 50 and disconnected >= 50
+
+    def test_sizes_beyond_the_subset_walk(self):
+        # C(30, 11) = 54,627,300 subsets for the first call
+        assert tuple_lemma_check(cycle_graph(30), 10).holds
+        assert tuple_lemma_check(cycle_graph(30), 9).violating == tuple(range(0, 30, 3))
+        assert tuple_lemma_check(path_graph(40), 13).violating == tuple(range(0, 40, 3))
 
     def test_lemma_matches_edim_tier(self):
         # any connected graph with edim >= n-2 admits no such spread triple
