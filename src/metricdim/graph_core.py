@@ -281,19 +281,16 @@ def bfs_all_pairs(G: Graph) -> DistanceMatrix:
     rows = []
     for src in range(G.n):
         dist = [UNREACHABLE] * G.n
-        dist[src] = 0
-        seen = 1 << src
-        frontier = seen
+        seen = frontier = 1 << src
         d = 0
         while frontier:
             reach = 0
             for v in bits(frontier):
+                dist[v] = d
                 reach |= G.adj[v]
             frontier = reach & ~seen
             seen |= frontier
             d += 1
-            for v in bits(frontier):
-                dist[v] = d
         rows.append(tuple(dist))
     return DistanceMatrix(G.n, tuple(rows))
 

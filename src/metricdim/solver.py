@@ -8,10 +8,13 @@ exactly by branch and bound.  The families of all pairs are built at once
 from packed distance rows (see ``_pair_masks``): one byte per landmark,
 bounded blocks of pairs compared by one big-int XOR each, and distances
 of 128 or more packed as 7-bit planes whose XORs are OR-ed per block.
-Duplicate families and supersets of other families are dropped first; the
-rest are held as bits of one int, and ``hits[v]`` marks the families vertex
-v hits.  One decision search answers
-"is there a hitting set of at most k allowed vertices?": it prunes with a
+From the same text the builders emit each landmark's column, the families
+it is in as bits of one int; the family checks, the greedy bound and the
+reduction read them.  The reduction counts family sizes bit-sliced over
+the columns and, smallest first, drops the duplicates and supersets of
+each kept family by the AND of its columns; only the kept families are
+transposed again, into ``hits[v]``.  One decision search answers "is
+there a hitting set of at most k allowed vertices?": it prunes with a
 greedily built pairwise-disjoint-family lower bound, branches on the
 disjoint family with the fewest allowed vertices, and bars a refuted
 branch's vertex from its later siblings.  The value is the first k from
@@ -24,7 +27,9 @@ are stable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from itertools import repeat
+from operator import or_
 
 from .graph_core import (
     Graph,
@@ -73,6 +78,13 @@ class DistinguisherInstance:
     universe: int
     masks: tuple[int, ...]
 
+    @cached_property
+    def columns(self) -> list[int]:
+        """``columns[v]``: the bitmask of the indices i with v in ``masks[i]``
+        (see ``_transpose``).  The builders fill it; not a field, so equality
+        and hashing still see only the three fields."""
+        return _transpose(self.masks)
+
 
 @dataclass(frozen=True)
 class DimensionCertificate:
@@ -104,7 +116,7 @@ _DISCONNECTED = "distinguisher instances require a connected graph"
 
 def build_vertex_instance(G: Graph) -> DistinguisherInstance:
     """One family per vertex pair: the vertices at differing distance."""
-    return DistinguisherInstance("vertex", G.n, _pair_masks(connected_distances(G, _DISCONNECTED).rows))
+    return _built("vertex", G.n, connected_distances(G, _DISCONNECTED).rows)
 
 
 def build_edge_instance(G: Graph) -> DistinguisherInstance:
@@ -112,7 +124,14 @@ def build_edge_instance(G: Graph) -> DistinguisherInstance:
     D = connected_distances(G, _DISCONNECTED)
     # lists, not tuples: CPython's free lists keep small tuples alive after use
     rows = [[a if a < b else b for a, b in zip(D.rows[u], D.rows[w])] for u, w in G.edges()]
-    return DistinguisherInstance("edge", G.n, _pair_masks(rows))
+    return _built("edge", G.n, rows)
+
+
+def _built(kind: str, universe: int, rows) -> DistinguisherInstance:
+    masks, columns = _pair_masks(rows)
+    inst = DistinguisherInstance(kind, universe, masks)
+    vars(inst)["columns"] = columns  # what the cached property would compute
+    return inst
 
 
 # Packed bytes per block of rows in _pair_masks; bounds the build's peak memory.
@@ -122,9 +141,10 @@ _BLOCK_BYTES = 1 << 16
 _DIGITS = b"0" + b"1" * 127 + b" " * 128
 
 
-def _pair_masks(rows) -> tuple[int, ...]:
+def _pair_masks(rows) -> tuple[tuple[int, ...], list[int]]:
     """Masks of all pairs i < j of the distance ``rows``, row-major: bit x is
-    set where the two rows differ at landmark x.
+    set where the two rows differ at landmark x; and their columns (see
+    ``DistinguisherInstance.columns``).
 
     Rows are packed one byte per landmark, landmark n - 1 first, then a
     separator byte: 128 on the left side of the XOR, 0 on the right.  For a
@@ -132,7 +152,10 @@ def _pair_masks(rows) -> tuple[int, ...]:
     against the fields of those j, so a byte below 128 is nonzero exactly
     where the rows differ, and the bytes read as one binary token per pair.
     Distances of 128 and more are packed as 7-bit planes, whose XORs are
-    OR-ed block by block, so that path needs no more mask memory.
+    OR-ed block by block, so that path needs no more mask memory.  Landmark
+    v's column is every ``size``-th digit, read by one stride slice per
+    block into whole bytes of 8 pairs; the pairs that do not fill a byte
+    wait for the next block, so the text is never held twice.
     """
     m = len(rows)
     top = max(map(max, rows), default=0)
@@ -145,6 +168,8 @@ def _pair_masks(rows) -> tuple[int, ...]:
     rights = [b"".join([field + b"\0" for field in plane]) for plane in planes]
     size = len(rights[0]) // m if m else 0
     masks: list[int] = []
+    packed = [bytearray() for _ in range(size - 1)]  # per landmark, 8 pairs a byte, first pair lowest
+    text = b""  # the digits of fewer than 8 pairs not yet read
     i = 0
     while i < m - 1:
         # rows i..stop-1: at least one, at most _BLOCK_BYTES packed unless one row is larger
@@ -156,10 +181,18 @@ def _pair_masks(rows) -> tuple[int, ...]:
         for left, right in zip(lefts, rights):
             differ |= (int.from_bytes(b"".join([left[r] * (m - 1 - r) for r in range(i, stop)]), "big")
                        ^ int.from_bytes(b"".join([right[(r + 1) * size:] for r in range(i, stop)]), "big"))
-        text = differ.to_bytes(count * size, "big").translate(_DIGITS)
-        masks.extend(map(int, text.split(), repeat(2)))
+        text += differ.to_bytes(count * size, "big").translate(_DIGITS)
+        # read whole bytes of pairs, and every pair left after the last block
+        cut = len(text) if stop == m - 1 else len(text) - len(text) // size % 8 * size
+        read, text = text[:cut], text[cut:]
+        masks.extend(map(int, read.split(), repeat(2)))
+        for v, col in enumerate(packed):
+            col += int(read[cut - 2 - v :: -size] or b"0", 2).to_bytes((cut // size + 7) // 8, "little")
         i = stop
-    return tuple(masks)
+    columns = [int.from_bytes(col, "little") for col in packed]
+    while columns and not columns[-1]:
+        columns.pop()
+    return tuple(masks), columns
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +204,12 @@ def greedy_upper_bound(inst: DistinguisherInstance) -> tuple[int, ...]:
     """Max-coverage greedy hitting set (ties to the smallest vertex id).
     Always returns a valid hitting set, hence a resolving set."""
     _check_families(inst)
-    hits = _transpose(inst.masks)
+    hits = inst.columns
     rem = (1 << len(inst.masks)) - 1
     chosen = []
     while rem:
-        v = max(range(len(hits)), key=lambda u: ((rem & hits[u]).bit_count(), -u))
+        counts = [(rem & h).bit_count() for h in hits]
+        v = counts.index(max(counts))  # the first, so ties go to the smallest id
         chosen.append(v)
         rem &= ~hits[v]
     return tuple(sorted(chosen))
@@ -189,12 +223,11 @@ def disjoint_pairs_lower_bound(inst: DistinguisherInstance) -> int:
 
 
 def _check_families(inst: DistinguisherInstance):
-    for m in inst.masks:
-        if m == 0:
-            raise EmptyDistinguisherError(
-                "a distinguisher family is empty; two distinct objects share all distances"
-            )
-    if max(inst.masks, default=0) >> inst.universe:
+    if reduce(or_, inst.columns, 0) != (1 << len(inst.masks)) - 1:
+        raise EmptyDistinguisherError(
+            "a distinguisher family is empty; two distinct objects share all distances"
+        )
+    if any(inst.columns[inst.universe:]):
         raise GraphInputError(f"a distinguisher family names a vertex outside 0..{inst.universe - 1}")
 
 
@@ -211,32 +244,40 @@ def _disjoint_lb(sorted_masks) -> int:
 def _transpose(masks) -> list[int]:
     """``hits[v]``: the bitmask of the indices i with vertex v in ``masks[i]``."""
     width = max(masks, default=0).bit_length()
-    spec = f"0{width}b"
-    rows = "".join([format(m, spec) for m in reversed(masks)])
+    top = 1 << width
+    rows = "".join([bin(m | top)[3:] for m in reversed(masks)])
     # column v of the fixed-width binary rows, last mask first, is hits[v]
     return [int(rows[width - 1 - v :: width], 2) for v in range(width)]
 
 
-def _minimal_families(masks) -> tuple[list[int], list[int]]:
+def _minimal_families(masks, cols) -> tuple[list[int], list[int]]:
     """Distinct families with every superset of another dropped, sorted by
-    (cardinality, mask), and their transpose (see ``_transpose``)."""
-    uniq = sorted(set(masks))
-    uniq.sort(key=int.bit_count)  # stable: (cardinality, mask) order
-    cols = _transpose(uniq)
+    (cardinality, mask), and their transpose (see ``_transpose``); ``cols``
+    is the transpose of ``masks``."""
+    # bit-sliced counts: ge[k] holds the families with at least k members
+    ge = [(1 << len(masks)) - 1] + [0] * (len(cols) + 1)
+    for j, c in enumerate(cols):
+        for k in range(j + 1, 0, -1):
+            ge[k] |= ge[k - 1] & c
     kept = []
-    alive = (1 << len(uniq)) - 1
-    while alive:
-        # every smaller family is kept or contains a kept one, so the
-        # first alive family is minimal; it and its supersets leave
-        j = (alive & -alive).bit_length() - 1
-        f = uniq[j]
-        kept.append(f)
-        supersets = alive
-        while f:
-            low = f & -f
-            supersets &= cols[low.bit_length() - 1]
-            f ^= low
-        alive &= ~supersets
+    alive = ge[1]
+    for above in ge[2:]:
+        # every smaller family is kept or contains a kept one, so an alive
+        # family of the smallest alive size is minimal; it and its
+        # supersets (duplicates included) leave
+        level = alive & ~above
+        while level:
+            f = masks[(level & -level).bit_length() - 1]
+            kept.append(f)
+            supersets = alive
+            while f:
+                low = f & -f
+                supersets &= cols[low.bit_length() - 1]
+                f ^= low
+            alive &= ~supersets
+            level &= ~supersets
+    kept.sort()
+    kept.sort(key=int.bit_count)  # stable: (cardinality, mask) order
     return kept, _transpose(kept)
 
 
@@ -318,7 +359,7 @@ def min_hitting_set(inst: DistinguisherInstance, budget: int | None = None) -> D
     """
     _require_budget(inst.universe, budget)
     ub_set = greedy_upper_bound(inst)  # validates the families first
-    fams, hits = _minimal_families(inst.masks)
+    fams, hits = _minimal_families(inst.masks, inst.columns)
     if not fams:
         return DimensionCertificate(inst.kind, 0, (), True, 0)
 

@@ -70,14 +70,19 @@ class TestInstances:
 
 def _check_builds(G, kinds=("vertex", "edge")):
     """The packed builders give the pair-by-pair reference's masks, whose
-    pairs run in itertools.combinations order of the vertices or edges."""
+    pairs run in itertools.combinations order of the vertices or edges,
+    and the columns that a hand-built instance would compute from them."""
+    from metricdim.solver import _transpose
+
     builds = {"vertex": (build_vertex_instance, reference_vertex_instance, range(G.n)),
               "edge": (build_edge_instance, reference_edge_instance, G.edges())}
     for kind in kinds:
         build, reference, objects = builds[kind]
         pairs, masks = reference(G)
         assert pairs == tuple(combinations(objects, 2))
-        assert build(G).masks == masks, (kind, graph6_encode(G))
+        inst = build(G)
+        assert inst.masks == masks, (kind, graph6_encode(G))
+        assert inst.columns == _transpose(inst.masks), (kind, graph6_encode(G))
 
 
 GRID_MEMBERS = [[2], [2, 2], [3, 4], [7, 8], [2, 2, 2], [2, 3, 4], [3, 3, 3],
@@ -112,6 +117,14 @@ class TestPackedBuilds:
         assert max(G.n for G in graphs) == 62
         for G in graphs:
             _check_builds(G)
+
+    def test_zero_and_one_pairs(self):
+        # a single vertex has no pairs of either kind, K2 one edge, P2 one vertex pair
+        for G in (path_graph(1), complete_graph(2)):
+            _check_builds(G)
+        assert build_vertex_instance(path_graph(1)).columns == []
+        assert build_edge_instance(complete_graph(2)).columns == []
+        assert build_vertex_instance(path_graph(2)).columns == [1, 1]
 
     @pytest.mark.parametrize("n", [129, 200])
     def test_distances_past_one_byte(self, n):
@@ -332,6 +345,30 @@ class TestHittingSetDirect:
         min_hitting_set(inst)
         assert checked == [inst]
 
+    def test_hand_built_instances_give_the_same_answers(self):
+        # a hand-built instance computes its columns from the masks; every
+        # certificate and budget-exhaustion field must match the built one's
+        from metricdim.enumerator import enumerate_connected
+        from metricdim.solver import DistinguisherInstance
+
+        exhausted = 0
+        for n in range(1, 8):
+            for G in enumerate_connected(n):
+                for build in (build_vertex_instance, build_edge_instance):
+                    inst = build(G)
+                    bare = DistinguisherInstance(inst.kind, G.n, inst.masks)
+                    assert bare == inst and "columns" not in vars(bare)
+                    assert min_hitting_set(bare) == min_hitting_set(inst)
+                    errors = []
+                    for candidate in (inst, bare):
+                        try:
+                            min_hitting_set(candidate, budget=1)
+                        except BudgetExceededError as e:
+                            errors.append((e.lower_bound, e.upper_bound, e.best_known, e.nodes_explored))
+                    assert len(errors) != 1 and errors[:1] == errors[1:], graph6_encode(G)
+                    exhausted += len(errors) // 2
+        assert exhausted > 1000
+
     def test_trivial_instances(self):
         from metricdim.solver import DistinguisherInstance
 
@@ -353,9 +390,9 @@ def _superset_filter(masks):
 class TestReduction:
     @staticmethod
     def check(masks):
-        from metricdim.solver import _minimal_families
+        from metricdim.solver import _minimal_families, _transpose
 
-        kept, hits = _minimal_families(masks)
+        kept, hits = _minimal_families(masks, _transpose(masks))
         assert kept == _superset_filter(masks)
         for v, column in enumerate(hits):
             assert column == sum(1 << i for i, m in enumerate(kept) if m >> v & 1)
