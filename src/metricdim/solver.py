@@ -17,11 +17,14 @@ transposed again, into ``hits[v]``.  One decision search answers "is
 there a hitting set of at most k allowed vertices?": it prunes with a
 greedily built pairwise-disjoint-family lower bound, branches on the
 disjoint family with the fewest allowed vertices, and bars a refuted
-branch's vertex from its later siblings.  The value is the first k from
-the disjoint lower bound up that the search accepts, else the greedy
-max-coverage upper bound; the basis is the lexicographically smallest
-optimal set, grown one vertex at a time with the same search, so results
-are stable across runs.
+branch's vertex from its later siblings.  The bound's packing drops the
+families that meet a chosen one by one lookup in a per-solve cover table
+of bounded size, and a node with k = 1 counts and settles its leaves
+itself instead of recursing.  The value is the first k from the disjoint
+lower bound up that the search accepts, else the greedy max-coverage
+upper bound; the basis is the lexicographically smallest optimal set,
+grown one vertex at a time with the same search, so results are stable
+across runs.
 """
 
 from __future__ import annotations
@@ -290,20 +293,31 @@ class _BudgetSignal(Exception):
     pass
 
 
+# The cover table is emptied before an insert once its masks reach this many
+# bits (1 MiB), so a long budgeted search keeps a fixed footprint.
+_COVER_BITS = 1 << 23
+
+
 class _Search:
     """Decision search over the reduced families, with a node budget.
 
     A set of families is an int over family indices; choosing vertex v
     leaves ``rem & ~hits[v]``.  ``allow`` is the bitmask of usable vertices.
+    ``cover[f]``, for a family f cut down to its allowed vertices, is the
+    AND of ``~hits[v]`` over v in f: the families sharing no vertex with f.
+    It is filled on first use and shared by every call of one solve (see
+    ``_COVER_BITS``).  A k = 1 node counts its k = 0 children's nodes and
+    settles them itself: each holds iff no family is left.
     """
 
-    __slots__ = ("fams", "clear", "cap", "spent")
+    __slots__ = ("fams", "clear", "cap", "spent", "cover")
 
     def __init__(self, fams: list[int], hits: list[int], cap: int | None):
         self.fams = fams
         self.clear = [~h for h in hits]
         self.cap = cap
         self.spent = 0
+        self.cover: dict[int, int] = {}
 
     def exists(self, rem: int, k: int, allow: int) -> bool:
         """Whether the families in ``rem`` have a hitting set of at most k
@@ -313,25 +327,40 @@ class _Search:
             raise _BudgetSignal
         if not rem:
             return True
-        fams, clear = self.fams, self.clear
+        fams, clear, cover = self.fams, self.clear, self.cover
         # Greedy pairwise-disjoint families (of their allowed vertices), each
         # needing its own vertex; a family with no allowed vertex is never
         # cleared, so it is reached unless the bound already exceeds k.
-        r, count, branch = rem, 0, 0
+        r, count, branch, least = rem, 0, 0, 0
         while r:
             f = fams[(r & -r).bit_length() - 1] & allow
             count += 1
             if not f or count > k:
                 return False
-            if not branch or f.bit_count() < branch.bit_count():
-                branch = f
-            while f:
-                low = f & -f
-                r &= clear[low.bit_length() - 1]
-                f ^= low
+            size = f.bit_count()
+            if not branch or size < least:
+                branch, least = f, size
+            left = cover.get(f)
+            if left is None:
+                if len(cover) * len(fams) >= _COVER_BITS:
+                    cover.clear()
+                left, g = -1, f
+                while g:
+                    low = g & -g
+                    left &= clear[low.bit_length() - 1]
+                    g ^= low
+                cover[f] = left
+            r &= left
         while branch:
             low = branch & -branch
-            if self.exists(rem & clear[low.bit_length() - 1], k - 1, allow):
+            rest = rem & clear[low.bit_length() - 1]
+            if k == 1:  # the k = 0 child: counted here, and it holds iff nothing is left
+                self.spent += 1
+                if self.cap is not None and self.spent > self.cap:
+                    raise _BudgetSignal
+                if not rest:
+                    return True
+            elif self.exists(rest, k - 1, allow):
                 return True
             allow &= ~low  # refuted: later siblings need not use this vertex
             branch ^= low

@@ -1,4 +1,6 @@
+import hashlib
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -409,3 +411,105 @@ class TestReduction:
         masks += masks[:100]  # duplicates collapse
         assert len(set(masks)) > 1500
         self.check(masks)
+
+
+def _classes_to_n7():
+    from metricdim.enumerator import enumerate_connected
+
+    graphs = [G for n in range(1, 8) for G in enumerate_connected(n)]
+    assert len(graphs) == 996
+    return graphs
+
+
+def _outcome(solve, G, budget):
+    """A solve's certificate fields, or its budget error's fields."""
+    try:
+        cert = solve(G, budget)
+    except BudgetExceededError as e:
+        return "exhausted", (e.lower_bound, e.upper_bound, e.best_known, e.nodes_explored)
+    return "solved", (cert.kind, cert.value, cert.basis, cert.optimal, cert.nodes_explored)
+
+
+class TestSearchTree:
+    """The value and basis searches visit the same nodes in the same order:
+    the digest pins every certificate and budget-error field of both kinds
+    at budgets None, 1, 7 and 50."""
+
+    DIGEST = "6fd35058975c6323a259b60145d07ff130edb98accd60a2a75f80d2f7c86e795"
+
+    def test_outcomes_are_pinned(self):
+        rng = random.Random(13)
+        graphs = _classes_to_n7() + [random_connected_graph(rng, rng.randint(10, 16)) for _ in range(30)]
+        digest, kinds = hashlib.sha256(), Counter()
+        for G in graphs:
+            for solve in (metric_dimension, edge_metric_dimension):
+                for budget in (None, 1, 7, 50):
+                    kind, fields = _outcome(solve, G, budget)
+                    kinds[kind] += 1
+                    digest.update(repr((kind, fields)).encode())
+        assert kinds["exhausted"] > 1000 and kinds["solved"] > 1000
+        assert digest.hexdigest() == self.DIGEST
+
+    def test_budget_boundary_is_exact(self):
+        # a budget of exactly the nodes a solve takes suffices, one less runs
+        # out on the last node
+        checked = 0
+        for G in _classes_to_n7():
+            for solve in (metric_dimension, edge_metric_dimension):
+                cert = solve(G)
+                if cert.nodes_explored < 1:
+                    continue
+                assert solve(G, cert.nodes_explored) == cert
+                with pytest.raises(BudgetExceededError) as exc_info:
+                    solve(G, cert.nodes_explored - 1)
+                assert exc_info.value.nodes_explored == cert.nodes_explored, graph6_encode(G)
+                checked += 1
+        assert checked == 1989
+
+    def test_every_smaller_budget_runs_out_on_its_own_node(self):
+        # the leaves a k = 1 node counts itself check the budget too
+        from metricdim.enumerator import enumerate_connected
+
+        checked = 0
+        for G in [G for n in range(1, 7) for G in enumerate_connected(n)]:
+            for inst in (build_vertex_instance(G), build_edge_instance(G)):
+                for budget in range(min_hitting_set(inst).nodes_explored):
+                    with pytest.raises(BudgetExceededError) as exc_info:
+                        min_hitting_set(inst, budget)
+                    assert exc_info.value.nodes_explored == budget + 1, (graph6_encode(G), budget)
+                    checked += 1
+        assert checked == 3506
+
+    def test_cover_table_stays_bounded(self):
+        # a long budgeted edim search over thousands of families empties the
+        # cover table instead of growing it past 2**23 bits of masks
+        from metricdim.solver import _COVER_BITS, _BudgetSignal, _disjoint_lb, _minimal_families, _Search
+
+        class Table(dict):
+            peak = clears = 0
+
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                self.peak = max(self.peak, len(self))
+
+            def clear(self):
+                self.clears += 1
+                super().clear()
+
+        rng = random.Random(0)
+        G = from_edge_list(40, [])
+        while not G.distances.connected:
+            G = from_edge_list(40, [e for e in combinations(range(40), 2) if rng.random() < 0.3])
+        inst = build_edge_instance(G)
+        fams, hits = _minimal_families(inst.masks, inst.columns)
+        assert len(fams) > 5000
+        search = _Search(fams, hits, 100_000)
+        search.cover = table = Table()
+        rem, vertices = (1 << len(fams)) - 1, (1 << len(hits)) - 1
+        with pytest.raises(_BudgetSignal):
+            for k in range(_disjoint_lb(fams), len(greedy_upper_bound(inst))):
+                assert not search.exists(rem, k, vertices)
+        assert search.spent == 100_001
+        assert _COVER_BITS == 1 << 23
+        assert table.clears >= 2
+        assert (table.peak - 1) * len(fams) < _COVER_BITS
