@@ -16,7 +16,6 @@ from .graph_core import (
     SizeLimitError,
     UNREACHABLE,
     bfs_all_pairs,
-    diameter,
     from_edge_list,
     graph6_decode,
     graph6_encode,
@@ -56,7 +55,6 @@ from .characterizations import (
     char_edim_eq_n2,
     char_edim_ge_n2,
     char_edim_n1,
-    non_mutual_neighbors,
     tuple_lemma_check,
 )
 from .bounds import (
@@ -79,6 +77,7 @@ from .enumerator import (
     canonical_relabeling,
     enumerate_connected,
     sweep,
+    sweep_all,
 )
 
 __version__ = "0.1.0"

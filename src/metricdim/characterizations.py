@@ -37,14 +37,6 @@ from .graph_core import (
 )
 
 
-def non_mutual_neighbors(G: Graph, u: int, v: int) -> set[int]:
-    """Vertices adjacent to exactly one of u, v (symmetric difference of
-    the neighborhoods, taken over all vertices including u and v)."""
-    if u == v:
-        raise ValueError("non-mutual neighbors need a pair of distinct vertices")
-    return set(bits(G.adj[u] ^ G.adj[v]))
-
-
 def _within_two(G: Graph) -> list[int]:
     """Per vertex v, the mask of the other vertices at distance at most 2:
     its neighbours and their neighbours, less v itself."""

@@ -296,18 +296,3 @@ def grid_edge_landmarks(dims) -> tuple[int, ...]:
     lms = [0]
     lms.extend((dims[i] - 1) * strides[i] for i in range(len(dims) - 1))
     return tuple(sorted(set(lms)))
-
-
-def grid_coordinates(dims) -> dict[int, tuple[int, ...]]:
-    """Vertex id -> coordinate tuple, matching the ``grid`` numbering."""
-    dims = list(dims)
-    strides = _grid_strides(dims)
-    out = {}
-    for idx in range(prod(dims)):
-        rest = idx
-        point = []
-        for axis in range(len(dims)):
-            point.append(rest // strides[axis])
-            rest %= strides[axis]
-        out[idx] = tuple(point)
-    return out

@@ -171,9 +171,12 @@ def enumerate_connected(n: int, allow_large: bool = False) -> list[Graph]:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=65536)
+# One record per (class, budget).  Callers that sweep one id at a time (the
+# benchmark's sweep workload, the tests) revisit the classes once per id, all
+# at n <= 7, whose 994 classes fit: only the first sweep solves.  sweep_all
+# visits each class once; at n >= 8 the bound keeps the last 1,024 records.
+@lru_cache(maxsize=1024)
 def _record(g6: str, budget: Optional[int]) -> GraphRecord:
-    """Cached per (class, budget): a process solves each class once."""
     return GraphRecord(graph6_decode(g6), budget)
 
 
@@ -298,70 +301,67 @@ class SweepReport:
         )
 
 
-def sweep(
-    theorem_id: str,
-    n_max: int,
-    threads: int = 1,
-    budget: Optional[int] = None,
-    allow_large: bool = False,
-) -> SweepReport:
-    """Run one registered theorem check over every connected graph with
-    SWEEP_N_MIN <= n <= n_max.  Failures carry the canonical graph6 string
-    and a detail line, sorted for run-to-run determinism.
-
-    threads is validated (at least 1) but the sweep runs in the calling
-    thread: the checks are pure-Python work, so more threads only contend
-    for the interpreter lock.  The report is byte-identical for any value.
-    The keyword stays for existing callers (the benchmark workloads pass
-    threads=2); the command line no longer offers it."""
-    if theorem_id not in THEOREM_CHECKS:
-        raise KeyError(f"unknown theorem id {theorem_id!r}; known: {sorted(THEOREM_CHECKS)}")
-    if threads < 1:
-        raise GraphInputError(f"sweep needs at least one thread, got threads={threads}")
+def sweep_all(theorem_ids, n_max: int, budget: Optional[int] = None,
+              allow_large: bool = False) -> list[SweepReport]:
+    """Check the given theorem ids in one pass over every connected graph
+    with SWEEP_N_MIN <= n <= n_max, taking one record per class.  One report
+    per id, in the given order, with the pass's timings; failures are
+    (canonical graph6, detail) pairs, sorted for run-to-run determinism."""
+    theorem_ids = tuple(theorem_ids)
+    for theorem_id in theorem_ids:
+        if theorem_id not in THEOREM_CHECKS:
+            raise KeyError(f"unknown theorem id {theorem_id!r}; known: {sorted(THEOREM_CHECKS)}")
     if budget is not None and budget < 0:
         raise GraphInputError(f"sweep budget must be at least 0, got budget={budget}")
     if n_max < SWEEP_N_MIN:
         raise GraphInputError(f"sweep range n_max={n_max} is below the smallest swept size {SWEEP_N_MIN}")
     _require_enumerable(n_max, allow_large, "sweep range n_max={n} exceeds enumeration limit {limit}")
     started = time.perf_counter()
-    counts: dict[int, int] = {}
-    g6_list: list[str] = []
-    for n in range(SWEEP_N_MIN, n_max + 1):
-        classes = _connected_classes(n)
-        counts[n] = len(classes)
-        g6_list.extend(classes)
+    counts = {n: len(_connected_classes(n)) for n in range(SWEEP_N_MIN, n_max + 1)}
     enumerated = time.perf_counter()
+    checks = [([_ROWS[name] for name in THEOREM_CHECKS[t]], []) for t in theorem_ids]  # rows, failures
+    explore = "clique-vs-edim-explore" in theorem_ids
+    clique_by_edim: dict[int, int] = {}
+    exhausted = 0
+    for n in counts:
+        for g6 in _connected_classes(n):
+            r = _record(g6, budget)
+            if r.budget_exhausted:
+                exhausted += 1
+                continue
+            for rows, failures in checks:
+                for row in rows:
+                    detail = row(r)
+                    if detail is not None:
+                        failures.append((g6, detail))
+                        break
+            if explore:
+                k = max(r.edim, 1)
+                clique_by_edim[k] = max(clique_by_edim.get(k, 0), len(max_clique(r.graph)))
 
-    rows = [_ROWS[name] for name in THEOREM_CHECKS[theorem_id]]
-    failures = []
-    solved = []
-    for g6 in g6_list:
-        r = _record(g6, budget)
-        if r.budget_exhausted:
-            continue
-        solved.append(r)
-        for row in rows:
-            detail = row(r)
-            if detail is not None:
-                failures.append((g6, detail))
-                break
+    data = {"max_clique_by_edim": {str(k): v for k, v in sorted(clique_by_edim.items())}}
+    elapsed_ms = (time.perf_counter() - started) * 1000.0
+    return [
+        SweepReport(
+            theorem_id=theorem_id,
+            n_min=SWEEP_N_MIN,
+            n_max=n_max,
+            graphs_checked=sum(counts.values()),
+            counts_by_n=dict(counts),
+            failures=tuple(sorted(failures)),
+            solver_budget_exhaustions=exhausted,
+            elapsed_ms=elapsed_ms,
+            enumerate_ms=(enumerated - started) * 1000.0,
+            data=data if theorem_id == "clique-vs-edim-explore" else {},
+        )
+        for theorem_id, (_, failures) in zip(theorem_ids, checks)
+    ]
 
-    data = {}
-    if theorem_id == "clique-vs-edim-explore":
-        clique_by_edim: dict[int, int] = {}
-        for r in solved:
-            k = max(r.edim, 1)
-            clique_by_edim[k] = max(clique_by_edim.get(k, 0), len(max_clique(r.graph)))
-        data["max_clique_by_edim"] = {str(k): v for k, v in sorted(clique_by_edim.items())}
-    return SweepReport(
-        theorem_id=theorem_id,
-        n_min=SWEEP_N_MIN,
-        n_max=n_max,
-        graphs_checked=len(g6_list),
-        counts_by_n=counts,
-        failures=tuple(sorted(failures)),
-        solver_budget_exhaustions=len(g6_list) - len(solved),
-        elapsed_ms=(time.perf_counter() - started) * 1000.0,
-        enumerate_ms=(enumerated - started) * 1000.0,
-        data=data,
-    )
+
+def sweep(theorem_id: str, n_max: int, threads: int = 1, budget: Optional[int] = None,
+          allow_large: bool = False) -> SweepReport:
+    """``sweep_all((theorem_id,), ...)[0]``.  threads is checked (at least 1)
+    and otherwise unused; it stays because the benchmark workloads pass it."""
+    if threads < 1:
+        raise GraphInputError(f"sweep needs at least one thread, got threads={threads}")
+    return sweep_all((theorem_id,), n_max, budget, allow_large)[0]

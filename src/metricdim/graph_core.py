@@ -246,12 +246,6 @@ def parse_edge_list_text(text: str) -> Graph:
     return from_edge_list(n, edges)
 
 
-def format_edge_list_text(G: Graph) -> str:
-    lines = [f"{G.n} {G.num_edges}"]
-    lines.extend(f"{u} {v}" for u, v in G.edges())
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # distances
 # ---------------------------------------------------------------------------
@@ -316,10 +310,6 @@ def connected_distances(G: Graph, message: str) -> DistanceMatrix:
     if not D.connected:
         raise DisconnectedGraphError(message)
     return D
-
-
-def diameter(G: Graph) -> int:
-    return connected_distances(G, "diameter requires a connected graph").diameter
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,19 @@ settings.load_profile("suite")
 ACCEPTANCE_LINES: list[str] = []
 
 
+def pytest_addoption(parser):
+    parser.addoption("--runslow", action="store_true", help="also run the tests marked slow")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--runslow"):
+        return
+    skip = pytest.mark.skip(reason="slow: needs --runslow")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance summary")

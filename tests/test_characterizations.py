@@ -10,7 +10,6 @@ from metricdim.characterizations import (
     char_edim_eq_n2,
     char_edim_ge_n2,
     char_edim_n1,
-    non_mutual_neighbors,
     tuple_lemma_check,
 )
 from metricdim.enumerator import _diam_le_3k_1, _diam_le_5, _tuple_lemma, enumerate_connected
@@ -27,24 +26,6 @@ from metricdim.graph_core import (
 from metricdim.solver import edge_metric_dimension
 
 from oracles import brute_tuple_lemma, naive_distances
-
-
-class TestNonMutualNeighbors:
-    def test_adjacent_endpoints_included(self):
-        # in K_4 every other vertex is a mutual neighbor of 0 and 1,
-        # but each endpoint is adjacent to the other and not to itself
-        assert non_mutual_neighbors(complete_graph(4), 0, 1) == {0, 1}
-
-    def test_path_interior_pair(self):
-        assert non_mutual_neighbors(path_graph(4), 1, 2) == {0, 1, 2, 3}
-
-    def test_symmetric_difference_can_be_empty(self):
-        assert non_mutual_neighbors(path_graph(3), 0, 2) == set()
-        assert non_mutual_neighbors(cycle_graph(4), 0, 2) == set()
-
-    def test_rejects_equal_vertices(self):
-        with pytest.raises(ValueError):
-            non_mutual_neighbors(path_graph(3), 1, 1)
 
 
 class TestTopCharacterization:

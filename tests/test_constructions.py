@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from metricdim.constructions import (
@@ -5,7 +7,6 @@ from metricdim.constructions import (
     edim_biclique,
     edim_star,
     grid,
-    grid_coordinates,
     grid_edge_landmarks,
     md_biclique,
     md_complete,
@@ -245,10 +246,10 @@ class TestGrid:
         assert grid_edge_landmarks([3, 4]) == (0, 8)
 
     def test_coordinates_match_strides(self):
-        coords = grid_coordinates([2, 3, 4])
-        assert coords[0] == (0, 0, 0)
-        assert coords[23] == (1, 2, 3)
-        G = grid([2, 3, 4])
+        # vertex ids number the lattice points in row-major order
+        dims = [2, 3, 4]
+        coords = list(itertools.product(*(range(r) for r in dims)))
+        G = grid(dims)
         for u in range(G.n):
             for v in range(u + 1, G.n):
                 manhattan = sum(abs(a - b) for a, b in zip(coords[u], coords[v]))

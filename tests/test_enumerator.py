@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 import threading
 from collections import Counter
@@ -19,6 +21,7 @@ from metricdim.enumerator import (
     canonical_relabeling,
     enumerate_connected,
     sweep,
+    sweep_all,
 )
 from metricdim.graph_core import (
     GraphInputError,
@@ -175,10 +178,13 @@ class TestSweeps:
         assert rep.solver_budget_exhaustions == 0
 
     def test_run_sweeps_n7_bytes(self):
-        # the stdout of scripts/run_sweeps.py --max-n 7: one report per id
-        stdout = "".join(sweep(theorem_id, 7).to_json() + "\n" for theorem_id in sorted(THEOREM_CHECKS))
-        assert hashlib.sha256(stdout.encode()).hexdigest() == (
-            "8db8be5710b059d5de7ffe3c6cb2122016185a176bd67620ea4e6a1aa99c9b4b")
+        # the stdout of scripts/run_sweeps.py --max-n 7: one report per id,
+        # from one sweep_all pass and from the per-id sweeps alike
+        ids = sorted(THEOREM_CHECKS)
+        for reports in (sweep_all(ids, 7), [sweep(theorem_id, 7) for theorem_id in ids]):
+            stdout = "".join(rep.to_json() + "\n" for rep in reports)
+            assert hashlib.sha256(stdout.encode()).hexdigest() == (
+                "8db8be5710b059d5de7ffe3c6cb2122016185a176bd67620ea4e6a1aa99c9b4b")
 
     def test_one_bfs_per_class(self, bfs_calls):
         enumerator._record.cache_clear()
@@ -306,3 +312,93 @@ class TestFailureDetails:
         payload = json.loads(capsys.readouterr().out)
         assert code == 1
         assert payload["failures"][0] == {"graph6": graph6, "detail": detail}
+
+
+class TestSweepAll:
+    """sweep_all checks every requested id in one pass over the classes;
+    sweep is its one-id case."""
+
+    @staticmethod
+    def per_id(n_max, **kwargs):
+        return [sweep(theorem_id, n_max, **kwargs).to_json() for theorem_id in sorted(THEOREM_CHECKS)]
+
+    def test_exhausted_pass_matches_per_id_sweeps(self):
+        reports = sweep_all(sorted(THEOREM_CHECKS), 6, budget=0)
+        assert all(rep.solver_budget_exhaustions == 2 + 6 + 21 + 112 for rep in reports)
+        assert [rep.to_json() for rep in reports] == self.per_id(6, budget=0)
+
+    @pytest.mark.parametrize("forged", sorted(FORGED))
+    def test_forged_pass_matches_per_id_sweeps(self, monkeypatch, forged):
+        real = enumerator._record.__wrapped__
+
+        def forged_record(g6, budget):
+            r = real(g6, budget)
+            for name, value in FORGED[forged](r.n).items():
+                setattr(r, name, value)
+            return r
+
+        monkeypatch.setattr(enumerator, "_record", forged_record)
+        reports = sweep_all(sorted(THEOREM_CHECKS), 5)
+        assert not all(rep.passed for rep in reports)
+        for rep in reports:  # only the first failing row of a class is reported
+            assert len({g6 for g6, _ in rep.failures}) == len(rep.failures)
+        assert [rep.to_json() for rep in reports] == self.per_id(5)
+
+    def test_reports_follow_the_given_order(self):
+        ids = ["tuple-lemma", "char1-equiv", "tuple-lemma"]
+        reports = sweep_all(ids, 4)
+        assert [rep.theorem_id for rep in reports] == ids
+        assert reports[0].to_json() == reports[2].to_json() == sweep("tuple-lemma", 4).to_json()
+
+    def test_reports_share_the_pass_timings(self):
+        reports = sweep_all(sorted(THEOREM_CHECKS), 5)
+        assert len({(rep.elapsed_ms, rep.enumerate_ms) for rep in reports}) == 1
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_unknown_id_raises_before_any_solve(self, position):
+        ids = ["char1-equiv", "tuple-lemma"]
+        ids.insert(position, "no-such-theorem")
+        enumerator._record.cache_clear()
+        with pytest.raises(KeyError, match="unknown theorem id 'no-such-theorem'"):
+            sweep_all(ids, 5)
+        assert enumerator._record.cache_info().misses == 0
+
+    def test_one_pass_solves_each_class_once(self):
+        # the per-id sweeps that follow find every n <= 7 class in the cache
+        enumerator._record.cache_clear()
+        sweep_all(sorted(THEOREM_CHECKS), 7)
+        info = enumerator._record.cache_info()
+        assert (info.misses, info.hits) == (994, 0)
+        for theorem_id in sorted(THEOREM_CHECKS):
+            sweep(theorem_id, 7)
+        assert enumerator._record.cache_info().misses == 994
+
+    def test_cache_holds_the_classes_per_id_callers_revisit(self):
+        revisited = sum(EXPECTED_COUNTS[n] for n in range(SWEEP_N_MIN, 8))
+        assert enumerator._record.cache_info().maxsize >= revisited
+
+
+N9_CHILD = """
+import json, resource
+from metricdim.enumerator import THEOREM_CHECKS, sweep_all
+reports = sweep_all(sorted(THEOREM_CHECKS), 9, allow_large=True)
+print(json.dumps({"reports": [rep.to_json() for rep in reports],
+                  "peak_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+"""
+
+
+@pytest.mark.slow
+def test_all_sweeps_n9_in_bounded_memory():
+    # every theorem over the 261,080 classes with n = 9; minutes of CPU
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", N9_CHILD], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=3600)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    reports = [json.loads(line) for line in result["reports"]]
+    assert len(reports) == len(THEOREM_CHECKS)
+    for rep in reports:
+        assert rep["failures"] == [], rep["theorem_id"]
+        assert rep["solver_budget_exhaustions"] == 0
+        assert rep["counts_by_n"]["9"] == 261080
+    assert result["peak_kib"] <= 64 * 1024

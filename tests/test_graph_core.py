@@ -13,10 +13,9 @@ from metricdim.graph_core import (
     chromatic_number,
     complete_bipartite_graph,
     complete_graph,
+    connected_distances,
     cycle_graph,
     degeneracy,
-    diameter,
-    format_edge_list_text,
     from_edge_list,
     graph6_decode,
     graph6_encode,
@@ -125,7 +124,7 @@ class TestGraph6:
 class TestEdgeListText:
     def test_roundtrip(self):
         G = from_edge_list(4, [(0, 1), (2, 3)])
-        assert parse_edge_list_text(format_edge_list_text(G)) == G
+        assert parse_edge_list_text("4 2\n0 1\n2 3\n") == G
 
     def test_parse_errors(self):
         with pytest.raises(GraphInputError, match="empty"):
@@ -165,11 +164,11 @@ class TestDistances:
         assert not is_connected(from_edge_list(2, []))
 
     def test_diameter(self):
-        assert diameter(path_graph(6)) == 5
-        assert diameter(cycle_graph(6)) == 3
-        assert diameter(complete_graph(4)) == 1
-        with pytest.raises(DisconnectedGraphError):
-            diameter(from_edge_list(3, [(0, 1)]))
+        assert path_graph(6).distances.diameter == 5
+        assert cycle_graph(6).distances.diameter == 3
+        assert complete_graph(4).distances.diameter == 1
+        with pytest.raises(DisconnectedGraphError, match="needs a connected graph"):
+            connected_distances(from_edge_list(3, [(0, 1)]), "needs a connected graph")
 
     def test_edge_vertex_distance(self):
         # the edge-distance rule (smaller endpoint distance) on the cached matrix
@@ -283,5 +282,5 @@ def test_star_import_binds_every_reexported_name():
              if isinstance(node, ast.ImportFrom) for alias in node.names]
     namespace = {}
     exec("from metricdim import *", namespace)
-    assert len(names) == 59
+    assert len(names) == 58
     assert [name for name in names if name not in namespace] == []
