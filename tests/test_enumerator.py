@@ -273,6 +273,19 @@ FORGED = {
 }
 
 
+def forge_records(monkeypatch, forged):
+    """Make every sweep record carry the FORGED[forged] values."""
+    real = enumerator._record.__wrapped__  # uncached, so the forgery stays local
+
+    def forged_record(g6, budget):
+        r = real(g6, budget)
+        for name, value in FORGED[forged](r.n).items():
+            setattr(r, name, value)
+        return r
+
+    monkeypatch.setattr(enumerator, "_record", forged_record)
+
+
 class TestFailureDetails:
     """Force a violation through every checking sweep and pin the first
     failure's exact detail text, as `metricdim check` prints it."""
@@ -299,15 +312,7 @@ class TestFailureDetails:
         ],
     )
     def test_forged_violation(self, capsys, monkeypatch, theorem_id, forged, graph6, detail):
-        real = enumerator._record.__wrapped__  # uncached, so the forgery stays local
-
-        def forged_record(g6, budget):
-            r = real(g6, budget)
-            for name, value in FORGED[forged](r.n).items():
-                setattr(r, name, value)
-            return r
-
-        monkeypatch.setattr(enumerator, "_record", forged_record)
+        forge_records(monkeypatch, forged)
         code = main(["check", theorem_id, "--max-n", "4"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 1
@@ -329,15 +334,7 @@ class TestSweepAll:
 
     @pytest.mark.parametrize("forged", sorted(FORGED))
     def test_forged_pass_matches_per_id_sweeps(self, monkeypatch, forged):
-        real = enumerator._record.__wrapped__
-
-        def forged_record(g6, budget):
-            r = real(g6, budget)
-            for name, value in FORGED[forged](r.n).items():
-                setattr(r, name, value)
-            return r
-
-        monkeypatch.setattr(enumerator, "_record", forged_record)
+        forge_records(monkeypatch, forged)
         reports = sweep_all(sorted(THEOREM_CHECKS), 5)
         assert not all(rep.passed for rep in reports)
         for rep in reports:  # only the first failing row of a class is reported
