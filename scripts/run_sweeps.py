@@ -2,7 +2,7 @@
 """Run every registered theorem sweep in one pass over the classes and
 print one JSON report per line.
 
-Usage: run_sweeps.py [--max-n N] [--timing]
+Usage: run_sweeps.py [--max-n N] [--allow-large] [--timing]
 """
 
 import argparse
@@ -15,13 +15,15 @@ from metricdim.graph_core import GraphInputError, SizeLimitError
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=7, dest="max_n")
+    parser.add_argument("--allow-large", action="store_true", dest="allow_large",
+                        help="allow --max-n 9 (261,080 classes; minutes of CPU)")
     parser.add_argument("--timing", action="store_true",
                         help="include elapsed_ms and enumerate_ms, the one pass's timings, in every "
                              "report (breaks byte determinism)")
     args = parser.parse_args()
 
     try:
-        reports = sweep_all(sorted(THEOREM_CHECKS), args.max_n)
+        reports = sweep_all(sorted(THEOREM_CHECKS), args.max_n, allow_large=args.allow_large)
     except (GraphInputError, SizeLimitError) as exc:
         parser.error(str(exc))  # exit 2: the range is unusable
     for report in reports:

@@ -1,25 +1,27 @@
 """Isomorph-free enumeration of small connected graphs and theorem sweeps.
 
-Canonical form is the minimal graph6 string over all vertex relabelings.
-It is computed by a level DP over partial placements: the graph6 bitstring
-is a sequence of columns (one per placed vertex, listing adjacency to the
-earlier vertices), so placements are extended one vertex at a time keeping
-only the extensions whose next column is minimal, and surviving states are
-collapsed whenever they have the same placed set and give every unplaced
-vertex the same adjacency pattern toward the placed sequence -- such states
-have identical futures.  Collapsing keeps highly symmetric graphs (K_n,
-bicliques) from blowing up the state list factorially.
+The canonical form is the smallest graph6 string over the vertex orders
+that list the cells of colour refinement (1-WL from the degrees) in
+ascending colour order; the colouring is isomorphism-invariant, so the form
+is canonical.  A level DP over partial placements computes it: the graph6
+bitstring is a sequence of columns (a placed vertex's adjacency to the
+earlier ones), so each step places a vertex of the current cell with the
+smallest column, and the winning columns are the string.  States with the
+same placed set that give every unplaced vertex the same column collapse,
+as their futures agree; mapping one's order onto the other's is then an
+automorphism.  A discrete partition needs no DP.
 
 Enumeration is by canonical deletion (McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 26, 1998).  Every connected graph has a non-cut
 vertex, so each n-class C has a canonical deletion vertex m: among the
 non-cut vertices with the highest (degree, sum of neighbour degrees), the
 one placed first by the canonical labelling.  Deleting m leaves a connected
-(n-1)-class, the canonical parent of C.  A new vertex x is attached to every
-nonempty subset of every (n-1)-class P, and the child is kept only if
-deleting its m gives P again.  Children in which x does not score highest
-among the non-cut vertices are refused before any labelling; when x scores
-highest alone it is m and the child is kept.  Each n-class is therefore
+(n-1)-class, the canonical parent of C.  A new vertex x is attached to one
+nonempty subset per orbit of every (n-1)-class P under the automorphisms
+the labelling of P found (McKay's orbit rule), and the child is kept only
+if deleting its m gives P again.  Children in which x does not score
+highest among the non-cut vertices are refused before any labelling; when
+x scores highest alone it is m and the child is kept.  Each n-class is thus
 kept under exactly one parent, so a per-parent set of canonical strings
 drops the remaining repeats.
 """
@@ -29,7 +31,8 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import groupby
 from typing import Callable, Optional
 
 from .bounds import INEQUALITIES, GraphRecord
@@ -39,12 +42,9 @@ from .graph_core import (
     GraphInputError,
     SizeLimitError,
     bits,
-    complete_graph,
     graph6_decode,
-    graph6_encode,
-    induced_subgraph,
     max_clique,
-    relabeled,
+    _unchecked_graph,
 )
 
 CANONICAL_LIMIT = 10
@@ -56,44 +56,78 @@ SCHEMA_VERSION = 1
 _BITS = tuple(tuple(bits(mask)) for mask in range(1 << CANONICAL_LIMIT))
 
 
-def canonical_relabeling(G: Graph) -> tuple[int, ...]:
-    """Vertex order (new index -> old vertex) minimizing the graph6 string."""
-    n = G.n
+def _refine(adj: tuple[int, ...]) -> list[int]:
+    """1-WL colours: a signature is a vertex's colour and its neighbours'
+    sorted colours, new colours rank the signatures, until the cell count
+    stops growing.  Lists of one colour are equally long, so they order as
+    their colour counts (base-16 digits from colour 0) in reverse: one int."""
+    colour = [row.bit_count() for row in adj]
+    cells = len(set(colour))
+    while cells < len(adj):
+        weight = [1 << 36 - 4 * c for c in colour]
+        sig = [(c << 40) - sum([weight[u] for u in _BITS[row]]) for c, row in zip(colour, adj)]
+        rank = {key: i for i, key in enumerate(sorted(set(sig)))}
+        if len(rank) == cells:
+            break
+        colour, cells = [rank[key] for key in sig], len(rank)
+    return colour
+
+
+def _label(adj: tuple[int, ...]) -> tuple[tuple[int, ...], int, list[dict[int, int]]]:
+    """(order, code, automorphisms): order maps new index -> old vertex, code
+    is the graph6 bitstring (step i's column: i bits, new vertex i's adjacency
+    to new vertices 0..i-1, earliest first), and each automorphism, one per
+    collapse of the DP, maps the vertices it moves to their images."""
+    n = len(adj)
     if n > CANONICAL_LIMIT:
         raise SizeLimitError(f"canonical form supports n <= {CANONICAL_LIMIT}, got {n}")
-    if n == 0:
-        return ()
-    full = (1 << n) - 1
-    # One 16-bit field per vertex, vertex v at bits 16v..16v+15.  An
-    # unplaced vertex's field holds its adjacency toward the placed
-    # sequence, earliest placement most significant -- exactly the next
-    # graph6 column if it is placed next; a placed vertex's field is 0xFFFF,
-    # above every column (< 2**CANONICAL_LIMIT), so the minimum field of a
-    # state is its best next column.  state: (placed mask, placed order,
-    # fields, the fields' placed part)
-    spread = [sum(1 << 16 * v for v in _BITS[row]) for row in G.adj]
-    states = [(0, (), 0, 0)]
-    for _ in range(n):
-        views = [memoryview(state[2].to_bytes(2 * n, "little")).cast("H") for state in states]
-        lows = [min(view) for view in views]
-        best = min(lows)
+    colour = _refine(adj)
+    ranked = sorted(range(n), key=colour.__getitem__)
+    code = 0
+    if len(set(colour)) == n:  # discrete: the one order, no DP
+        position = {v: 1 << n - 1 - i for i, v in enumerate(ranked)}
+        for i, v in enumerate(ranked):
+            code = code << i | sum([position[u] for u in _BITS[adj[v]]]) >> n - i
+        return tuple(ranked), code, []
+    # One 16-bit field per vertex v, at bit 16v: its column toward the placed
+    # sequence, or 0xFFFF once placed, so the fields also spell out the placed
+    # set.  state: (order, fields, their placed part)
+    spread = [sum([1 << 16 * u for u in _BITS[row]]) for row in adj]
+    cells = {c: list(cell) for c, cell in groupby(ranked, colour.__getitem__)}
+    states, autos = [((), 0, 0)], []
+    for i, v in enumerate(ranked):  # place a vertex of v's cell
+        best, extensions = 0xFFFF, []  # each state has an unplaced vertex in the cell
+        for state in states:
+            for c in cells[colour[v]]:
+                col = state[1] >> 16 * c & 0xFFFF
+                if col < best:
+                    best, extensions = col, [(state, c)]
+                elif col == best:
+                    extensions.append((state, c))
+        code = code << i | best
         nxt = {}
-        for (mask, placed, cols, filled), view, low in zip(states, views, lows):
-            if low != best:
-                continue
-            for c in _BITS[full & ~mask]:
-                if view[c] != best:
-                    continue
-                nfilled = filled | 0xFFFF << 16 * c
-                ncols = (cols & ~nfilled) << 1 | spread[c] | nfilled
-                if ncols not in nxt:  # the 0xFFFF fields spell out the placed set
-                    nxt[ncols] = (mask | 1 << c, placed + (c,), ncols, nfilled)
+        for (placed, fields, filled), c in extensions:
+            nfilled = filled | 0xFFFF << 16 * c
+            nfields = (fields & ~nfilled) << 1 | spread[c] | nfilled
+            if nfields in nxt:  # a collapse: map one order onto the other
+                autos.append(dict(zip(placed + (c,), nxt[nfields][0])))
+            else:
+                nxt[nfields] = (placed + (c,), nfields, nfilled)
         states = list(nxt.values())
-    return states[0][1]
+    return states[0][0], code, autos
+
+
+def canonical_relabeling(G: Graph) -> tuple[int, ...]:
+    """Vertex order (new index -> old vertex) of the canonical form."""
+    return _label(G.adj)[0]
 
 
 def canonical_graph6(G: Graph) -> str:
-    return graph6_encode(relabeled(G, canonical_relabeling(G)))
+    """The canonical form: the labelling's code as graph6."""
+    nbits = G.n * (G.n - 1) // 2
+    pad = -nbits % 6
+    code = _label(G.adj)[1] << pad
+    return bytes([63 + G.n] + [63 + (code >> s & 63) for s in range(nbits + pad - 6, -1, -6)]).decode()
 
 
 def _scores(adj: tuple[int, ...]) -> list[int]:
@@ -120,33 +154,41 @@ def _non_cut(adj: tuple[int, ...], v: int) -> bool:
 @lru_cache(maxsize=None)
 def _connected_classes(n: int) -> tuple[str, ...]:
     if n == 1:
-        return (graph6_encode(complete_graph(1)),)
+        return ("@",)  # K1
     x = n - 1
     classes = []
     for parent_g6 in _connected_classes(n - 1):
         parent_adj = graph6_decode(parent_g6).adj
-        parent_scores = sorted(_scores(parent_adj))
+        parent_scores = _scores(parent_adj)
+        # per automorphism the labelling of P found: the image of every subset
+        perms = {tuple(moved.get(v, v) for v in range(x)) for moved in _label(parent_adj)[2]}
+        images = [reduce(lambda table, w: table + [t | 1 << w for t in table], perm, [0]) for perm in perms]
         kept: dict[str, bool] = {}  # child's canonical graph6 -> accepted
         for nbrs in range(1, 1 << x):
-            adj = tuple(row | (nbrs >> v & 1) << x for v, row in enumerate(parent_adj)) + (nbrs,)
-            scores = _scores(adj)
-            top = scores[x]
+            if images and any(image[nbrs] < nbrs for image in images):  # not its orbit's least
+                continue
+            adj = (*[row | 1 << x if nbrs >> v & 1 else row for v, row in enumerate(parent_adj)], nbrs)
+            size = nbrs.bit_count()
+            scores = [s + (nbrs >> v & 1) * (128 + size) + (row & nbrs).bit_count()
+                      for v, (s, row) in enumerate(zip(parent_scores, parent_adj))]
+            top = size << 7 | sum([parent_adj[u].bit_count() + 1 for u in _BITS[nbrs]])  # x's score
             # x is non-cut (deleting it leaves P); m must score at least as high
             if any(s > top and _non_cut(adj, v) for v, s in enumerate(scores)):
                 continue
-            g6 = canonical_graph6(Graph(n, adj))
+            g6 = canonical_graph6(_unchecked_graph(n, adj))
             if g6 in kept:
                 continue
-            if not any(s == top and v != x and _non_cut(adj, v) for v, s in enumerate(scores)):
+            if not any(s == top and _non_cut(adj, v) for v, s in enumerate(scores)):
                 kept[g6] = True  # x is m
                 continue
             # m is the tied vertex placed first in the canonical graph
-            canonical = graph6_decode(g6)
-            cscores = _scores(canonical.adj)
-            m = next(v for v in range(n) if cscores[v] == top and _non_cut(canonical.adj, v))
-            rest, _ = induced_subgraph(canonical, (v for v in range(n) if v != m))
-            kept[g6] = (sorted(_scores(rest.adj)) == parent_scores
-                        and canonical_graph6(rest) == parent_g6)
+            canonical = graph6_decode(g6).adj
+            cscores = _scores(canonical)
+            m = next(v for v in range(n) if cscores[v] == top and _non_cut(canonical, v))
+            low = (1 << m) - 1  # vertices below m keep their bits, the others move down
+            rest = tuple(row & low | row >> 1 & ~low for v, row in enumerate(canonical) if v != m)
+            kept[g6] = (sorted(_scores(rest)) == sorted(parent_scores)
+                        and canonical_graph6(_unchecked_graph(x, rest)) == parent_g6)
         classes.extend(g6 for g6, accepted in kept.items() if accepted)
     return tuple(sorted(classes))
 

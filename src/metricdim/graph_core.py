@@ -105,6 +105,13 @@ class Graph:
 # ---------------------------------------------------------------------------
 
 
+def _unchecked_graph(n: int, adj: tuple[int, ...]) -> Graph:
+    """A Graph on a table the caller built valid, skipping the checks."""
+    G = object.__new__(Graph)
+    G.__dict__.update(n=n, adj=adj)
+    return G
+
+
 def from_edge_list(n: int, edge_iter) -> Graph:
     """Build a graph from explicit edges, validating every entry."""
     if n < 0:
@@ -313,17 +320,8 @@ def connected_distances(G: Graph, message: str) -> DistanceMatrix:
 
 
 # ---------------------------------------------------------------------------
-# relabeling
+# induced subgraphs
 # ---------------------------------------------------------------------------
-
-
-def relabeled(G: Graph, order) -> Graph:
-    """Graph in which new vertex i is old vertex order[i]."""
-    order = list(order)
-    if sorted(order) != list(range(G.n)):
-        raise GraphInputError("relabeling order must be a permutation of the vertices")
-    pos = {old: new for new, old in enumerate(order)}
-    return from_edge_list(G.n, [(pos[u], pos[v]) for u, v in G.edges()])
 
 
 def induced_subgraph(G: Graph, keep) -> tuple[Graph, dict[int, int]]:

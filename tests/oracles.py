@@ -1,14 +1,15 @@
 """Independent reference implementations used only to cross-check the
 package.  Everything here is written the slow, obvious way on purpose:
-dict-based BFS, all-subsets dimension search, min-over-all-permutations
-canonical forms, and class enumeration that labels every child."""
+dict-based BFS, all-subsets dimension search, canonical forms as the
+minimum over every order of the 1-WL colour cells, and class enumeration
+that labels every child."""
 
 from __future__ import annotations
 
 import random
 from collections import deque
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from metricdim.characterizations import TupleLemmaResult
 from metricdim.enumerator import canonical_graph6
@@ -20,7 +21,6 @@ from metricdim.graph_core import (
     from_edge_list,
     graph6_decode,
     graph6_encode,
-    relabeled,
 )
 
 
@@ -140,8 +140,41 @@ def brute_tuple_lemma(G: Graph, k: int) -> TupleLemmaResult:
     return TupleLemmaResult(True, False, None)
 
 
+def relabeled(G: Graph, order) -> Graph:
+    """Graph in which new vertex i is old vertex order[i]."""
+    pos = {old: new for new, old in enumerate(order)}
+    assert sorted(pos) == list(range(G.n)), "order must be a permutation of the vertices"
+    return from_edge_list(G.n, [(pos[u], pos[v]) for u, v in G.edges()])
+
+
+def naive_colours(G: Graph) -> list[int]:
+    """1-WL colours: start from the degrees; a vertex's signature is its
+    colour and the sorted list of its neighbours' colours; the new colours
+    are the ranks of the distinct signatures; stop once a round leaves the
+    number of colours where it was."""
+    neighbours = {v: [] for v in range(G.n)}
+    for u, v in G.edges():
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    colour = [len(neighbours[v]) for v in range(G.n)]
+    while True:
+        signature = [(colour[v], sorted(colour[u] for u in neighbours[v])) for v in range(G.n)]
+        distinct = []
+        for sig in sorted(signature):
+            if sig not in distinct:
+                distinct.append(sig)
+        if len(distinct) == len(set(colour)):
+            return colour
+        colour = [distinct.index(sig) for sig in signature]
+
+
 def brute_canonical_graph6(G: Graph) -> str:
-    return min(graph6_encode(relabeled(G, perm)) for perm in permutations(range(G.n)))
+    """The smallest graph6 string over every order that lists the colour
+    cells in ascending colour order, each cell in any order."""
+    colour = naive_colours(G)
+    cells = [[v for v in range(G.n) if colour[v] == c] for c in sorted(set(colour))]
+    return min(graph6_encode(relabeled(G, [v for part in parts for v in part]))
+               for parts in product(*(permutations(cell) for cell in cells)))
 
 
 @lru_cache(maxsize=None)

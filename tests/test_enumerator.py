@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -7,11 +8,15 @@ import sys
 import threading
 from collections import Counter
 
+import networkx as nx
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from metricdim import characterizations, enumerator
 from metricdim.cli import main
 from metricdim.enumerator import (
+    CANONICAL_LIMIT,
     ENUMERATION_HARD_LIMIT,
     ENUMERATION_LIMIT,
     SWEEP_N_MIN,
@@ -29,13 +34,20 @@ from metricdim.graph_core import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    from_edge_list,
+    graph6_decode,
     graph6_encode,
     is_connected,
     path_graph,
-    relabeled,
     star_graph,
 )
-from oracles import brute_canonical_graph6, naive_connected_classes, random_connected_graph
+from oracles import (
+    brute_canonical_graph6,
+    naive_colours,
+    naive_connected_classes,
+    random_connected_graph,
+    relabeled,
+)
 
 # one representative per isomorphism class of connected graphs
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
@@ -87,11 +99,92 @@ class TestCanonicalForm:
         G = relabeled(G, order)
         assert canonical_graph6(G) == brute_canonical_graph6(G)
 
+    @pytest.mark.parametrize(
+        "name", [f"n{n}-random-{i}" for n in (9, 10) for i in range(4)]
+        + ["n9-K3,3-pendants", "n10-triangles-on-hub"]
+    )
+    def test_matches_brute_force_n9_n10(self, name):
+        # up to CANONICAL_LIMIT, on graphs whose colour cells allow at most
+        # a few thousand orders
+        named = {
+            "n9-K3,3-pendants": from_edge_list(
+                9, [(a, b) for a in range(3) for b in range(3, 6)] + [(a, a + 6) for a in range(3)]),
+            "n10-triangles-on-hub": from_edge_list(
+                10, [(0, t) for t in (1, 4, 7)]
+                + [e for t in (1, 4, 7) for e in ((t, t + 1), (t, t + 2), (t + 1, t + 2))]),
+        }
+        rng = random.Random(f"canonical-{name}")
+        G = named.get(name)
+        while G is None:  # a random graph with a non-discrete, small-celled colouring
+            G = random_connected_graph(rng, int(name[1:name.index("-")]))
+            cells = Counter(naive_colours(G)).values()
+            if not 1 < math.prod(math.factorial(size) for size in cells) <= 720:
+                G = None
+        order = list(range(G.n))
+        rng.shuffle(order)
+        G = relabeled(G, order)
+        assert canonical_graph6(G) == brute_canonical_graph6(G)
+
     def test_form_equality(self):
         a = canonical_graph6(cycle_graph(4))
         b = canonical_graph6(relabeled(cycle_graph(4), [2, 0, 3, 1]))
         assert a == b
         assert a != canonical_graph6(path_graph(4))
+
+    def test_every_class_to_n7_under_relabelings(self):
+        rng = random.Random(17)
+        for n in range(1, 8):
+            for G in enumerate_connected(n):
+                for _ in range(3):
+                    order = list(range(n))
+                    rng.shuffle(order)
+                    assert canonical_graph6(relabeled(G, order)) == graph6_encode(G)
+
+
+@st.composite
+def connected_graphs(draw):
+    """A connected graph with 1..CANONICAL_LIMIT vertices: a random spanning
+    tree plus random extra edges."""
+    n = draw(st.integers(1, CANONICAL_LIMIT))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))) if pairs else set()
+    return from_edge_list(n, sorted(edges))
+
+
+def to_networkx(G):
+    H = nx.Graph()
+    H.add_nodes_from(range(G.n))
+    H.add_edges_from(G.edges())
+    return H
+
+
+class TestCanonicalFormProperties:
+    """networkx decides isomorphism; the form must agree with it."""
+
+    @given(connected_graphs(), st.randoms(use_true_random=False))
+    def test_invariant_and_decodes_to_an_isomorphic_graph(self, G, rng):
+        form = canonical_graph6(G)
+        order = list(range(G.n))
+        rng.shuffle(order)
+        assert canonical_graph6(relabeled(G, order)) == form
+        assert graph6_encode(relabeled(G, canonical_relabeling(G))) == form
+        assert nx.is_isomorphic(to_networkx(graph6_decode(form)), to_networkx(G))
+
+    @given(connected_graphs(), connected_graphs(), st.booleans(), st.randoms(use_true_random=False))
+    def test_equal_forms_iff_isomorphic(self, G, other, move_an_edge, rng):
+        # H is either an independent graph or G with one edge moved to a
+        # non-edge and relabelled, which is often isomorphic to G
+        H = other
+        non_edges = [(u, v) for v in range(G.n) for u in range(v) if not G.has_edge(u, v)]
+        if move_an_edge and non_edges:
+            edges = set(G.edges()) - {rng.choice(G.edges())} | {rng.choice(non_edges)}
+            order = list(range(G.n))
+            rng.shuffle(order)
+            H = relabeled(from_edge_list(G.n, sorted(edges)), order)
+            assume(is_connected(H))
+        same = canonical_graph6(G) == canonical_graph6(H)
+        assert same == nx.is_isomorphic(to_networkx(G), to_networkx(H))
 
 
 class TestEnumeration:
@@ -100,9 +193,23 @@ class TestEnumeration:
         assert len(enumerate_connected(n)) == EXPECTED_COUNTS[n]
 
     def test_class_count_n8(self):
-        # the one heavyweight case (about 12 s on 2 cores), cached for the
-        # rest of the test run
+        # the one heavyweight case (about 2 s), cached for the rest of the
+        # test run
         assert len(enumerate_connected(8)) == EXPECTED_COUNTS[8]
+
+    def test_labelling_count_is_pinned(self, monkeypatch):
+        # The orbit rule labels one attachment subset per orbit of the
+        # parent's automorphisms; without it n <= 7 takes 2,198 labellings.
+        calls = []
+        real = enumerator.canonical_graph6
+        monkeypatch.setattr(enumerator, "canonical_graph6", lambda G: calls.append(G.n) or real(G))
+        _connected_classes.cache_clear()
+        try:
+            for n in range(1, 8):
+                assert len(_connected_classes(n)) == EXPECTED_COUNTS[n]
+        finally:
+            _connected_classes.cache_clear()
+        assert len(calls) == 1546
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_labelling_every_child(self, n):

@@ -27,10 +27,10 @@ from metricdim.graph_core import (
     max_star,
     parse_edge_list_text,
     path_graph,
-    relabeled,
     star_graph,
 )
 from metricdim.metric import edge_distance_vector
+from oracles import relabeled
 
 # random-ish but deterministic edge sets for property tests
 graphs = st.integers(1, 9).flatmap(

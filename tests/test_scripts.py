@@ -22,6 +22,8 @@ class TestRunSweeps:
         (["--max-n", "3", "--threads", "0"], "unrecognized arguments: --threads 0"),
         (["--max-n", "2"], "sweep range n_max=2 is below the smallest swept size 3"),
         (["--max-n", "12"], "sweep range n_max=12 exceeds enumeration limit"),
+        (["--max-n", "9"], "sweep range n_max=9 exceeds enumeration limit 8"),
+        (["--max-n", "10", "--allow-large"], "sweep range n_max=10 exceeds enumeration limit 9"),
     ])
     def test_unusable_arguments_are_usage_errors(self, args, message):
         proc = run_script("run_sweeps.py", *args)
