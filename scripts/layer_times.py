@@ -1,0 +1,73 @@
+#!/usr/bin/env python3
+"""Per-layer solver timings on every connected class of one size.
+
+    python3 scripts/layer_times.py [--n 8]
+
+Prints one JSON line: for each layer, the best of 5 passes over the
+classes, in microseconds per class.  The layers are the all-pairs BFS,
+the two instance builders, and on both instances of every class the greedy
+upper bound, the superset reduction and the whole hitting-set solve; then
+the two front ends, build and solve together.  Each graph's distances are
+computed once before timing, so only the ``bfs`` layer pays for them.  The
+default, n = 8, is 11,117 classes; standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+from time import perf_counter
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from metricdim import solver  # noqa: E402
+from metricdim.enumerator import enumerate_connected  # noqa: E402
+from metricdim.graph_core import GraphInputError, SizeLimitError, bfs_all_pairs  # noqa: E402
+
+REPEATS = 5
+
+
+def best_s(fn, args) -> float:
+    """Seconds of the fastest of REPEATS passes of fn over args."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = perf_counter()
+        for arg in args:
+            fn(arg)
+        best = min(best, perf_counter() - start)
+    return best
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--n", type=int, default=8)
+    args = parser.parse_args()
+
+    try:
+        graphs = enumerate_connected(args.n)
+    except (GraphInputError, SizeLimitError) as exc:
+        parser.error(str(exc))  # exit 2: no such class list
+    for G in graphs:
+        G.distances  # computed once, outside the timed layers
+    instances = [build(G) for G in graphs
+                 for build in (solver.build_vertex_instance, solver.build_edge_instance)]
+    layers = {
+        "bfs": (bfs_all_pairs, graphs),
+        "build_vertex_instance": (solver.build_vertex_instance, graphs),
+        "build_edge_instance": (solver.build_edge_instance, graphs),
+        "greedy_upper_bound": (solver.greedy_upper_bound, instances),
+        "_minimal_families": (lambda inst: solver._minimal_families(inst.masks, inst.columns), instances),
+        "min_hitting_set": (solver.min_hitting_set, instances),
+        "metric_dimension": (solver.metric_dimension, graphs),
+        "edge_metric_dimension": (solver.edge_metric_dimension, graphs),
+    }
+    us = {name: round(best_s(fn, items) / len(graphs) * 1e6, 2) for name, (fn, items) in layers.items()}
+    print(json.dumps({"n": args.n, "classes": len(graphs), "repeats": REPEATS, "us_per_class": us},
+                     sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

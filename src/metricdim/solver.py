@@ -5,11 +5,12 @@ vertices whose distances to the two objects differ forms a distinguisher
 family; a landmark set resolves the objects iff it intersects every family.
 Minimum resolving set size is therefore a minimum hitting set, solved
 exactly by branch and bound.  The families of all pairs are built at once
-from packed distance rows (see ``_pair_masks``): one byte per landmark,
-bounded blocks of pairs compared by one big-int XOR each, and distances
-of 128 or more packed as 7-bit planes whose XORs are OR-ed per block.
-From the same text the builders emit each landmark's column, the families
-it is in as bits of one int; the family checks, the greedy bound and the
+from packed distance rows (see ``_pair_masks``): each bit plane of the
+rows is one int of fixed-width fields, and a block of pairs XORs every
+plane's repeated left fields against its right fields and ORs the planes;
+an edge's row is the sum of its ends' rows halved.  From the block's
+binary text the builders emit each landmark's column, the families it is
+in as bits of one int; the family checks, the greedy bound and the
 reduction read them.  The reduction counts family sizes bit-sliced over
 the columns and, smallest first, drops the duplicates and supersets of
 each kept family by the AND of its columns; only the kept families are
@@ -29,9 +30,12 @@ across runs.
 
 from __future__ import annotations
 
+import struct
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import repeat
+from itertools import chain
 from operator import or_
 
 from .graph_core import (
@@ -119,83 +123,109 @@ _DISCONNECTED = "distinguisher instances require a connected graph"
 
 def build_vertex_instance(G: Graph) -> DistinguisherInstance:
     """One family per vertex pair: the vertices at differing distance."""
-    return _built("vertex", G.n, connected_distances(G, _DISCONNECTED).rows)
+    D = connected_distances(G, _DISCONNECTED)
+    return _pair_masks("vertex", D.n, *_packed(D.rows))
 
 
 def build_edge_instance(G: Graph) -> DistinguisherInstance:
     """One family per edge pair: the vertices at differing edge distance."""
     D = connected_distances(G, _DISCONNECTED)
-    # lists, not tuples: CPython's free lists keep small tuples alive after use
-    rows = [[a if a < b else b for a, b in zip(D.rows[u], D.rows[w])] for u, w in G.edges()]
-    return _built("edge", G.n, rows)
+    (rows, lane, width), edges = _packed(D.rows), G.edges()
+    size = lane * width
+    # the ends u, w of an edge are within 1 of each other's distances, so
+    # min(d(u, x), d(w, x)) = (d(u, x) + d(w, x)) >> 1; the lanes hold the sum
+    # without a carry, and the shift moves a bit only into a lane's top bit,
+    # which is in no plane that _pair_masks reads
+    total = sum([int.from_bytes(b"".join([rows[e[end] * size : e[end] * size + size] for e in edges]), "big")
+                 for end in (0, 1)])
+    return _pair_masks("edge", D.n, (total >> 1).to_bytes(len(edges) * size, "big"), lane, width)
 
 
-def _built(kind: str, universe: int, rows) -> DistinguisherInstance:
-    masks, columns = _pair_masks(rows)
-    inst = DistinguisherInstance(kind, universe, masks)
+# Binary digit text per block of pairs in _pair_masks; bounds the build's peak memory.
+_BLOCK_BYTES = 1 << 16
+# byte -> ASCII binary digit of its bit s, for s = 0..7
+_BIT_DIGITS = [bytes(b"01"[v >> s & 1] for v in range(256)) for s in range(8)]
+# struct format and array typecode of an unsigned int of each size in bytes
+_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _packed(rows) -> tuple[bytes, int, int]:
+    """The n distances of each row, all below n, as one field of ``width``
+    big-endian lanes of ``lane`` bytes, landmark width - 1 first, 0 from n
+    on; and (lane, width).  Two distances add in a lane without a carry; a
+    field is 8, 16, 32 or 64 landmarks, else the multiple of 8 from n up."""
+    n = len(rows[0])
+    lane = 1 << ((n - 1).bit_length() // 8).bit_length()
+    width = max(8, 1 << (n - 1).bit_length()) if n <= 64 else -(-n // 8) * 8
+    values = list(chain.from_iterable([(0,) * (width - n) + row[::-1] for row in rows]))
+    return struct.pack(f">{len(values)}{_CODES[lane]}", *values), lane, width
+
+
+def _pair_masks(kind: str, n: int, packed: bytes, lane: int, width: int) -> DistinguisherInstance:
+    """The instance of all pairs i < j of the ``packed`` rows (see
+    ``_packed``), row-major: bit x of a mask is set where the two rows
+    differ at landmark x; its columns are filled too.
+
+    Bit plane b of all rows is one int of their fields, by one translate of
+    the lanes' byte holding bit b into binary digits; a plane no row has is
+    dropped.  For a block of rows i, field i repeated once per j > i is
+    XOR-ed against the fields of those j, plane by plane, and the planes'
+    XORs are OR-ed: the block is one int whose fields are its pairs' masks.
+    Landmark v's column is every ``width``-th digit of the block's binary
+    text, read by one stride slice; the pairs that do not fill a byte wait
+    for the next block, so the text is never held twice.
+    """
+    step, m = width // 8, len(packed) // (lane * width)  # bytes a field, rows
+    planes = []
+    for b in range((n - 1).bit_length()):
+        plane = int(packed[lane - 1 - b // 8 :: lane].translate(_BIT_DIGITS[b % 8]), 2)
+        if plane:  # else no row has bit b, as in an edge instance's top plane
+            planes.append(plane.to_bytes(m * step, "big"))
+    masks: list[int] = []
+    reads = []  # per read of whole bytes of pairs: the pair count and their columns
+    text = ""  # the digits of fewer than 8 pairs not yet read
+    i = 0
+    while i < m - 1:
+        # rows i..stop-1: at least one, at most _BLOCK_BYTES of digits unless one row has more
+        stop, count = i + 1, m - 1 - i
+        if (m - i) * count // 2 * width <= _BLOCK_BYTES:  # all the rest
+            stop, count = m - 1, (m - i) * count // 2
+        while stop < m - 1 and (count + m - 1 - stop) * width <= _BLOCK_BYTES:
+            count += m - 1 - stop
+            stop += 1
+        differ = 0
+        for fields in planes:
+            differ |= (int.from_bytes(b"".join([fields[r * step : r * step + step] * (m - 1 - r)
+                                                 for r in range(i, stop)]), "big")
+                       ^ int.from_bytes(b"".join([fields[r * step + step :] for r in range(i, stop)]), "big"))
+        block = differ.to_bytes(count * step, "big")
+        if step in _CODES:
+            items = array(_CODES[step], block)
+            if sys.byteorder == "little":
+                items.byteswap()
+            masks.extend(items)
+        else:  # fields past 64 bits
+            masks.extend([int.from_bytes(block[k : k + step], "big") for k in range(0, len(block), step)])
+        text += format(differ, f"0{count * width}b")
+        cut = len(text) if stop == m - 1 else len(text) - len(text) // width % 8 * width
+        read, text = text[:cut], text[cut:]
+        reads.append((cut // width, _digit_columns(read, width, n)))
+        i = stop
+    columns = reads[0][1] if len(reads) == 1 else [
+        int.from_bytes(b"".join([cols[v].to_bytes((pairs + 7) // 8, "little") for pairs, cols in reads]), "little")
+        for v in range(n)]
+    del reads  # before the masks' copy into a tuple
+    while columns and not columns[-1]:
+        columns.pop()
+    inst = DistinguisherInstance(kind, n, tuple(masks))
     vars(inst)["columns"] = columns  # what the cached property would compute
     return inst
 
 
-# Packed bytes per block of rows in _pair_masks; bounds the build's peak memory.
-_BLOCK_BYTES = 1 << 16
-# XOR of two packed bytes -> ASCII: 0 (equal distances) is a 0 digit, 1..127
-# a 1 digit, and 128 (the separators' XOR) ends a pair
-_DIGITS = b"0" + b"1" * 127 + b" " * 128
-
-
-def _pair_masks(rows) -> tuple[tuple[int, ...], list[int]]:
-    """Masks of all pairs i < j of the distance ``rows``, row-major: bit x is
-    set where the two rows differ at landmark x; and their columns (see
-    ``DistinguisherInstance.columns``).
-
-    Rows are packed one byte per landmark, landmark n - 1 first, then a
-    separator byte: 128 on the left side of the XOR, 0 on the right.  For a
-    block of rows i, field i repeated once per j > i is XOR-ed as one int
-    against the fields of those j, so a byte below 128 is nonzero exactly
-    where the rows differ, and the bytes read as one binary token per pair.
-    Distances of 128 and more are packed as 7-bit planes, whose XORs are
-    OR-ed block by block, so that path needs no more mask memory.  Landmark
-    v's column is every ``size``-th digit, read by one stride slice per
-    block into whole bytes of 8 pairs; the pairs that do not fill a byte
-    wait for the next block, so the text is never held twice.
-    """
-    m = len(rows)
-    top = max(map(max, rows), default=0)
-    if top < 128:
-        planes = [[bytes(row[::-1]) for row in rows]]
-    else:
-        planes = [[bytes([v >> shift & 127 for v in reversed(row)]) for row in rows]
-                  for shift in range(0, top.bit_length(), 7)]
-    lefts = [[field + b"\x80" for field in plane] for plane in planes]
-    rights = [b"".join([field + b"\0" for field in plane]) for plane in planes]
-    size = len(rights[0]) // m if m else 0
-    masks: list[int] = []
-    packed = [bytearray() for _ in range(size - 1)]  # per landmark, 8 pairs a byte, first pair lowest
-    text = b""  # the digits of fewer than 8 pairs not yet read
-    i = 0
-    while i < m - 1:
-        # rows i..stop-1: at least one, at most _BLOCK_BYTES packed unless one row is larger
-        stop, count = i + 1, m - 1 - i
-        while stop < m - 1 and (count + m - 1 - stop) * size <= _BLOCK_BYTES:
-            count += m - 1 - stop
-            stop += 1
-        differ = 0
-        for left, right in zip(lefts, rights):
-            differ |= (int.from_bytes(b"".join([left[r] * (m - 1 - r) for r in range(i, stop)]), "big")
-                       ^ int.from_bytes(b"".join([right[(r + 1) * size:] for r in range(i, stop)]), "big"))
-        text += differ.to_bytes(count * size, "big").translate(_DIGITS)
-        # read whole bytes of pairs, and every pair left after the last block
-        cut = len(text) if stop == m - 1 else len(text) - len(text) // size % 8 * size
-        read, text = text[:cut], text[cut:]
-        masks.extend(map(int, read.split(), repeat(2)))
-        for v, col in enumerate(packed):
-            col += int(read[cut - 2 - v :: -size] or b"0", 2).to_bytes((cut // size + 7) // 8, "little")
-        i = stop
-    columns = [int.from_bytes(col, "little") for col in packed]
-    while columns and not columns[-1]:
-        columns.pop()
-    return tuple(masks), columns
+def _digit_columns(text: str, width: int, count: int) -> list[int]:
+    """Column v < count of the ``width``-digit binary fields in ``text``: the
+    int whose bit p is digit v from the right of field p."""
+    return [int(text[len(text) - 1 - v :: -width] or "0", 2) for v in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +278,7 @@ def _transpose(masks) -> list[int]:
     """``hits[v]``: the bitmask of the indices i with vertex v in ``masks[i]``."""
     width = max(masks, default=0).bit_length()
     top = 1 << width
-    rows = "".join([bin(m | top)[3:] for m in reversed(masks)])
-    # column v of the fixed-width binary rows, last mask first, is hits[v]
-    return [int(rows[width - 1 - v :: width], 2) for v in range(width)]
+    return _digit_columns("".join([bin(m | top)[3:] for m in masks]), width, width)
 
 
 def _minimal_families(masks, cols) -> tuple[list[int], list[int]]:

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -39,6 +40,24 @@ class TestRunSweeps:
         assert len(proc.stdout.splitlines()) == 15
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
             "8db8be5710b059d5de7ffe3c6cb2122016185a176bd67620ea4e6a1aa99c9b4b")
+
+
+class TestLayerTimes:
+    def test_prints_one_json_line_of_every_layer(self):
+        proc = run_script("layer_times.py", "--n", "5")
+        assert proc.returncode == 0, proc.stderr
+        (line,) = proc.stdout.splitlines()
+        report = json.loads(line)
+        assert (report["n"], report["classes"], report["repeats"]) == (5, 21, 5)
+        assert sorted(report["us_per_class"]) == sorted([
+            "bfs", "build_vertex_instance", "build_edge_instance", "greedy_upper_bound",
+            "_minimal_families", "min_hitting_set", "metric_dimension", "edge_metric_dimension"])
+        assert all(us > 0 for us in report["us_per_class"].values())
+
+    def test_size_without_classes_is_a_usage_error(self):
+        proc = run_script("layer_times.py", "--n", "9")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.splitlines()[-1] == "layer_times.py: error: enumeration supports 1 <= n <= 8, got n=9"
 
 
 def _load_script(name):

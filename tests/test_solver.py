@@ -31,6 +31,7 @@ from metricdim.solver import (
     metric_dimension,
     min_hitting_set,
 )
+from metricdim.solver import _transpose
 
 from oracles import (
     naive_edge_metric_dimension,
@@ -74,8 +75,6 @@ def _check_builds(G, kinds=("vertex", "edge")):
     """The packed builders give the pair-by-pair reference's masks, whose
     pairs run in itertools.combinations order of the vertices or edges,
     and the columns that a hand-built instance would compute from them."""
-    from metricdim.solver import _transpose
-
     builds = {"vertex": (build_vertex_instance, reference_vertex_instance, range(G.n)),
               "edge": (build_edge_instance, reference_edge_instance, G.edges())}
     for kind in kinds:
@@ -133,13 +132,64 @@ class TestPackedBuilds:
         # the largest distance, n - 1, needs more than 7 bits from n = 129 on
         _check_builds(path_graph(n))
 
-    def test_k30_edges_span_many_blocks(self):
-        from metricdim.solver import _BLOCK_BYTES
+    def test_distances_past_255(self):
+        # two-byte lanes whose high byte holds a set bit: distance 256
+        _check_builds(path_graph(257), kinds=("vertex",))
+
+    @pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33, 64, 65])
+    def test_field_width_boundaries(self, n):
+        # fields of 8, 16, 32 and 64 landmarks, each read as one array item,
+        # and of 72 landmarks, read field by field
+        for G in (path_graph(n), cycle_graph(n), _sparse_random_graph(n, n)):
+            _check_builds(G)
+        K = complete_graph(n)
+        _check_builds(K, kinds=("vertex",))
+        if n <= 33:  # the edge instances of K64 and K65 hold two million pairs
+            # an edge of K_n is at distance 0 from its ends and 1 from the
+            # other vertices, so two edges differ exactly at the ends not shared
+            ends = [1 << u | 1 << w for u, w in K.edges()]
+            inst = build_edge_instance(K)
+            assert inst.masks == tuple(a ^ b for a, b in combinations(ends, 2))
+            assert inst.columns == _transpose(inst.masks)
+
+    def test_k30_edges_span_many_blocks(self, monkeypatch):
+        from metricdim import solver
+
+        # each block's binary digit text is made by one format() call
+        texts = []
+
+        def spy(value, spec):
+            texts.append(format(value, spec))
+            return texts[-1]
 
         G = complete_graph(30)
-        assert len(G.edges()) * (len(G.edges()) - 1) // 2 * (G.n + 1) > 20 * _BLOCK_BYTES
         _check_builds(G, kinds=("edge",))
+        # 32-landmark fields and one bit plane: 32 digits a pair
+        assert 94_395 * 32 > 20 * solver._BLOCK_BYTES
+        monkeypatch.setattr(solver, "format", spy, raising=False)
         assert len(build_edge_instance(G).masks) == 94_395
+        assert len(texts) >= 20
+        assert max(map(len, texts)) <= solver._BLOCK_BYTES
+        assert sum(map(len, texts)) == 94_395 * 32
+
+    @pytest.mark.parametrize("width", [0, 1, 8, 9, 64, 65, 200])
+    def test_transpose_matches_definition(self, width):
+        rng = random.Random(width)
+        masks = [rng.getrandbits(width) for _ in range(40)] + [(1 << width) >> 1]
+        hits = _transpose(masks)
+        assert len(hits) == width
+        for v, column in enumerate(hits):
+            assert column == sum(1 << i for i, m in enumerate(masks) if m >> v & 1)
+        assert _transpose([]) == []
+
+
+def _sparse_random_graph(seed, n):
+    """A seeded random spanning tree on n vertices plus n // 4 more edges."""
+    rng = random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n - 1 + n // 4:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return from_edge_list(n, sorted(edges))
 
 
 class TestBoundsHelpers:
