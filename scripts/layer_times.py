@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Per-layer solver timings on every connected class of one size.
+"""Per-layer solver and record timings on every connected class of one size.
 
     python3 scripts/layer_times.py [--n 8]
 
@@ -7,9 +7,13 @@ Prints one JSON line: for each layer, the best of 5 passes over the
 classes, in microseconds per class.  The layers are the all-pairs BFS,
 the two instance builders, and on both instances of every class the greedy
 upper bound, the superset reduction and the whole hitting-set solve; then
-the two front ends, build and solve together.  Each graph's distances are
-computed once before timing, so only the ``bfs`` layer pays for them.  The
-default, n = 8, is 11,117 classes; standard library only.
+the two front ends, build and solve together; then the record layers a
+sweep pays per class: the two characterization predicates, the tuple
+lemma at k = n - edim, the largest clique, the chromatic number and the
+degeneracy.  Each graph's distances and edim are computed once before
+timing, so only the ``bfs`` and ``edge_metric_dimension`` layers pay for
+them.  n runs from 3, the smallest swept size, to 8; the default, n = 8,
+is 11,117 classes; standard library only.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from time import perf_counter
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from metricdim import solver  # noqa: E402
-from metricdim.enumerator import enumerate_connected  # noqa: E402
-from metricdim.graph_core import GraphInputError, SizeLimitError, bfs_all_pairs  # noqa: E402
+from metricdim import characterizations, graph_core, solver  # noqa: E402
+from metricdim.enumerator import SWEEP_N_MIN, enumerate_connected  # noqa: E402
+from metricdim.graph_core import GraphInputError, SizeLimitError  # noqa: E402
 
 REPEATS = 5
 
@@ -45,6 +49,8 @@ def main() -> int:
     parser.add_argument("--n", type=int, default=8)
     args = parser.parse_args()
 
+    if args.n < SWEEP_N_MIN:
+        parser.error(f"the record layers need n >= {SWEEP_N_MIN}, got n={args.n}")
     try:
         graphs = enumerate_connected(args.n)
     except (GraphInputError, SizeLimitError) as exc:
@@ -53,8 +59,9 @@ def main() -> int:
         G.distances  # computed once, outside the timed layers
     instances = [build(G) for G in graphs
                  for build in (solver.build_vertex_instance, solver.build_edge_instance)]
+    lemma_args = [(G, G.n - solver.edge_metric_dimension(G).value) for G in graphs]
     layers = {
-        "bfs": (bfs_all_pairs, graphs),
+        "bfs": (graph_core.bfs_all_pairs, graphs),
         "build_vertex_instance": (solver.build_vertex_instance, graphs),
         "build_edge_instance": (solver.build_edge_instance, graphs),
         "greedy_upper_bound": (solver.greedy_upper_bound, instances),
@@ -62,6 +69,12 @@ def main() -> int:
         "min_hitting_set": (solver.min_hitting_set, instances),
         "metric_dimension": (solver.metric_dimension, graphs),
         "edge_metric_dimension": (solver.edge_metric_dimension, graphs),
+        "char_edim_n1": (characterizations.char_edim_n1, graphs),
+        "char_edim_ge_n2": (characterizations.char_edim_ge_n2, graphs),
+        "tuple_lemma_check": (lambda arg: characterizations.tuple_lemma_check(*arg), lemma_args),
+        "max_clique": (graph_core.max_clique, graphs),
+        "chromatic_number": (graph_core.chromatic_number, graphs),
+        "degeneracy": (graph_core.degeneracy, graphs),
     }
     us = {name: round(best_s(fn, items) / len(graphs) * 1e6, 2) for name, (fn, items) in layers.items()}
     print(json.dumps({"n": args.n, "classes": len(graphs), "repeats": REPEATS, "us_per_class": us},

@@ -51,15 +51,14 @@ from .constructions import (
 )
 from .characterizations import (
     Char2Result,
-    TripleWitness,
     char_edim_eq_n2,
     char_edim_ge_n2,
     char_edim_n1,
     tuple_lemma_check,
 )
 from .bounds import (
-    AuditRecord,
     BoundParams,
+    GraphRecord,
     PatternBounds,
     audit_graph,
     edge_bound_general_c,

@@ -145,44 +145,13 @@ def pattern_bounds(k: int) -> PatternBounds:
     )
 
 
-@dataclass(frozen=True)
-class AuditRecord:
-    """Per-graph inequality audit.
-
-    ``checks`` maps check name to pass/fail.  When a solver budget ran out
-    the affected dimension is None, its dependent checks are absent, and
-    ``budget_exhausted`` is set.  ``chromatic_exact`` distinguishes the
-    exact chromatic number from the greedy upper bound used past the exact
-    size limit.
-    """
-
-    n: int
-    m: int
-    diameter: int
-    dim_value: Optional[int]
-    edim_value: Optional[int]
-    max_degree: int
-    degeneracy: int
-    chromatic: int
-    chromatic_exact: bool
-    checks: dict[str, bool]
-    budget_exhausted: bool
-
-    @property
-    def passed(self) -> bool:
-        return not self.budget_exhausted and all(self.checks.values())
-
-    def failing(self) -> list[str]:
-        return sorted(name for name, ok in self.checks.items() if not ok)
-
-
 class GraphRecord:
-    """Per-graph statistics shared by ``audit_graph`` and the theorem sweeps.
-    The graph's distance matrix gives connectivity and diameter on
-    construction; the rest is computed on first use.  ``dim``/``edim`` are
-    None when the budget ran out; ``chromatic`` is greedy past
-    CHROMATIC_EXACT_LIMIT vertices; ``char_n1``/``char_ge_n2`` are the two
-    characterization verdicts, kept without their witnesses."""
+    """Per-graph statistics: the one record of ``audit_graph`` and of the
+    theorem sweeps.  The graph's distance matrix gives connectivity and
+    diameter on construction; the rest is computed on first use.
+    ``dim_value``/``edim_value`` are None when the budget ran out;
+    ``chromatic`` is greedy past CHROMATIC_EXACT_LIMIT vertices;
+    ``char_n1``/``char_ge_n2`` are the two characterization verdicts."""
 
     def __init__(self, G: Graph, budget: Optional[int] = None):
         self.graph = G
@@ -199,16 +168,16 @@ class GraphRecord:
             return None
 
     @cached_property
-    def dim(self) -> Optional[int]:
+    def dim_value(self) -> Optional[int]:
         return self._value(metric_dimension)
 
     @cached_property
-    def edim(self) -> Optional[int]:
+    def edim_value(self) -> Optional[int]:
         return self._value(edge_metric_dimension)
 
     @property
     def budget_exhausted(self) -> bool:
-        return self.dim is None or self.edim is None
+        return self.dim_value is None or self.edim_value is None
 
     @cached_property
     def max_degree(self) -> int:
@@ -230,72 +199,71 @@ class GraphRecord:
     def char_ge_n2(self) -> bool:
         return char_edim_ge_n2(self.graph).holds
 
-    def known(self, needs: tuple[str, ...]) -> bool:
-        """Whether every input a table row needs is available: a dimension
-        whose solve finished, or "diameter" when the diameter is positive."""
-        return all(self.diameter >= 1 if x == "diameter" else getattr(self, x) is not None
-                   for x in needs)
+    @cached_property
+    def checks(self) -> dict[str, bool]:
+        """INEQUALITIES row name -> whether it holds, over the rows whose
+        inputs are known: each dimension they read was solved, and the
+        diameter, when read, is positive."""
+        return {name: row(self) is None for name, (needs, row) in INEQUALITIES.items()
+                if all(self.diameter >= 1 if x == "diameter" else getattr(self, x) is not None
+                       for x in needs)}
+
+    @property
+    def passed(self) -> bool:
+        return not self.budget_exhausted and all(self.checks.values())
+
+    def failing(self) -> list[str]:
+        return sorted(name for name, ok in self.checks.items() if not ok)
 
 
-def _exceeds(label: str, value: int, bound: int, kind: str, r: GraphRecord,
-             with_diameter: bool = False) -> Optional[str]:
-    """Failure detail reporting dimension ``kind``, or None when value <= bound."""
+def _exceeds(label: str, value: int, bound: int, kind: str, k: int,
+             D: Optional[int] = None) -> Optional[str]:
+    """Failure detail reporting dimension ``kind`` = k, and the diameter D
+    when given, or None when value <= bound."""
     if value <= bound:
         return None
-    tail = f" D={r.diameter}" if with_diameter else ""
-    return f"{label}={value} bound={bound} {kind}={getattr(r, kind)}{tail}"
+    tail = "" if D is None else f" D={D}"
+    return f"{label}={value} bound={bound} {kind}={k}{tail}"
 
 
-# Every inequality the dimensions imply: name -> (inputs needed, row); a row
-# maps a GraphRecord to a failure detail, or None when it holds.  Bound
-# formulas take the nonempty value max(v, 1), so single-edge graphs pass;
-# the scaled corollary comparisons use the plain values.
+# Every inequality the dimensions imply: name -> (record attributes needed,
+# row); a row maps a GraphRecord to a failure detail, or None when it holds.
+# Bound formulas take the nonempty value max(v, 1), so single-edge graphs
+# pass; the scaled corollary comparisons use the plain values.
 INEQUALITIES: dict[str, tuple[tuple[str, ...], Callable[[GraphRecord], Optional[str]]]] = {
-    "vertex-bound-hernando": (("dim", "diameter"), lambda r: _exceeds(
-        "n", r.n, vertex_bound_hernando(max(r.dim, 1), r.diameter), "dim", r, True)),
-    "subgraph-vertex-self": (("dim",), lambda r: _exceeds(
-        "n", r.n, subgraph_vertex_bound(max(r.dim, 1), r.diameter), "dim", r, True)),
-    "max-star-md": (("dim",), lambda r: _exceeds(
-        "max_degree", r.max_degree, 3 ** max(r.dim, 1) - 1, "dim", r)),
-    "corollary-edges-md": (("dim",), lambda r: _exceeds(
-        "2m", 2 * r.m, (3 ** r.dim - 1) * r.n, "dim", r)),
-    "corollary-chromatic": (("dim",), lambda r: _exceeds(
-        "chromatic", r.chromatic, 3 ** r.dim, "dim", r)),
-    "corollary-degeneracy-md": (("dim",), lambda r: _exceeds(
-        "degeneracy", r.degeneracy, 3 ** r.dim - 1, "dim", r)),
-    "edge-bound-new": (("edim", "diameter"), lambda r: _exceeds(
-        "m", r.m, edge_bound_new(max(r.edim, 1), r.diameter), "edim", r, True)),
-    "edge-bound-zubrilina": (("edim", "diameter"), lambda r: _exceeds(
-        "m", r.m, edge_bound_zubrilina(max(r.edim, 1), r.diameter), "edim", r, True)),
-    "subgraph-edge-self": (("edim",), lambda r: _exceeds(
-        "m", r.m, subgraph_edge_bound(max(r.edim, 1), r.diameter), "edim", r, True)),
-    "max-star-emd": (("edim",), lambda r: _exceeds(
-        "max_degree", r.max_degree, 2 ** max(r.edim, 1), "edim", r)),
-    "corollary-edges-emd": (("edim",), lambda r: _exceeds(
-        "2m", 2 * r.m, 2 ** r.edim * r.n, "edim", r)),
-    "corollary-degeneracy-emd": (("edim",), lambda r: _exceeds(
-        "degeneracy", r.degeneracy, 2 ** r.edim, "edim", r)),
+    "vertex-bound-hernando": (("dim_value", "diameter"), lambda r: _exceeds(
+        "n", r.n, vertex_bound_hernando(max(r.dim_value, 1), r.diameter), "dim", r.dim_value, r.diameter)),
+    "subgraph-vertex-self": (("dim_value",), lambda r: _exceeds(
+        "n", r.n, subgraph_vertex_bound(max(r.dim_value, 1), r.diameter), "dim", r.dim_value, r.diameter)),
+    "max-star-md": (("dim_value",), lambda r: _exceeds(
+        "max_degree", r.max_degree, 3 ** max(r.dim_value, 1) - 1, "dim", r.dim_value)),
+    "corollary-edges-md": (("dim_value",), lambda r: _exceeds(
+        "2m", 2 * r.m, (3 ** r.dim_value - 1) * r.n, "dim", r.dim_value)),
+    "corollary-chromatic": (("dim_value",), lambda r: _exceeds(
+        "chromatic", r.chromatic, 3 ** r.dim_value, "dim", r.dim_value)),
+    "corollary-degeneracy-md": (("dim_value",), lambda r: _exceeds(
+        "degeneracy", r.degeneracy, 3 ** r.dim_value - 1, "dim", r.dim_value)),
+    "edge-bound-new": (("edim_value", "diameter"), lambda r: _exceeds(
+        "m", r.m, edge_bound_new(max(r.edim_value, 1), r.diameter), "edim", r.edim_value, r.diameter)),
+    "edge-bound-zubrilina": (("edim_value", "diameter"), lambda r: _exceeds(
+        "m", r.m, edge_bound_zubrilina(max(r.edim_value, 1), r.diameter), "edim", r.edim_value, r.diameter)),
+    "subgraph-edge-self": (("edim_value",), lambda r: _exceeds(
+        "m", r.m, subgraph_edge_bound(max(r.edim_value, 1), r.diameter), "edim", r.edim_value, r.diameter)),
+    "max-star-emd": (("edim_value",), lambda r: _exceeds(
+        "max_degree", r.max_degree, 2 ** max(r.edim_value, 1), "edim", r.edim_value)),
+    "corollary-edges-emd": (("edim_value",), lambda r: _exceeds(
+        "2m", 2 * r.m, 2 ** r.edim_value * r.n, "edim", r.edim_value)),
+    "corollary-degeneracy-emd": (("edim_value",), lambda r: _exceeds(
+        "degeneracy", r.degeneracy, 2 ** r.edim_value, "edim", r.edim_value)),
 }
 
 
-def audit_graph(G: Graph, budget: Optional[int] = None) -> AuditRecord:
-    """Check every edge/vertex-count, chromatic, and degeneracy inequality
-    that the dimensions of G imply (the rows of INEQUALITIES).  Rows whose
-    dimension ran out of budget are absent, and so are the three
+def audit_graph(G: Graph, budget: Optional[int] = None) -> GraphRecord:
+    """The GraphRecord of G with its ``checks`` evaluated: every
+    edge/vertex-count, chromatic, and degeneracy inequality that the
+    dimensions of G imply (the rows of INEQUALITIES).  Rows whose dimension
+    ran out of budget are absent, and so are the three
     diameter-parameterized bounds at diameter 0."""
     r = GraphRecord(G, budget)
-    checks = {name: row(r) is None
-              for name, (needs, row) in INEQUALITIES.items() if r.known(needs)}
-    return AuditRecord(
-        n=r.n,
-        m=r.m,
-        diameter=r.diameter,
-        dim_value=r.dim,
-        edim_value=r.edim,
-        max_degree=r.max_degree,
-        degeneracy=r.degeneracy,
-        chromatic=r.chromatic,
-        chromatic_exact=r.chromatic_exact,
-        checks=checks,
-        budget_exhausted=r.budget_exhausted,
-    )
+    r.checks  # the audit runs the solves and the rows here, not on first read
+    return r

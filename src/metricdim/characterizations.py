@@ -1,12 +1,13 @@
 """Decision procedures for the top-of-range edge metric dimension values.
 
 char_edim_n1 decides edim = n-1 and char_edim_ge_n2 decides edim >= n-2
-structurally, without running the solver.  Both take the literal reading
-of "non-mutual neighbor of u, v": x ranges over every vertex, so for an
-adjacent pair each endpoint is a non-mutual neighbor of the pair (adjacent
-to the other, not to itself).  The predicates quantify over vertices
-adjacent to both endpoints, or over vertices outside the triple, so the
-endpoints' own membership never changes a verdict; the exhaustive
+structurally, without running the solver.  Each returns a verdict plus
+the first failing pair or triple, and stops there.  Both take the literal
+reading of "non-mutual neighbor of u, v": x ranges over every vertex, so
+for an adjacent pair each endpoint is a non-mutual neighbor of the pair
+(adjacent to the other, not to itself).  The predicates quantify over
+vertices adjacent to both endpoints, or over vertices outside the triple,
+so the endpoints' own membership never changes a verdict; the exhaustive
 equivalence suite against the solver is the arbiter either way.
 
 Both distance conditions (condition 2 of char_edim_ge_n2, and the
@@ -71,66 +72,44 @@ def char_edim_n1(G: Graph) -> tuple[bool, Optional[tuple[int, int]]]:
 
 
 @dataclass(frozen=True)
-class TripleWitness:
-    """The ordering and mode that satisfied one vertex triple.
-
-    mode "condition-1": triple ordered so u (the apex, stored in ``u``) is
-    adjacent to the other two and to all their non-mutual neighbors.
-    mode "condition-2": ``triple`` lists the chosen (v1, v2) first and u is
-    the outside vertex.
-    """
-
-    triple: tuple[int, int, int]
-    mode: str
-    u: int
-
-
-@dataclass(frozen=True)
 class Char2Result:
     holds: bool
-    witnesses: dict[tuple[int, int, int], TripleWitness]
     failing_triple: Optional[tuple[int, int, int]]
 
 
 def char_edim_ge_n2(G: Graph) -> Char2Result:
     """Decide whether every vertex triple admits an ordering with a
     dominating apex (condition 1) or an outside near-dominating vertex
-    (condition 2); equivalent to edim >= n-2 on connected graphs.
-
-    Condition 1 is tried first over the three apex choices in ascending
-    order, then condition 2 over the three ordered pairs lexicographically
-    with candidate u ascending; the first hit is recorded per triple."""
+    (condition 2); equivalent to edim >= n-2 on connected graphs.  Returns
+    the verdict and the first failing triple in ``combinations`` order."""
     _require_small_ok(G)
     adj = G.adj
     near = _within_two(G)
     full = (1 << G.n) - 1
-    witnesses: dict[tuple[int, int, int], TripleWitness] = {}
     for triple in combinations(range(G.n), 3):
         x, y, z = triple
-        hit = None
         for apex, a, b in ((x, y, z), (y, x, z), (z, x, y)):
             ends = (1 << a) | (1 << b)
-            if adj[apex] & ends == ends and (adj[a] ^ adj[b]) & ~adj[apex] == 0:
-                hit = TripleWitness(triple, "condition-1", apex)
+            if adj[apex] & ends == ends and not (adj[a] ^ adj[b]) & ~adj[apex]:
                 break
-        if hit is None:
+        else:
             outside = full & ~((1 << x) | (1 << y) | (1 << z))
-            for v1, v2, v3 in ((x, y, z), (x, z, y), (y, z, x)):
+            for v1, v2 in ((x, y), (x, z), (y, z)):
                 # u must be adjacent to their non-mutual neighbours outside
                 # the triple and within 2 of every outside vertex within 2 of
                 # just one of them; such a vertex adjacent to one of them is a
                 # non-mutual neighbour, so only the distance-2 ones add a test
                 nmn = (adj[v1] ^ adj[v2]) & outside
                 lone = (near[v1] ^ near[v2]) & outside
-                u = next((u for u in bits(adj[v1] & adj[v2] & outside)
-                          if not nmn & ~adj[u] and not lone & ~near[u]), None)
-                if u is not None:
-                    hit = TripleWitness((v1, v2, v3), "condition-2", u)
-                    break
-        if hit is None:
-            return Char2Result(False, witnesses, triple)
-        witnesses[triple] = hit
-    return Char2Result(True, witnesses, None)
+                for u in bits(adj[v1] & adj[v2] & outside):
+                    if not nmn & ~adj[u] and not lone & ~near[u]:
+                        break
+                else:
+                    continue  # no such u: try the next pair
+                break
+            else:
+                return Char2Result(False, triple)
+    return Char2Result(True, None)
 
 
 def char_edim_eq_n2(G: Graph) -> bool:

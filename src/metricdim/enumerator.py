@@ -224,40 +224,40 @@ def _record(g6: str, budget: Optional[int]) -> GraphRecord:
 
 # Characterization rows read the record's verdicts; only a failing row reruns its predicate.
 def _char1_equiv(r: GraphRecord) -> Optional[str]:
-    if r.char_n1 != (r.edim == r.n - 1):
+    if r.char_n1 != (r.edim_value == r.n - 1):
         _, pair = char_edim_n1(r.graph)
-        return f"predicate={r.char_n1} edim={r.edim} n={r.n} pair={pair}"
+        return f"predicate={r.char_n1} edim={r.edim_value} n={r.n} pair={pair}"
     return None
 
 
 def _char2_equiv(r: GraphRecord) -> Optional[str]:
-    if r.char_ge_n2 != (r.edim >= r.n - 2):
+    if r.char_ge_n2 != (r.edim_value >= r.n - 2):
         triple = char_edim_ge_n2(r.graph).failing_triple
-        return f"predicate={r.char_ge_n2} edim={r.edim} n={r.n} triple={triple}"
+        return f"predicate={r.char_ge_n2} edim={r.edim_value} n={r.n} triple={triple}"
     return None
 
 
 def _eq_n2_equiv(r: GraphRecord) -> Optional[str]:
     holds = not r.char_n1 and r.char_ge_n2  # char_edim_eq_n2 on the verdicts
-    if holds != (r.edim == r.n - 2):
-        return f"predicate={holds} edim={r.edim} n={r.n}"
+    if holds != (r.edim_value == r.n - 2):
+        return f"predicate={holds} edim={r.edim_value} n={r.n}"
     return None
 
 
 def _tuple_lemma(r: GraphRecord) -> Optional[str]:
-    k = r.n - r.edim
+    k = r.n - r.edim_value
     res = tuple_lemma_check(r.graph, k)
     return None if res.holds else f"k={k} violating={res.violating}"
 
 
 def _diam_le_5(r: GraphRecord) -> Optional[str]:
-    if r.edim == r.n - 2 and r.diameter > 5:
+    if r.edim_value == r.n - 2 and r.diameter > 5:
         return f"edim=n-2 but diameter={r.diameter}"
     return None
 
 
 def _diam_le_3k_1(r: GraphRecord) -> Optional[str]:
-    k = r.n - r.edim
+    k = r.n - r.edim_value
     if r.diameter > 3 * k - 1:
         return f"k={k} diameter={r.diameter} bound={3 * k - 1}"
     return None
@@ -378,7 +378,7 @@ def sweep_all(theorem_ids, n_max: int, budget: Optional[int] = None,
                         failures.append((g6, detail))
                         break
             if explore:
-                k = max(r.edim, 1)
+                k = max(r.edim_value, 1)
                 clique_by_edim[k] = max(clique_by_edim.get(k, 0), len(max_clique(r.graph)))
 
     data = {"max_clique_by_edim": {str(k): v for k, v in sorted(clique_by_edim.items())}}

@@ -268,7 +268,7 @@ class DistanceMatrix:
     def __getitem__(self, v: int) -> tuple[int, ...]:
         return self.rows[v]
 
-    @property
+    @cached_property
     def connected(self) -> bool:
         return self.n > 0 and all(UNREACHABLE not in row for row in self.rows)
 

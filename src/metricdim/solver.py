@@ -248,13 +248,6 @@ def greedy_upper_bound(inst: DistinguisherInstance) -> tuple[int, ...]:
     return tuple(sorted(chosen))
 
 
-def disjoint_pairs_lower_bound(inst: DistinguisherInstance) -> int:
-    """Size of a greedily built collection of pairwise-disjoint families;
-    any hitting set needs at least one vertex per member."""
-    _check_families(inst)
-    return _disjoint_lb(sorted(inst.masks, key=lambda m: (m.bit_count(), m)))
-
-
 def _check_families(inst: DistinguisherInstance):
     if reduce(or_, inst.columns, 0) != (1 << len(inst.masks)) - 1:
         raise EmptyDistinguisherError(

@@ -1,13 +1,17 @@
 import math
 import os
+from collections import Counter
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from metricdim import bounds, enumerator
 from metricdim.bounds import (
+    INEQUALITIES,
     BoundParams,
+    GraphRecord,
     audit_graph,
     edge_bound_general_c,
     edge_bound_new,
@@ -16,7 +20,6 @@ from metricdim.bounds import (
     subgraph_edge_bound,
     subgraph_vertex_bound,
     vertex_bound_hernando,
-    AuditRecord,
 )
 from metricdim.graph_core import (
     DisconnectedGraphError,
@@ -25,6 +28,7 @@ from metricdim.graph_core import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    graph6_decode,
     path_graph,
     star_graph,
 )
@@ -214,6 +218,25 @@ class TestAudit:
         assert not rec.passed
         assert rec.dim_value is None and rec.edim_value is None
         assert rec.checks == {}
+
+    def test_audit_is_the_sweep_record(self, monkeypatch):
+        # the audit returns the sweeps' record, whose checks are the table's
+        # verdicts on that record, and it solves each dimension once
+        for n in range(1, 7):
+            for g6 in enumerator._connected_classes(n):
+                r = enumerator._record(g6, None)
+                expected = {name: row(r) is None for name, (needs, row) in INEQUALITIES.items()
+                            if r.diameter >= 1 or "diameter" not in needs}
+                rec = audit_graph(graph6_decode(g6))
+                assert isinstance(rec, GraphRecord)
+                assert rec.checks == expected, g6
+        calls = Counter()
+        for name in ("metric_dimension", "edge_metric_dimension"):
+            real = getattr(bounds, name)
+            monkeypatch.setattr(bounds, name, lambda G, budget, real=real, name=name:
+                                calls.update([name]) or real(G, budget=budget))
+        audit_graph(cycle_graph(6))
+        assert calls == {"metric_dimension": 1, "edge_metric_dimension": 1}
 
     def test_disconnected_rejected(self):
         G = Graph(n=4, adj=(2, 1, 8, 4))

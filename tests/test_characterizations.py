@@ -54,21 +54,11 @@ class TestSecondTierCharacterization:
         res = char_edim_ge_n2(path_graph(3))
         assert res.holds
         assert res.failing_triple is None
-        assert res.witnesses[(0, 1, 2)].mode == "condition-1"
-        assert res.witnesses[(0, 1, 2)].u == 1
-
-    def test_witnesses_cover_every_triple(self):
-        G = complete_bipartite_graph(2, 3)
-        res = char_edim_ge_n2(G)
-        assert res.holds
-        expected = set(itertools.combinations(range(G.n), 3))
-        assert set(res.witnesses) == expected
 
     def test_c5_fails(self):
         res = char_edim_ge_n2(cycle_graph(5))
         assert not res.holds
         assert res.failing_triple == (0, 1, 2)
-        assert res.witnesses == {}
 
     def test_exact_second_tier(self):
         assert char_edim_eq_n2(path_graph(3))
@@ -162,10 +152,10 @@ class TestDiameterTheorem:
 
     def test_c5_report(self):
         r = GraphRecord(cycle_graph(5))
-        assert (r.n, r.edim, r.diameter) == (5, 2, 2)
-        k = r.n - r.edim
+        assert (r.n, r.edim_value, r.diameter) == (5, 2, 2)
+        k = r.n - r.edim_value
         assert k == 3 and 3 * k - 1 == 8 and r.diameter <= 8
-        assert r.edim != r.n - 2  # the diameter <= 5 theorem does not apply
+        assert r.edim_value != r.n - 2  # the diameter <= 5 theorem does not apply
         assert _diam_le_3k_1(r) is None
         assert _diam_le_5(r) is None
         assert _tuple_lemma(r) is None
@@ -174,7 +164,7 @@ class TestDiameterTheorem:
         # edim = n-2 forces diameter at most 5
         for G in (path_graph(3), cycle_graph(4), complete_bipartite_graph(2, 3)):
             r = GraphRecord(G)
-            assert r.edim == r.n - 2, graph6_encode(G)
+            assert r.edim_value == r.n - 2, graph6_encode(G)
             assert r.diameter <= 5
             assert _diam_le_5(r) is None
             assert _diam_le_3k_1(r) is None
@@ -201,20 +191,17 @@ class TestOneDistanceMatrix:
             assert _within_two(G) == expected, graph6_encode(G)
 
     def test_predicate_results_digest(self):
-        # pins every verdict, failing triple and chosen witness over the 994
-        # classes with 3 <= n <= 7, as first recorded before the radius-2
-        # masks; the representatives are those of the colour-refined
-        # canonical form (on the all-orders form's they gave 5f5ec37a...)
+        # pins every verdict and failing triple over the 994 classes with
+        # 3 <= n <= 7, the representatives of the colour-refined canonical form
         h = hashlib.sha256()
         count = 0
         for n in range(3, 8):
             for G in enumerate_connected(n):
                 count += 1
                 res = char_edim_ge_n2(G)
-                witnesses = sorted((t, (w.triple, w.mode, w.u)) for t, w in res.witnesses.items())
-                h.update(repr((res.holds, res.failing_triple, witnesses)).encode())
+                h.update(repr((res.holds, res.failing_triple)).encode())
                 for k in range(1, n + 1):
                     t = tuple_lemma_check(G, k)
                     h.update(repr((k, t.holds, t.vacuous, t.violating)).encode())
         assert count == 994
-        assert h.hexdigest() == "3beaecaf05075dc4826f45984d3651a85a7456f96323818cd2c556faae57d4b9"
+        assert h.hexdigest() == "56c321ac7a2c1abaac5ebb339d967164c72e3c1723480e00ae2040044f9e6ddd"

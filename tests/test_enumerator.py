@@ -373,10 +373,10 @@ class TestSweeps:
 
 # record values forged onto every graph, as functions of n
 FORGED = {
-    "zero": lambda n: {"dim": 0, "edim": 0},
-    "edim=n-1": lambda n: {"edim": n - 1},
-    "edim=n-2,D=6": lambda n: {"edim": n - 2, "diameter": 6},
-    "edim=n-3": lambda n: {"edim": n - 3},
+    "zero": lambda n: {"dim_value": 0, "edim_value": 0},
+    "edim=n-1": lambda n: {"edim_value": n - 1},
+    "edim=n-2,D=6": lambda n: {"edim_value": n - 2, "diameter": 6},
+    "edim=n-3": lambda n: {"edim_value": n - 3},
 }
 
 

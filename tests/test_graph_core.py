@@ -282,5 +282,5 @@ def test_star_import_binds_every_reexported_name():
              if isinstance(node, ast.ImportFrom) for alias in node.names]
     namespace = {}
     exec("from metricdim import *", namespace)
-    assert len(names) == 58
+    assert len(names) == 57
     assert [name for name in names if name not in namespace] == []

@@ -51,13 +51,18 @@ class TestLayerTimes:
         assert (report["n"], report["classes"], report["repeats"]) == (5, 21, 5)
         assert sorted(report["us_per_class"]) == sorted([
             "bfs", "build_vertex_instance", "build_edge_instance", "greedy_upper_bound",
-            "_minimal_families", "min_hitting_set", "metric_dimension", "edge_metric_dimension"])
+            "_minimal_families", "min_hitting_set", "metric_dimension", "edge_metric_dimension",
+            "char_edim_n1", "char_edim_ge_n2", "tuple_lemma_check", "max_clique", "chromatic_number",
+            "degeneracy"])
         assert all(us > 0 for us in report["us_per_class"].values())
 
     def test_size_without_classes_is_a_usage_error(self):
         proc = run_script("layer_times.py", "--n", "9")
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.splitlines()[-1] == "layer_times.py: error: enumeration supports 1 <= n <= 8, got n=9"
+        proc = run_script("layer_times.py", "--n", "2")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.splitlines()[-1] == "layer_times.py: error: the record layers need n >= 3, got n=2"
 
 
 def _load_script(name):

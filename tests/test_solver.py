@@ -25,7 +25,6 @@ from metricdim.solver import (
     EmptyDistinguisherError,
     build_edge_instance,
     build_vertex_instance,
-    disjoint_pairs_lower_bound,
     edge_metric_dimension,
     greedy_upper_bound,
     metric_dimension,
@@ -217,11 +216,12 @@ class TestBoundsHelpers:
         assert greedy_upper_bound(inst) == tuple(sorted(chosen))
 
     def test_disjoint_lower_bound_sound(self):
+        # the disjoint-family lower bound a budget error reports
         for G in (path_graph(7), cycle_graph(8), complete_graph(5)):
-            inst = build_vertex_instance(G)
-            lb = disjoint_pairs_lower_bound(inst)
-            value = metric_dimension(G).value
-            assert lb <= value
+            for solve in (metric_dimension, edge_metric_dimension):
+                with pytest.raises(BudgetExceededError) as exc_info:
+                    solve(G, budget=0)
+                assert 1 <= exc_info.value.lower_bound <= solve(G).value
 
 
 KNOWN_DIM = [
@@ -348,7 +348,7 @@ class TestBudget:
         with pytest.raises(BudgetExceededError) as exc_info:
             min_hitting_set(inst, budget=1)
         err = exc_info.value
-        assert err.lower_bound == disjoint_pairs_lower_bound(inst)
+        assert 1 <= err.lower_bound <= min_hitting_set(inst).value
         assert err.upper_bound == len(greedy_upper_bound(inst))
         assert err.best_known == greedy_upper_bound(inst)
 
@@ -379,7 +379,7 @@ class TestHittingSetDirect:
         with pytest.raises(EmptyDistinguisherError):
             min_hitting_set(inst)
 
-    @pytest.mark.parametrize("solve", [min_hitting_set, greedy_upper_bound, disjoint_pairs_lower_bound])
+    @pytest.mark.parametrize("solve", [min_hitting_set, greedy_upper_bound])
     def test_rejects_vertex_outside_universe(self, solve):
         from metricdim.solver import DistinguisherInstance
 
