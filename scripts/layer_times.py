@@ -4,16 +4,18 @@
     python3 scripts/layer_times.py [--n 8]
 
 Prints one JSON line: for each layer, the best of 5 passes over the
-classes, in microseconds per class.  The layers are the all-pairs BFS,
-the two instance builders, and on both instances of every class the greedy
-upper bound, the superset reduction and the whole hitting-set solve; then
-the two front ends, build and solve together; then the record layers a
-sweep pays per class: the two characterization predicates, the tuple
-lemma at k = n - edim, the largest clique, the chromatic number and the
-degeneracy.  Each graph's distances and edim are computed once before
-timing, so only the ``bfs`` and ``edge_metric_dimension`` layers pay for
-them.  n runs from 3, the smallest swept size, to 8; the default, n = 8,
-is 11,117 classes; standard library only.
+classes, in microseconds per class.  Each repeat runs every layer once, in
+turn, so drift of the host's speed reaches all layers alike instead of
+landing between them.  The layers are the all-pairs BFS, the two instance
+builders, and on both instances of every class the greedy upper bound, the
+superset reduction and the whole hitting-set solve; then the two front
+ends, build and solve together; then the record layers a sweep pays per
+class: the two characterization predicates, the tuple lemma at
+k = n - edim, the largest clique, the chromatic number and the degeneracy.
+Each graph's distances and edim and each instance's columns are computed
+once before timing, so the layers that only read them do not pay for them.
+n runs from 3, the smallest swept size, to 8; the default,
+n = 8, is 11,117 classes; standard library only.
 """
 
 from __future__ import annotations
@@ -33,14 +35,16 @@ from metricdim.graph_core import GraphInputError, SizeLimitError  # noqa: E402
 REPEATS = 5
 
 
-def best_s(fn, args) -> float:
-    """Seconds of the fastest of REPEATS passes of fn over args."""
-    best = float("inf")
+def best_s(layers: dict) -> dict:
+    """Seconds of each layer's fastest of REPEATS passes of fn over args;
+    every repeat runs each (fn, args) layer once, in turn."""
+    best = dict.fromkeys(layers, float("inf"))
     for _ in range(REPEATS):
-        start = perf_counter()
-        for arg in args:
-            fn(arg)
-        best = min(best, perf_counter() - start)
+        for name, (fn, args) in layers.items():
+            start = perf_counter()
+            for arg in args:
+                fn(arg)
+            best[name] = min(best[name], perf_counter() - start)
     return best
 
 
@@ -59,6 +63,8 @@ def main() -> int:
         G.distances  # computed once, outside the timed layers
     instances = [build(G) for G in graphs
                  for build in (solver.build_vertex_instance, solver.build_edge_instance)]
+    for inst in instances:
+        inst.columns  # read by the greedy bound and the reduction
     lemma_args = [(G, G.n - solver.edge_metric_dimension(G).value) for G in graphs]
     layers = {
         "bfs": (graph_core.bfs_all_pairs, graphs),
@@ -76,7 +82,7 @@ def main() -> int:
         "chromatic_number": (graph_core.chromatic_number, graphs),
         "degeneracy": (graph_core.degeneracy, graphs),
     }
-    us = {name: round(best_s(fn, items) / len(graphs) * 1e6, 2) for name, (fn, items) in layers.items()}
+    us = {name: round(s / len(graphs) * 1e6, 2) for name, s in best_s(layers).items()}
     print(json.dumps({"n": args.n, "classes": len(graphs), "repeats": REPEATS, "us_per_class": us},
                      sort_keys=True))
     return 0

@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=None,
-        help="solver node budget (exit 4 when exhausted)",
+        help="solver budget: subsets tested up to 16 vertices, search nodes past (exit 4 when exhausted)",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 

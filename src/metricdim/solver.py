@@ -4,28 +4,29 @@ For each unordered object pair (two vertices, or two edges) the set of
 vertices whose distances to the two objects differ forms a distinguisher
 family; a landmark set resolves the objects iff it intersects every family.
 Minimum resolving set size is therefore a minimum hitting set, solved
-exactly by branch and bound.  The families of all pairs are built at once
-from packed distance rows (see ``_pair_masks``): each bit plane of the
-rows is one int of fixed-width fields, and a block of pairs XORs every
-plane's repeated left fields against its right fields and ORs the planes;
-an edge's row is the sum of its ends' rows halved.  From the block's
-binary text the builders emit each landmark's column, the families it is
-in as bits of one int; the family checks, the greedy bound and the
-reduction read them.  The reduction counts family sizes bit-sliced over
-the columns and, smallest first, drops the duplicates and supersets of
-each kept family by the AND of its columns; only the kept families are
-transposed again, into ``hits[v]``.  One decision search answers "is
-there a hitting set of at most k allowed vertices?": it prunes with a
-greedily built pairwise-disjoint-family lower bound, branches on the
-disjoint family with the fewest allowed vertices, and bars a refuted
-branch's vertex from its later siblings.  The bound's packing drops the
-families that meet a chosen one by one lookup in a per-solve cover table
-of bounded size, and a node with k = 1 counts and settles its leaves
-itself instead of recursing.  The value is the first k from the disjoint
-lower bound up that the search accepts, else the greedy max-coverage
-upper bound; the basis is the lexicographically smallest optimal set,
-grown one vertex at a time with the same search, so results are stable
-across runs.
+exactly.  The families of all pairs are built at once from packed distance
+rows (see ``_pair_masks``): each bit plane of the rows is one int of
+fixed-width fields, and a block of pairs XORs every plane's repeated left
+fields against its right fields and ORs the planes; an edge's row is the
+sum of its ends' rows halved.  A universe of at most LATTICE_LIMIT = 16
+vertices is solved by one closure over its subset lattice (see
+``_lattice_solve``), whose 2**u-bit ints grow peak memory from u = 17 on
+and by u = 18 cost about as much as the search below: every smaller subset
+is ruled out, and ``nodes_explored`` counts the subsets a scan tests.  Past 16,
+the builders also emit each landmark's column from the block's binary text,
+the families it is in as bits of one int, which the greedy bound and the
+reduction read.  The reduction counts family sizes bit-sliced over the
+columns and, smallest first, drops the supersets of each kept family by the
+AND of its columns.  One decision search answers "is there a hitting set of
+at most k allowed vertices?": it prunes with a greedily built
+pairwise-disjoint-family lower bound whose packing drops the families that
+meet a chosen one by one lookup in a bounded per-solve cover table,
+branches on the disjoint family with the fewest allowed vertices, bars a
+refuted branch's vertex from its later siblings, and settles a k = 1 node's
+leaves itself.  The value is the first k from the disjoint bound up that
+the search accepts, else the greedy max-coverage upper bound; the basis,
+the lexicographically smallest optimal set, is grown one vertex at a time
+with the same search, so results are stable across runs.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ import struct
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from itertools import chain
-from operator import or_
+from functools import cached_property, lru_cache
+from itertools import accumulate, chain
+from math import comb
 
 from .graph_core import (
     Graph,
@@ -48,6 +49,8 @@ from .graph_core import (
 
 # Universes larger than this require an explicit node budget.
 FREE_SEARCH_LIMIT = 20
+# Universes of at most this many vertices are solved on the subset lattice.
+LATTICE_LIMIT = 16
 
 
 class EmptyDistinguisherError(GraphError):
@@ -88,8 +91,8 @@ class DistinguisherInstance:
     @cached_property
     def columns(self) -> list[int]:
         """``columns[v]``: the bitmask of the indices i with v in ``masks[i]``
-        (see ``_transpose``).  The builders fill it; not a field, so equality
-        and hashing still see only the three fields."""
+        (see ``_transpose``).  Builds past LATTICE_LIMIT fill it; not a field,
+        so equality and hashing still see only the three fields."""
         return _transpose(self.masks)
 
 
@@ -164,7 +167,7 @@ def _packed(rows) -> tuple[bytes, int, int]:
 def _pair_masks(kind: str, n: int, packed: bytes, lane: int, width: int) -> DistinguisherInstance:
     """The instance of all pairs i < j of the ``packed`` rows (see
     ``_packed``), row-major: bit x of a mask is set where the two rows
-    differ at landmark x; its columns are filled too.
+    differ at landmark x; past LATTICE_LIMIT its columns are filled too.
 
     Bit plane b of all rows is one int of their fields, by one translate of
     the lanes' byte holding bit b into binary digits; a plane no row has is
@@ -206,11 +209,14 @@ def _pair_masks(kind: str, n: int, packed: bytes, lane: int, width: int) -> Dist
             masks.extend(items)
         else:  # fields past 64 bits
             masks.extend([int.from_bytes(block[k : k + step], "big") for k in range(0, len(block), step)])
-        text += format(differ, f"0{count * width}b")
-        cut = len(text) if stop == m - 1 else len(text) - len(text) // width % 8 * width
-        read, text = text[:cut], text[cut:]
-        reads.append((cut // width, _digit_columns(read, width, n)))
+        if n > LATTICE_LIMIT:  # the lattice path reads no columns
+            text += format(differ, f"0{count * width}b")
+            cut = len(text) if stop == m - 1 else len(text) - len(text) // width % 8 * width
+            read, text = text[:cut], text[cut:]
+            reads.append((cut // width, _digit_columns(read, width, n)))
         i = stop
+    if n <= LATTICE_LIMIT:
+        return DistinguisherInstance(kind, n, tuple(masks))
     columns = reads[0][1] if len(reads) == 1 else [
         int.from_bytes(b"".join([cols[v].to_bytes((pairs + 7) // 8, "little") for pairs, cols in reads]), "little")
         for v in range(n)]
@@ -249,11 +255,11 @@ def greedy_upper_bound(inst: DistinguisherInstance) -> tuple[int, ...]:
 
 
 def _check_families(inst: DistinguisherInstance):
-    if reduce(or_, inst.columns, 0) != (1 << len(inst.masks)) - 1:
+    if not all(inst.masks):
         raise EmptyDistinguisherError(
             "a distinguisher family is empty; two distinct objects share all distances"
         )
-    if any(inst.columns[inst.universe:]):
+    if max(inst.masks, default=0) >> inst.universe:
         raise GraphInputError(f"a distinguisher family names a vertex outside 0..{inst.universe - 1}")
 
 
@@ -306,8 +312,54 @@ def _minimal_families(masks, cols) -> tuple[list[int], list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# branch and bound
+# exact solvers: the subset lattice, and branch and bound
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _lattice(u: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(W, L) as 2**u-bit ints over the subsets X of range(u): bit X of
+    ``W[i]`` is set iff i is not in X, of ``L[k]`` iff X has k members."""
+    if not u:
+        return (), (1,)
+    W, L = _lattice(u - 1)  # the lower half; the upper half's X hold u - 1
+    half = 1 << (u - 1)
+    return (tuple([w | w << half for w in W]) + ((1 << half) - 1,),
+            tuple([a | b << half for a, b in zip(L + (0,), (0,) + L)]))
+
+
+def _lattice_solve(inst: DistinguisherInstance, budget: int | None) -> DimensionCertificate:
+    """The first hitting set in (size, ``itertools.combinations``) order:
+    bit T of the families' int, closed up under adding each vertex, is set
+    iff T holds a family, so the hitting sets are the complements of the T
+    left clear.  ``nodes_explored``, the basis's position in that order, is
+    what an exhaustive scan tests; past ``budget``, the sizes it covers
+    bound the value below."""
+    _check_families(inst)
+    u = inst.universe
+    if not inst.masks:
+        return DimensionCertificate(inst.kind, 0, (), True, 0)
+    W, L = _lattice(u)
+    present = bytearray(((1 << u) + 7) >> 3)
+    for f in inst.masks:
+        present[f >> 3] |= 1 << (f & 7)
+    covers = int.from_bytes(present, "little")
+    for i, w in enumerate(W):
+        covers |= (covers & w) << (1 << i)
+    free = ~covers  # the complements of the hitting sets
+    value, found = next((k, sets) for k in range(u + 1) if (sets := L[u - k] & free))
+    for w in W:  # keep the complements lacking i if any do: the basis holds i
+        found = found & w or found
+    found = found.bit_length() - 1  # the one complement left
+    basis = tuple(i for i in range(u) if not found >> i & 1)
+    # every smaller size, then the basis's lex rank within its size, plus 1
+    nodes = sum(comb(u, j) for j in range(value + 1)) - sum(
+        comb(u - 1 - v, value - t) for t, v in enumerate(basis))
+    if budget is not None and nodes > budget:
+        lower = max(1, sum(1 for tested in accumulate(comb(u, j) for j in range(u)) if tested <= budget))
+        ub_set = greedy_upper_bound(inst)
+        raise BudgetExceededError(inst.kind, lower, len(ub_set), ub_set, budget + 1)
+    return DimensionCertificate(inst.kind, value, basis, True, nodes)
 
 
 class _BudgetSignal(Exception):
@@ -403,11 +455,19 @@ def _require_budget(universe: int, budget: int | None):
 def min_hitting_set(inst: DistinguisherInstance, budget: int | None = None) -> DimensionCertificate:
     """Certified minimum hitting set for a distinguisher instance.
 
-    ``budget`` caps the number of search nodes; exhausting it raises
+    ``budget`` caps the number of search nodes, or of subsets tested on
+    universes of at most LATTICE_LIMIT vertices; exhausting it raises
     BudgetExceededError carrying the best bounds found.  Universes above
     FREE_SEARCH_LIMIT vertices require an explicit budget.
     """
     _require_budget(inst.universe, budget)
+    if inst.universe <= LATTICE_LIMIT:
+        return _lattice_solve(inst, budget)
+    return _branch_and_bound(inst, budget)
+
+
+def _branch_and_bound(inst: DistinguisherInstance, budget: int | None) -> DimensionCertificate:
+    """The value, then the basis, by the decision search, counting its nodes."""
     ub_set = greedy_upper_bound(inst)  # validates the families first
     fams, hits = _minimal_families(inst.masks, inst.columns)
     if not fams:

@@ -111,6 +111,19 @@ def naive_edge_metric_dimension(G: Graph) -> tuple[int, tuple[int, ...]]:
     raise AssertionError("unreachable: resolving all edges can need at most n-1 vertices")
 
 
+def naive_hitting_set(universe: int, masks) -> tuple[int, tuple[int, ...], int]:
+    """The first subset of range(universe), by size and then in
+    ``combinations`` order, that meets every mask, and the number of
+    subsets tested up to and including it."""
+    tested = 0
+    for k in range(universe + 1):
+        for S in combinations(range(universe), k):
+            tested += 1
+            if all(any(m >> v & 1 for v in S) for m in masks):
+                return k, S, tested
+    raise AssertionError("no subset meets an empty mask")
+
+
 def naive_is_vertex_resolving(G: Graph, S) -> bool:
     dist = naive_distances(G)
     vecs = _vertex_vectors(dist, tuple(S), G.n)

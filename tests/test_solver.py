@@ -1,7 +1,8 @@
 import hashlib
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import accumulate, combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from metricdim.graph_core import (
 )
 from metricdim.metric import is_edge_resolving, is_vertex_resolving
 from metricdim.solver import (
+    LATTICE_LIMIT,
     BudgetExceededError,
     EmptyDistinguisherError,
     build_edge_instance,
@@ -34,6 +36,7 @@ from metricdim.solver import _transpose
 
 from oracles import (
     naive_edge_metric_dimension,
+    naive_hitting_set,
     naive_metric_dimension,
     random_connected_graph,
     reference_edge_instance,
@@ -117,6 +120,15 @@ class TestPackedBuilds:
         assert max(G.n for G in graphs) == 62
         for G in graphs:
             _check_builds(G)
+
+    def test_columns_are_read_only_past_the_lattice_limit(self):
+        # the lattice path reads no columns, so its builds leave them to the
+        # cached property
+        for n in (LATTICE_LIMIT, LATTICE_LIMIT + 1):
+            for build in (build_vertex_instance, build_edge_instance):
+                inst = build(cycle_graph(n))
+                assert ("columns" in vars(inst)) == (n > LATTICE_LIMIT)
+                assert inst.columns == _transpose(inst.masks)
 
     def test_zero_and_one_pairs(self):
         # a single vertex has no pairs of either kind, K2 one edge, P2 one vertex pair
@@ -393,9 +405,28 @@ class TestHittingSetDirect:
         checked = []
         real = solver._check_families
         monkeypatch.setattr(solver, "_check_families", lambda inst: checked.append(inst) or real(inst))
-        inst = build_edge_instance(cycle_graph(6))
-        min_hitting_set(inst)
-        assert checked == [inst]
+        # one universe on the lattice path, one past LATTICE_LIMIT on the search
+        for G in (cycle_graph(6), cycle_graph(LATTICE_LIMIT + 2)):
+            inst = build_edge_instance(G)
+            checked.clear()
+            min_hitting_set(inst)
+            assert checked == [inst]
+
+    @pytest.mark.parametrize("universe", [3, LATTICE_LIMIT, LATTICE_LIMIT + 1])
+    def test_both_paths_raise_the_same_errors(self, universe, monkeypatch):
+        # the families are checked before the lattice's tables or any search
+        from metricdim import solver
+        from metricdim.solver import DistinguisherInstance
+
+        def no_work(*args):
+            raise AssertionError("an invalid instance reached a solver")
+
+        for name in ("_lattice", "_minimal_families"):
+            monkeypatch.setattr(solver, name, no_work)
+        with pytest.raises(EmptyDistinguisherError):
+            min_hitting_set(DistinguisherInstance("vertex", universe, (1, 0, 2)))
+        with pytest.raises(GraphInputError, match=f"outside 0..{universe - 1}$"):
+            min_hitting_set(DistinguisherInstance("edge", universe, (1, 1 << universe)))
 
     def test_hand_built_instances_give_the_same_answers(self):
         # a hand-built instance computes its columns from the masks; every
@@ -471,6 +502,36 @@ def _classes_to_n7():
     return graphs
 
 
+def _outcomes_digest(graphs):
+    """Outcome kinds and the sha256 of every solve's outcome at budgets
+    None, 1, 7 and 50."""
+    digest, kinds = hashlib.sha256(), Counter()
+    for G in graphs:
+        for solve in (metric_dimension, edge_metric_dimension):
+            for budget in (None, 1, 7, 50):
+                kind, fields = _outcome(solve, G, budget)
+                kinds[kind] += 1
+                digest.update(repr((kind, fields)).encode())
+    return kinds, digest.hexdigest()
+
+
+def _budget_boundaries(graphs) -> int:
+    """Check that each solve needs exactly its nodes_explored as budget; the
+    number of solves checked."""
+    checked = 0
+    for G in graphs:
+        for solve in (metric_dimension, edge_metric_dimension):
+            cert = solve(G)
+            if cert.nodes_explored < 1:
+                continue
+            assert solve(G, cert.nodes_explored) == cert
+            with pytest.raises(BudgetExceededError) as exc_info:
+                solve(G, cert.nodes_explored - 1)
+            assert exc_info.value.nodes_explored == cert.nodes_explored, graph6_encode(G)
+            checked += 1
+    return checked
+
+
 def _outcome(solve, G, budget):
     """A solve's certificate fields, or its budget error's fields."""
     try:
@@ -480,55 +541,116 @@ def _outcome(solve, G, budget):
     return "solved", (cert.kind, cert.value, cert.basis, cert.optimal, cert.nodes_explored)
 
 
-class TestSearchTree:
-    """The value and basis searches visit the same nodes in the same order:
-    the digest pins every certificate and budget-error field of both kinds
-    at budgets None, 1, 7 and 50."""
+class TestLatticeScan:
+    """Universes of at most LATTICE_LIMIT vertices are solved on the subset
+    lattice: the first hitting set in (size, combinations) order, with
+    ``nodes_explored`` the subsets an exhaustive scan tests."""
 
-    # over the colour-refined canonical form's representatives (the
-    # all-orders form's gave 6fd35058...)
-    DIGEST = "241c1fc3597e5b75b7f887ef97775c7f84af3adb7ac8837bce7c880c9633995e"
+    # the inputs of the branch-and-bound search's former digest
+    # (241c1fc3...), all of which now take the lattice path
+    DIGEST = "cdc0dfaebadd97366eb820554f56b864991c219e46c16eac5466dc15c98b1cec"
 
     def test_outcomes_are_pinned(self):
         rng = random.Random(13)
         graphs = _classes_to_n7() + [random_connected_graph(rng, rng.randint(10, 16)) for _ in range(30)]
-        digest, kinds = hashlib.sha256(), Counter()
-        for G in graphs:
-            for solve in (metric_dimension, edge_metric_dimension):
-                for budget in (None, 1, 7, 50):
-                    kind, fields = _outcome(solve, G, budget)
-                    kinds[kind] += 1
-                    digest.update(repr((kind, fields)).encode())
+        assert max(G.n for G in graphs) <= LATTICE_LIMIT
+        kinds, digest = _outcomes_digest(graphs)
         assert kinds["exhausted"] > 1000 and kinds["solved"] > 1000
-        assert digest.hexdigest() == self.DIGEST
+        assert digest == self.DIGEST
+
+    def test_matches_the_all_subsets_scan(self):
+        checked = 0
+        for G in _classes_to_n7():
+            for inst in (build_vertex_instance(G), build_edge_instance(G)):
+                cert = min_hitting_set(inst)
+                if not inst.masks:  # nothing to hit: no subset is tested
+                    assert (cert.value, cert.basis, cert.nodes_explored) == (0, (), 0)
+                    continue
+                assert (cert.value, cert.basis, cert.nodes_explored) == naive_hitting_set(G.n, inst.masks)
+                checked += 1
+        assert checked == 2 * 996 - 3  # K1 has no pairs of either kind, K2 no edge pair
+
+    def test_branch_and_bound_agrees(self):
+        from metricdim.enumerator import enumerate_connected
+        from metricdim.solver import _branch_and_bound
+
+        rng = random.Random(8)
+        graphs = list(enumerate_connected(8)) + [random_connected_graph(rng, rng.randint(10, 16))
+                                                 for _ in range(40)]
+        assert len(graphs) == 11_117 + 40
+        for G in graphs:
+            for inst in (build_vertex_instance(G), build_edge_instance(G)):
+                assert _answer(min_hitting_set(inst)) == _answer(_branch_and_bound(inst, None)), graph6_encode(G)
+
+    def test_budget_boundary_is_exact(self):
+        # a budget of exactly the subsets a solve tests suffices, one less runs out
+        assert _budget_boundaries(_classes_to_n7()) == 1989
+
+    def test_every_smaller_budget_runs_out_on_its_own_node(self):
+        # a budget of b tests b subsets, so every size below lower_bound is
+        # ruled out; the upper side is the greedy bound's
+        checked = 0
+        for G in [G for G in _classes_to_n7() if G.n <= 6]:
+            for inst in (build_vertex_instance(G), build_edge_instance(G)):
+                sizes = list(accumulate(comb(G.n, j) for j in range(G.n)))
+                for budget in range(min_hitting_set(inst).nodes_explored):
+                    with pytest.raises(BudgetExceededError) as exc_info:
+                        min_hitting_set(inst, budget)
+                    err = exc_info.value
+                    assert err.nodes_explored == budget + 1, (graph6_encode(G), budget)
+                    assert err.lower_bound == max(1, sum(tested <= budget for tested in sizes))
+                    assert err.best_known == greedy_upper_bound(inst)
+                    assert err.upper_bound == len(err.best_known)
+                    checked += 1
+        assert checked == 6557  # the branch-and-bound search took 3594 nodes on these
+
+    def test_tables(self):
+        from metricdim.solver import _lattice
+
+        for u in range(6):
+            W, L = _lattice(u)
+            assert W == tuple(sum(1 << X for X in range(1 << u) if not X >> i & 1) for i in range(u))
+            assert L == tuple(sum(1 << X for X in range(1 << u) if X.bit_count() == k) for k in range(u + 1))
+
+
+def _search_graphs():
+    """Seeded graphs with 17 to 20 vertices, past LATTICE_LIMIT: half dense,
+    half a spanning tree with a few more edges."""
+    rng = random.Random(13)
+    dense = [random_connected_graph(rng, rng.randint(17, 20)) for _ in range(10)]
+    return dense + [_sparse_random_graph(seed, 17 + seed % 4) for seed in range(10)]
+
+
+class TestSearchTree:
+    """The branch-and-bound search, on universes past LATTICE_LIMIT, visits
+    the same nodes in the same order: the digest pins every certificate and
+    budget-error field of both kinds at budgets None, 1, 7 and 50."""
+
+    DIGEST = "371cb6a8f55db0e698a7e13203eed83380f9bbc0a03afac81f583bc39303fc9e"
+
+    def test_outcomes_are_pinned(self):
+        graphs = _search_graphs()
+        assert min(G.n for G in graphs) > LATTICE_LIMIT
+        kinds, digest = _outcomes_digest(graphs)
+        assert kinds["exhausted"] > 20 and kinds["solved"] > 20
+        assert digest == self.DIGEST
 
     def test_budget_boundary_is_exact(self):
         # a budget of exactly the nodes a solve takes suffices, one less runs
         # out on the last node
-        checked = 0
-        for G in _classes_to_n7():
-            for solve in (metric_dimension, edge_metric_dimension):
-                cert = solve(G)
-                if cert.nodes_explored < 1:
-                    continue
-                assert solve(G, cert.nodes_explored) == cert
-                with pytest.raises(BudgetExceededError) as exc_info:
-                    solve(G, cert.nodes_explored - 1)
-                assert exc_info.value.nodes_explored == cert.nodes_explored, graph6_encode(G)
-                checked += 1
-        assert checked == 1989
+        assert _budget_boundaries(_search_graphs()) == 40
 
     def test_every_smaller_budget_runs_out_on_its_own_node(self):
         # the leaves a k = 1 node counts itself check the budget too
         checked = 0
-        for G in [G for G in _classes_to_n7() if G.n <= 6]:
+        for G in [_sparse_random_graph(seed, 17 + seed % 4) for seed in range(8)]:
             for inst in (build_vertex_instance(G), build_edge_instance(G)):
                 for budget in range(min_hitting_set(inst).nodes_explored):
                     with pytest.raises(BudgetExceededError) as exc_info:
                         min_hitting_set(inst, budget)
                     assert exc_info.value.nodes_explored == budget + 1, (graph6_encode(G), budget)
                     checked += 1
-        assert checked == 3594  # 3506 on the all-orders form's representatives
+        assert checked == 1926
 
     def test_cover_table_stays_bounded(self):
         # a long budgeted edim search over thousands of families empties the
