@@ -7,11 +7,12 @@ Prints one JSON line: for each layer, the best of 5 passes over the
 classes, in microseconds per class.  Each repeat runs every layer once, in
 turn, so drift of the host's speed reaches all layers alike instead of
 landing between them.  The layers are the all-pairs BFS, the two instance
-builders, and on both instances of every class the greedy upper bound, the
-superset reduction and the whole hitting-set solve; then the two front
-ends, build and solve together; then the record layers a sweep pays per
-class: the two characterization predicates, the tuple lemma at
-k = n - edim, the largest clique, the chromatic number and the degeneracy.
+builders, and on both instances of every class the column transpose, the
+greedy upper bound, the superset reduction and the whole hitting-set
+solve; then the two front ends, build and solve together; then the record
+layers a sweep pays per class: the two characterization predicates, the
+tuple lemma at k = n - edim, the largest clique, the chromatic number and
+the degeneracy.
 Each graph's distances and edim and each instance's columns are computed
 once before timing, so the layers that only read them do not pay for them.
 n runs from 3, the smallest swept size, to 8; the default,
@@ -70,6 +71,7 @@ def main() -> int:
         "bfs": (graph_core.bfs_all_pairs, graphs),
         "build_vertex_instance": (solver.build_vertex_instance, graphs),
         "build_edge_instance": (solver.build_edge_instance, graphs),
+        "_transpose": (lambda inst: solver._transpose(inst.masks, inst.universe), instances),
         "greedy_upper_bound": (solver.greedy_upper_bound, instances),
         "_minimal_families": (lambda inst: solver._minimal_families(inst.masks, inst.columns), instances),
         "min_hitting_set": (solver.min_hitting_set, instances),

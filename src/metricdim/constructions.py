@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from math import prod
 
 from .graph_core import (
+    GRAPH6_MAX_N,
     Graph,
     GraphError,
     SizeLimitError,
@@ -30,8 +31,6 @@ from .graph_core import (
     is_connected,
 )
 from .metric import is_vertex_resolving
-
-GRID_MAX_VERTICES = 62
 
 
 class ConstructionError(GraphError, ValueError):
@@ -274,8 +273,8 @@ def grid(dims) -> Graph:
     most significant."""
     dims = _grid_dims(dims)
     total = prod(dims)
-    if total > GRID_MAX_VERTICES:
-        raise SizeLimitError(f"grid would have {total} vertices, supported max is {GRID_MAX_VERTICES}")
+    if total > GRAPH6_MAX_N:
+        raise SizeLimitError(f"grid would have {total} vertices, supported max is {GRAPH6_MAX_N}")
     strides = _grid_strides(dims)
     edges = []
     for idx in range(total):

@@ -13,9 +13,9 @@ vertices is solved by one closure over its subset lattice (see
 ``_lattice_solve``), whose 2**u-bit ints grow peak memory from u = 17 on
 and by u = 18 cost about as much as the search below: every smaller subset
 is ruled out, and ``nodes_explored`` counts the subsets a scan tests.  Past 16,
-the builders also emit each landmark's column from the block's binary text,
-the families it is in as bits of one int, which the greedy bound and the
-reduction read.  The reduction counts family sizes bit-sliced over the
+the greedy bound and the reduction read each landmark's column, the families
+it is in as bits of one int, transposed from the masks in one place (see
+``_transpose``).  The reduction counts family sizes bit-sliced over the
 columns and, smallest first, drops the supersets of each kept family by the
 AND of its columns.  One decision search answers "is there a hitting set of
 at most k allowed vertices?": it prunes with a greedily built
@@ -90,10 +90,10 @@ class DistinguisherInstance:
 
     @cached_property
     def columns(self) -> list[int]:
-        """``columns[v]``: the bitmask of the indices i with v in ``masks[i]``
-        (see ``_transpose``).  Builds past LATTICE_LIMIT fill it; not a field,
-        so equality and hashing still see only the three fields."""
-        return _transpose(self.masks)
+        """``columns[v]``: the bitmask of the indices i with v in ``masks[i]``,
+        transposed from the masks on first read (see ``_transpose``); not a
+        field, so equality and hashing still see only the three fields."""
+        return _transpose(self.masks, self.universe)
 
 
 @dataclass(frozen=True)
@@ -144,11 +144,11 @@ def build_edge_instance(G: Graph) -> DistinguisherInstance:
     return _pair_masks("edge", D.n, (total >> 1).to_bytes(len(edges) * size, "big"), lane, width)
 
 
-# Binary digit text per block of pairs in _pair_masks; bounds the build's peak memory.
-_BLOCK_BYTES = 1 << 16
+# Bits of a block's int of pair masks in _pair_masks; bounds the build's peak memory.
+_BLOCK_BITS = 1 << 16
 # byte -> ASCII binary digit of its bit s, for s = 0..7
 _BIT_DIGITS = [bytes(b"01"[v >> s & 1] for v in range(256)) for s in range(8)]
-# struct format and array typecode of an unsigned int of each size in bytes
+# struct format and array typecode of an unsigned int of each size in bytes, smallest first
 _CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
@@ -167,16 +167,13 @@ def _packed(rows) -> tuple[bytes, int, int]:
 def _pair_masks(kind: str, n: int, packed: bytes, lane: int, width: int) -> DistinguisherInstance:
     """The instance of all pairs i < j of the ``packed`` rows (see
     ``_packed``), row-major: bit x of a mask is set where the two rows
-    differ at landmark x; past LATTICE_LIMIT its columns are filled too.
+    differ at landmark x; its columns are left to ``columns``.
 
     Bit plane b of all rows is one int of their fields, by one translate of
     the lanes' byte holding bit b into binary digits; a plane no row has is
     dropped.  For a block of rows i, field i repeated once per j > i is
     XOR-ed against the fields of those j, plane by plane, and the planes'
     XORs are OR-ed: the block is one int whose fields are its pairs' masks.
-    Landmark v's column is every ``width``-th digit of the block's binary
-    text, read by one stride slice; the pairs that do not fill a byte wait
-    for the next block, so the text is never held twice.
     """
     step, m = width // 8, len(packed) // (lane * width)  # bytes a field, rows
     planes = []
@@ -185,15 +182,13 @@ def _pair_masks(kind: str, n: int, packed: bytes, lane: int, width: int) -> Dist
         if plane:  # else no row has bit b, as in an edge instance's top plane
             planes.append(plane.to_bytes(m * step, "big"))
     masks: list[int] = []
-    reads = []  # per read of whole bytes of pairs: the pair count and their columns
-    text = ""  # the digits of fewer than 8 pairs not yet read
     i = 0
     while i < m - 1:
-        # rows i..stop-1: at least one, at most _BLOCK_BYTES of digits unless one row has more
+        # rows i..stop-1: at least one, at most _BLOCK_BITS of masks unless one row has more
         stop, count = i + 1, m - 1 - i
-        if (m - i) * count // 2 * width <= _BLOCK_BYTES:  # all the rest
+        if (m - i) * count // 2 * width <= _BLOCK_BITS:  # all the rest
             stop, count = m - 1, (m - i) * count // 2
-        while stop < m - 1 and (count + m - 1 - stop) * width <= _BLOCK_BYTES:
+        while stop < m - 1 and (count + m - 1 - stop) * width <= _BLOCK_BITS:
             count += m - 1 - stop
             stop += 1
         differ = 0
@@ -209,29 +204,8 @@ def _pair_masks(kind: str, n: int, packed: bytes, lane: int, width: int) -> Dist
             masks.extend(items)
         else:  # fields past 64 bits
             masks.extend([int.from_bytes(block[k : k + step], "big") for k in range(0, len(block), step)])
-        if n > LATTICE_LIMIT:  # the lattice path reads no columns
-            text += format(differ, f"0{count * width}b")
-            cut = len(text) if stop == m - 1 else len(text) - len(text) // width % 8 * width
-            read, text = text[:cut], text[cut:]
-            reads.append((cut // width, _digit_columns(read, width, n)))
         i = stop
-    if n <= LATTICE_LIMIT:
-        return DistinguisherInstance(kind, n, tuple(masks))
-    columns = reads[0][1] if len(reads) == 1 else [
-        int.from_bytes(b"".join([cols[v].to_bytes((pairs + 7) // 8, "little") for pairs, cols in reads]), "little")
-        for v in range(n)]
-    del reads  # before the masks' copy into a tuple
-    while columns and not columns[-1]:
-        columns.pop()
-    inst = DistinguisherInstance(kind, n, tuple(masks))
-    vars(inst)["columns"] = columns  # what the cached property would compute
-    return inst
-
-
-def _digit_columns(text: str, width: int, count: int) -> list[int]:
-    """Column v < count of the ``width``-digit binary fields in ``text``: the
-    int whose bit p is digit v from the right of field p."""
-    return [int(text[len(text) - 1 - v :: -width] or "0", 2) for v in range(count)]
+    return DistinguisherInstance(kind, n, tuple(masks))
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +229,14 @@ def greedy_upper_bound(inst: DistinguisherInstance) -> tuple[int, ...]:
 
 
 def _check_families(inst: DistinguisherInstance):
-    if not all(inst.masks):
+    if inst.universe < 0:
+        raise GraphInputError(f"a universe holds at least 0 vertices, got {inst.universe}")
+    low = min(inst.masks, default=1)
+    if not low:
         raise EmptyDistinguisherError(
             "a distinguisher family is empty; two distinct objects share all distances"
         )
-    if max(inst.masks, default=0) >> inst.universe:
+    if low < 0 or max(inst.masks, default=0) >> inst.universe:  # a negative mask names every high vertex
         raise GraphInputError(f"a distinguisher family names a vertex outside 0..{inst.universe - 1}")
 
 
@@ -273,11 +250,22 @@ def _disjoint_lb(sorted_masks) -> int:
     return count
 
 
-def _transpose(masks) -> list[int]:
-    """``hits[v]``: the bitmask of the indices i with vertex v in ``masks[i]``."""
-    width = max(masks, default=0).bit_length()
-    top = 1 << width
-    return _digit_columns("".join([bin(m | top)[3:] for m in masks]), width, width)
+def _transpose(masks, width: int) -> list[int]:
+    """``hits[v]``: the bitmask of the indices i with v in ``masks[i]``, all
+    below 2**width, less the zero columns past the last nonzero one.  One
+    array packs the masks in native byte order into the smallest 1, 2, 4 or
+    8-byte fields that hold ``width`` bits (past 64, whole bytes).  From
+    ``lanes[j]``, the last field's byte of bits 8j.., one stride slice runs
+    back over every field; its bit s, one translate and parse: column 8j + s."""
+    step = next((size for size in _CODES if width <= 8 * size), -(-width // 8))
+    data = (memoryview(array(_CODES[step], masks)).cast("B") if step in _CODES  # not copied
+            else b"".join([m.to_bytes(step, sys.byteorder) for m in masks]))  # fields past 64 bits
+    lanes = [len(data) - (step - j if sys.byteorder == "little" else 1 + j) for j in range(-(-width // 8))]
+    hits = [int(lane.translate(digits) or b"0", 2) for j, at in enumerate(lanes)
+            for lane in [bytes(data[at :: -step])] for digits in _BIT_DIGITS[: width - 8 * j]]
+    while hits and not hits[-1]:
+        hits.pop()
+    return hits
 
 
 def _minimal_families(masks, cols) -> tuple[list[int], list[int]]:
@@ -308,7 +296,7 @@ def _minimal_families(masks, cols) -> tuple[list[int], list[int]]:
             level &= ~supersets
     kept.sort()
     kept.sort(key=int.bit_count)  # stable: (cardinality, mask) order
-    return kept, _transpose(kept)
+    return kept, _transpose(kept, len(cols))
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,19 @@ def reference_edge_instance(G: Graph) -> tuple[tuple, tuple[int, ...]]:
     return tuple(pairs), tuple(masks)
 
 
+def reference_columns(masks, width: int) -> list[int]:
+    """The transpose of ``masks``, all below 2**width, bit by bit: row i of
+    a digit matrix is ``masks[i]`` in ``width`` binary digits, and column v
+    < width is the matrix's digit column of bit v, read from the last row
+    up; the zero columns past the last nonzero one are dropped."""
+    assert max(masks, default=0) >> width == 0
+    rows = [format(m, f"0{width}b") for m in reversed(masks)]
+    columns = [int("".join(digits), 2) for digits in zip(*rows)][::-1]
+    while columns and not columns[-1]:
+        columns.pop()
+    return columns
+
+
 def naive_is_connected(G: Graph) -> bool:
     return G.n > 0 and len(naive_distances(G)[0]) == G.n
 

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from array import array
 from collections import Counter
 from itertools import accumulate, combinations
 from math import comb
@@ -39,6 +40,7 @@ from oracles import (
     naive_hitting_set,
     naive_metric_dimension,
     random_connected_graph,
+    reference_columns,
     reference_edge_instance,
     reference_vertex_instance,
 )
@@ -76,7 +78,7 @@ class TestInstances:
 def _check_builds(G, kinds=("vertex", "edge")):
     """The packed builders give the pair-by-pair reference's masks, whose
     pairs run in itertools.combinations order of the vertices or edges,
-    and the columns that a hand-built instance would compute from them."""
+    and the masks' columns, transposed bit by bit."""
     builds = {"vertex": (build_vertex_instance, reference_vertex_instance, range(G.n)),
               "edge": (build_edge_instance, reference_edge_instance, G.edges())}
     for kind in kinds:
@@ -85,7 +87,7 @@ def _check_builds(G, kinds=("vertex", "edge")):
         assert pairs == tuple(combinations(objects, 2))
         inst = build(G)
         assert inst.masks == masks, (kind, graph6_encode(G))
-        assert inst.columns == _transpose(inst.masks), (kind, graph6_encode(G))
+        assert inst.columns == reference_columns(masks, G.n), (kind, graph6_encode(G))
 
 
 GRID_MEMBERS = [[2], [2, 2], [3, 4], [7, 8], [2, 2, 2], [2, 3, 4], [3, 3, 3],
@@ -121,14 +123,16 @@ class TestPackedBuilds:
         for G in graphs:
             _check_builds(G)
 
-    def test_columns_are_read_only_past_the_lattice_limit(self):
-        # the lattice path reads no columns, so its builds leave them to the
-        # cached property
-        for n in (LATTICE_LIMIT, LATTICE_LIMIT + 1):
+    def test_no_build_fills_columns(self):
+        # the columns are transposed from the masks on first read, by the
+        # cached property alone, on either side of LATTICE_LIMIT and of 64-bit fields
+        for G in (path_graph(1), path_graph(2), cycle_graph(LATTICE_LIMIT),
+                  cycle_graph(LATTICE_LIMIT + 1), cycle_graph(70)):
             for build in (build_vertex_instance, build_edge_instance):
-                inst = build(cycle_graph(n))
-                assert ("columns" in vars(inst)) == (n > LATTICE_LIMIT)
-                assert inst.columns == _transpose(inst.masks)
+                inst = build(G)
+                assert "columns" not in vars(inst)
+                assert inst.columns == reference_columns(inst.masks, G.n)
+                assert "columns" in vars(inst)
 
     def test_zero_and_one_pairs(self):
         # a single vertex has no pairs of either kind, K2 one edge, P2 one vertex pair
@@ -161,37 +165,42 @@ class TestPackedBuilds:
             ends = [1 << u | 1 << w for u, w in K.edges()]
             inst = build_edge_instance(K)
             assert inst.masks == tuple(a ^ b for a, b in combinations(ends, 2))
-            assert inst.columns == _transpose(inst.masks)
+            assert inst.columns == reference_columns(inst.masks, n)
 
     def test_k30_edges_span_many_blocks(self, monkeypatch):
         from metricdim import solver
 
-        # each block's binary digit text is made by one format() call
-        texts = []
+        # each block's masks are read from its bytes by one array() call
+        blocks = []
 
-        def spy(value, spec):
-            texts.append(format(value, spec))
-            return texts[-1]
+        def spy(code, block):
+            blocks.append(len(block))
+            return array(code, block)
 
         G = complete_graph(30)
         _check_builds(G, kinds=("edge",))
-        # 32-landmark fields and one bit plane: 32 digits a pair
-        assert 94_395 * 32 > 20 * solver._BLOCK_BYTES
-        monkeypatch.setattr(solver, "format", spy, raising=False)
+        # 32-landmark fields and one bit plane: 32 bits a pair
+        assert 94_395 * 32 > 20 * solver._BLOCK_BITS
+        monkeypatch.setattr(solver, "array", spy)
         assert len(build_edge_instance(G).masks) == 94_395
-        assert len(texts) >= 20
-        assert max(map(len, texts)) <= solver._BLOCK_BYTES
-        assert sum(map(len, texts)) == 94_395 * 32
+        assert len(blocks) >= 20
+        assert max(blocks) * 8 <= solver._BLOCK_BITS
+        assert sum(blocks) * 8 == 94_395 * 32
 
-    @pytest.mark.parametrize("width", [0, 1, 8, 9, 64, 65, 200])
+    @pytest.mark.parametrize("width", [0, 1, 8, 9, 16, 17, 24, 32, 33, 64, 65, 200])
     def test_transpose_matches_definition(self, width):
         rng = random.Random(width)
         masks = [rng.getrandbits(width) for _ in range(40)] + [(1 << width) >> 1]
-        hits = _transpose(masks)
+        hits = _transpose(masks, width)
         assert len(hits) == width
-        for v, column in enumerate(hits):
-            assert column == sum(1 << i for i, m in enumerate(masks) if m >> v & 1)
-        assert _transpose([]) == []
+        assert hits == reference_columns(masks, width)
+        # masks narrower than width: the zero columns above them are dropped
+        for narrow in range(width):
+            masks = [rng.getrandbits(narrow) for _ in range(rng.randrange(1, 40))]
+            hits = _transpose(masks, width)
+            assert hits == reference_columns(masks, width)
+            assert len(hits) == max(masks).bit_length()
+        assert _transpose([], width) == []
 
 
 def _sparse_random_graph(seed, n):
@@ -427,10 +436,16 @@ class TestHittingSetDirect:
             min_hitting_set(DistinguisherInstance("vertex", universe, (1, 0, 2)))
         with pytest.raises(GraphInputError, match=f"outside 0..{universe - 1}$"):
             min_hitting_set(DistinguisherInstance("edge", universe, (1, 1 << universe)))
+        # a negative mask names every vertex from some point up
+        for masks in ((-2, 1), (-1, 3)):
+            with pytest.raises(GraphInputError, match=f"outside 0..{universe - 1}$"):
+                min_hitting_set(DistinguisherInstance("vertex", universe, masks))
+        with pytest.raises(GraphInputError, match="got -1$"):
+            min_hitting_set(DistinguisherInstance("vertex", -1, (1,)))
 
     def test_hand_built_instances_give_the_same_answers(self):
-        # a hand-built instance computes its columns from the masks; every
-        # certificate and budget-exhaustion field must match the built one's
+        # a hand-built instance of the built one's masks: every certificate
+        # and budget-exhaustion field must match the built one's
         from metricdim.enumerator import enumerate_connected
         from metricdim.solver import DistinguisherInstance
 
@@ -473,9 +488,9 @@ def _superset_filter(masks):
 class TestReduction:
     @staticmethod
     def check(masks):
-        from metricdim.solver import _minimal_families, _transpose
+        from metricdim.solver import _minimal_families
 
-        kept, hits = _minimal_families(masks, _transpose(masks))
+        kept, hits = _minimal_families(masks, reference_columns(masks, max(masks, default=0).bit_length()))
         assert kept == _superset_filter(masks)
         for v, column in enumerate(hits):
             assert column == sum(1 << i for i, m in enumerate(kept) if m >> v & 1)
