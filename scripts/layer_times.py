@@ -6,10 +6,11 @@
 Prints one JSON line: for each layer, the best of 5 passes over the
 classes, in microseconds per class.  Each repeat runs every layer once, in
 turn, so drift of the host's speed reaches all layers alike instead of
-landing between them.  The layers are the all-pairs BFS, the two instance
-builders, and on both instances of every class the column transpose, the
-greedy upper bound, the superset reduction and the whole hitting-set
-solve; then the two front ends, build and solve together; then the record
+landing between them.  The layers are the graph6 decoder over the class
+strings, the canonical labelling into graph6, the all-pairs BFS, the two
+instance builders, and on both instances of every class the column
+transpose, the greedy upper bound, the superset reduction and the whole
+hitting-set solve; then the two front ends, build and solve together; then the record
 layers a sweep pays per class: the two characterization predicates, the
 tuple lemma at k = n - edim, the largest clique, the chromatic number and
 the degeneracy.
@@ -29,7 +30,7 @@ from time import perf_counter
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from metricdim import characterizations, graph_core, solver  # noqa: E402
+from metricdim import characterizations, enumerator, graph_core, solver  # noqa: E402
 from metricdim.enumerator import SWEEP_N_MIN, enumerate_connected  # noqa: E402
 from metricdim.graph_core import GraphInputError, SizeLimitError  # noqa: E402
 
@@ -67,7 +68,10 @@ def main() -> int:
     for inst in instances:
         inst.columns  # read by the greedy bound and the reduction
     lemma_args = [(G, G.n - solver.edge_metric_dimension(G).value) for G in graphs]
+    strings = [graph_core.graph6_encode(G) for G in graphs]
     layers = {
+        "graph6_decode": (graph_core.graph6_decode, strings),
+        "canonical_graph6": (enumerator.canonical_graph6, graphs),
         "bfs": (graph_core.bfs_all_pairs, graphs),
         "build_vertex_instance": (solver.build_vertex_instance, graphs),
         "build_edge_instance": (solver.build_edge_instance, graphs),

@@ -159,14 +159,6 @@ def _cmd_dimension(args, kind: str) -> int:
     return 0
 
 
-def cmd_dim(args) -> int:
-    return _cmd_dimension(args, "vertex")
-
-
-def cmd_edim(args) -> int:
-    return _cmd_dimension(args, "edge")
-
-
 def cmd_verify(args) -> int:
     G = _read_graph(args.graph, args.format)
     landmarks = landmark_tuple(_parse_int_list(args.landmarks, "landmark"), G.n)
@@ -313,11 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dim = commands.add_parser("dim", help="vertex metric dimension with certificate")
     _add_graph_input(p_dim)
-    p_dim.set_defaults(func=cmd_dim)
+    p_dim.set_defaults(func=functools.partial(_cmd_dimension, kind="vertex"))
 
     p_edim = commands.add_parser("edim", help="edge metric dimension with certificate")
     _add_graph_input(p_edim)
-    p_edim.set_defaults(func=cmd_edim)
+    p_edim.set_defaults(func=functools.partial(_cmd_dimension, kind="edge"))
 
     p_verify = commands.add_parser("verify", help="check a landmark set, with witness on failure")
     _add_graph_input(p_verify)

@@ -28,7 +28,7 @@ from .graph_core import (
     SizeLimitError,
     from_edge_list,
     induced_subgraph,
-    is_connected,
+    _connected_within,
 )
 from .metric import is_vertex_resolving
 
@@ -153,11 +153,8 @@ def md_star(k: int) -> ConstructionOutput:
         vec = {v: tuple(D.rows[remap[v]][remap[s]] for s in s_ids) for v in keep}
         shared = Counter(vec.values())
         colliding = (v for v in keep if v < size and shared[vec[v]] > 1)
-        victim = next(
-            (v for v in colliding
-             if is_connected(induced_subgraph(G2, [remap[u] for u in keep if u != v])[0])),
-            None,
-        )
+        victim = next((v for v in colliding
+                       if _connected_within(G2.adj, ((1 << G2.n) - 1) ^ 1 << remap[v])), None)
         if victim is None:
             break
         doomed.append(victim)

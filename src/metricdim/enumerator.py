@@ -24,6 +24,9 @@ highest among the non-cut vertices are refused before any labelling; when
 x scores highest alone it is m and the child is kept.  Each n-class is thus
 kept under exactly one parent, so a per-parent set of canonical strings
 drops the remaining repeats.
+
+``graph_core`` owns the graph6 byte layout (``_graph6_text`` packs the
+labelling's code) and the walk that tests each deletion (``_connected_within``).
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ from .graph_core import (
     bits,
     graph6_decode,
     max_clique,
+    _connected_within,
+    _graph6_text,
     _unchecked_graph,
 )
 
@@ -124,10 +129,7 @@ def canonical_relabeling(G: Graph) -> tuple[int, ...]:
 
 def canonical_graph6(G: Graph) -> str:
     """The canonical form: the labelling's code as graph6."""
-    nbits = G.n * (G.n - 1) // 2
-    pad = -nbits % 6
-    code = _label(G.adj)[1] << pad
-    return bytes([63 + G.n] + [63 + (code >> s & 63) for s in range(nbits + pad - 6, -1, -6)]).decode()
+    return _graph6_text(G.n, _label(G.adj)[1])
 
 
 def _scores(adj: tuple[int, ...]) -> list[int]:
@@ -138,24 +140,12 @@ def _scores(adj: tuple[int, ...]) -> list[int]:
     return [deg[v] << 7 | sum(deg[u] for u in _BITS[row]) for v, row in enumerate(adj)]
 
 
-def _non_cut(adj: tuple[int, ...], v: int) -> bool:
-    """True when deleting v leaves the other vertices connected."""
-    rest = ((1 << len(adj)) - 1) & ~(1 << v)
-    reach = frontier = rest & -rest
-    while frontier:
-        grown = 0
-        for u in _BITS[frontier]:
-            grown |= adj[u]
-        frontier = grown & rest & ~reach
-        reach |= frontier
-    return reach == rest
-
-
 @lru_cache(maxsize=None)
 def _connected_classes(n: int) -> tuple[str, ...]:
     if n == 1:
         return ("@",)  # K1
     x = n - 1
+    others = [((1 << n) - 1) ^ 1 << v for v in range(n)]  # all vertices but v
     classes = []
     for parent_g6 in _connected_classes(n - 1):
         parent_adj = graph6_decode(parent_g6).adj
@@ -173,18 +163,18 @@ def _connected_classes(n: int) -> tuple[str, ...]:
                       for v, (s, row) in enumerate(zip(parent_scores, parent_adj))]
             top = size << 7 | sum([parent_adj[u].bit_count() + 1 for u in _BITS[nbrs]])  # x's score
             # x is non-cut (deleting it leaves P); m must score at least as high
-            if any(s > top and _non_cut(adj, v) for v, s in enumerate(scores)):
+            if any(s > top and _connected_within(adj, others[v]) for v, s in enumerate(scores)):
                 continue
             g6 = canonical_graph6(_unchecked_graph(n, adj))
             if g6 in kept:
                 continue
-            if not any(s == top and _non_cut(adj, v) for v, s in enumerate(scores)):
+            if not any(s == top and _connected_within(adj, others[v]) for v, s in enumerate(scores)):
                 kept[g6] = True  # x is m
                 continue
             # m is the tied vertex placed first in the canonical graph
             canonical = graph6_decode(g6).adj
             cscores = _scores(canonical)
-            m = next(v for v in range(n) if cscores[v] == top and _non_cut(canonical, v))
+            m = next(v for v in range(n) if cscores[v] == top and _connected_within(canonical, others[v]))
             low = (1 << m) - 1  # vertices below m keep their bits, the others move down
             rest = tuple(row & low | row >> 1 & ~low for v, row in enumerate(canonical) if v != m)
             kept[g6] = (sorted(_scores(rest)) == sorted(parent_scores)

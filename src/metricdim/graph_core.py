@@ -10,6 +10,10 @@ and kept on it; every layer that needs distances reads that one matrix.
 
 Interchange formats: graph6 (short form, n <= 62) and a plain edge-list
 text format (header line "n m", then one "u v" line per edge).
+``_graph6_text`` is the one graph6 packer, for ``graph6_encode`` and the
+enumerator's ``canonical_graph6``.  ``graph6_decode`` and ``from_edge_list``
+validate their own input and skip the table rescan of ``Graph(n, adj)``.
+``_connected_within`` is the one connectivity walk, over any vertex mask.
 """
 
 from __future__ import annotations
@@ -117,19 +121,16 @@ def from_edge_list(n: int, edge_iter) -> Graph:
     if n < 0:
         raise GraphInputError("vertex count must be nonnegative")
     rows = [0] * n
-    seen = set()
     for u, v in edge_iter:
         if not (0 <= u < n and 0 <= v < n):
             raise GraphInputError(f"edge endpoint out of range: ({u}, {v})")
         if u == v:
             raise GraphInputError(f"self-loop not allowed: ({u}, {v})")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphInputError(f"duplicate edge: {key}")
-        seen.add(key)
+        if rows[u] >> v & 1:
+            raise GraphInputError(f"duplicate edge: {(min(u, v), max(u, v))}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    return _unchecked_graph(n, tuple(rows))
 
 
 def path_graph(n: int) -> Graph:
@@ -160,28 +161,26 @@ def complete_bipartite_graph(a: int, b: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 
+def _graph6_text(n: int, code: int) -> str:
+    """The one graph6 packer: header byte 63+n, then ``code``, the upper
+    triangle in column-major order x(0,1), x(0,2), x(1,2), x(0,3), ... with
+    x(0,1) as its highest bit, in 6-bit groups (zero padded), each offset by 63."""
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 6
+    code <<= pad
+    return bytes([63 + n] + [63 + (code >> s & 63) for s in range(nbits + pad - 6, -1, -6)]).decode()
+
+
 def graph6_encode(G: Graph) -> str:
-    """Encode to graph6: header byte 63+n, then the upper triangle in
-    column-major order x(0,1), x(0,2), x(1,2), x(0,3), ... packed into
-    6-bit groups (zero padded), each group offset by 63."""
+    """Encode to graph6 short form (n <= 62)."""
     if G.n > GRAPH6_MAX_N:
         raise SizeLimitError(f"graph6 short form supports n <= {GRAPH6_MAX_N}, got {G.n}")
-    chars = [chr(63 + G.n)]
-    buf = 0
-    nbits = 0
-    for v in range(1, G.n):
-        col = G.adj[v]
-        for u in range(v):
-            buf = (buf << 1) | ((col >> u) & 1)
-            nbits += 1
-            if nbits == 6:
-                chars.append(chr(63 + buf))
-                buf = 0
-                nbits = 0
-    if nbits:
-        buf <<= 6 - nbits
-        chars.append(chr(63 + buf))
-    return "".join(chars)
+    # column v: adj[v]'s bits below v, earliest first; bin() of guard bit v keeps its zeros
+    columns = "".join([bin(G.adj[v] & (1 << v) - 1 | 1 << v)[:2:-1] for v in range(1, G.n)])
+    return _graph6_text(G.n, int(columns or "0", 2))
+
+
+_PAIRS = tuple((u, v) for v in range(GRAPH6_MAX_N) for u in range(v))  # column-major, any n
 
 
 def graph6_decode(text: str) -> Graph:
@@ -197,27 +196,22 @@ def graph6_decode(text: str) -> Graph:
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(payload) != need:
-        raise GraphInputError(
-            f"graph6 payload for n={n} needs {need} bytes, got {len(payload)}"
-        )
-    values = []
+        raise GraphInputError(f"graph6 payload for n={n} needs {need} bytes, got {len(payload)}")
+    code = 0
     for ch in payload:
         val = ord(ch) - 63
         if not 0 <= val < 64:
             raise GraphInputError(f"graph6 payload byte out of range: {ch!r}")
-        values.append(val)
-    rows = [0] * n
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            word = values[idx // 6]
-            if (word >> (5 - idx % 6)) & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            idx += 1
-    if need and values[-1] & ((1 << (need * 6 - nbits)) - 1):
+        code = code << 6 | val
+    pad = need * 6 - nbits
+    if code & (1 << pad) - 1:
         raise GraphInputError("graph6 payload has nonzero padding bits")
-    return Graph(n, tuple(rows))
+    rows = [0] * n
+    for bit in bits(code >> pad):
+        u, v = _PAIRS[nbits - 1 - bit]
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return _unchecked_graph(n, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -296,18 +290,20 @@ def bfs_all_pairs(G: Graph) -> DistanceMatrix:
     return DistanceMatrix(G.n, tuple(rows))
 
 
+def _connected_within(adj: tuple[int, ...], mask: int) -> bool:
+    """True when the vertex set ``mask`` is nonempty and induces a connected subgraph."""
+    reach = todo = mask & -mask
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        grown = adj[low.bit_length() - 1] & mask & ~reach
+        reach |= grown
+        todo |= grown
+    return mask != 0 and reach == mask
+
+
 def is_connected(G: Graph) -> bool:
-    if G.n == 0:
-        return False
-    seen = 1
-    frontier = 1
-    while frontier:
-        reach = 0
-        for v in bits(frontier):
-            reach |= G.adj[v]
-        frontier = reach & ~seen
-        seen |= frontier
-    return seen == (1 << G.n) - 1
+    return _connected_within(G.adj, (1 << G.n) - 1)
 
 
 def connected_distances(G: Graph, message: str) -> DistanceMatrix:

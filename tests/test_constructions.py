@@ -170,6 +170,25 @@ class TestMdStar:
     def test_digit_wiring(self):
         assert_digit_wiring(md_star(3), 3, {0: "s", 1: "r"})
 
+    @pytest.mark.parametrize("k,g6,deleted", [
+        (1, "D[C", ("0",)),
+        (2, "J??FwOogU@?", ("01", "11", "20")),
+        (3, "]" + "?" * 42 + "^~~~O_ccEA@o?Fw?ChHHCwKM?R~???_", ("011", "101", "110", "111")),
+    ])
+    def test_pinned_outputs(self, k, g6, deleted):
+        # the values of the loop that tested each candidate on a freshly
+        # induced subgraph, before it tested a vertex mask of one graph
+        out = md_star(k)
+        center = 3 ** k - len(deleted)  # the surviving leaves come first
+        roles = {v: "leaf" for v in range(center)}
+        roles[center] = "center"
+        for i in range(1, k + 1):
+            roles[center + i], roles[center + k + i] = f"r_{i}", f"s_{i}"
+        assert graph6_encode(out.graph) == g6
+        assert out.landmarks == tuple(range(center + k + 1, center + 2 * k + 1))
+        assert out.roles == roles
+        assert out.deleted == tuple(("leaf", label) for label in deleted)
+
     def test_failed_recheck_raises(self, monkeypatch):
         monkeypatch.setattr("metricdim.constructions.is_vertex_resolving",
                             lambda G, S: (False, None))

@@ -1,15 +1,22 @@
+import io
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from metricdim.cli import main
+from metricdim.enumerator import enumerate_connected
 from metricdim.graph_core import (
+    GRAPH6_MAX_N,
     DisconnectedGraphError,
     Graph,
     GraphInputError,
     SizeLimitError,
     UNREACHABLE,
     bfs_all_pairs,
+    bits,
     chromatic_number,
     complete_bipartite_graph,
     complete_graph,
@@ -28,6 +35,7 @@ from metricdim.graph_core import (
     parse_edge_list_text,
     path_graph,
     star_graph,
+    _connected_within,
 )
 from metricdim.metric import edge_distance_vector
 from oracles import relabeled
@@ -107,7 +115,9 @@ class TestGraph6:
 
     @given(graphs)
     def test_roundtrip(self, G):
-        assert graph6_decode(graph6_encode(G)) == G
+        H = graph6_decode(graph6_encode(G))
+        assert H == G
+        assert Graph(H.n, H.adj) == H and Graph(G.n, G.adj) == G
 
     @given(graphs)
     def test_matches_networkx(self, G):
@@ -119,6 +129,50 @@ class TestGraph6:
         assert ours == theirs
         back = nx.from_graph6_bytes(ours.encode())
         assert sorted(back.edges()) == G.edges()
+
+
+class TestGraph6EverySize:
+    """The codec at every short-form size, and the tables graph6_decode and
+    from_edge_list build without the Graph(n, adj) rescan."""
+
+    @staticmethod
+    def samples(n):
+        rng = random.Random(n)
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        yield from_edge_list(n, [])
+        yield complete_graph(n)
+        for p in (0.1, 0.5, 0.9):
+            yield from_edge_list(n, [e for e in pairs if rng.random() < p])
+
+    @pytest.mark.parametrize("n", range(GRAPH6_MAX_N + 1))
+    def test_matches_networkx(self, n):
+        for G in self.samples(n):
+            H = nx.Graph()
+            H.add_nodes_from(range(n))
+            H.add_edges_from(G.edges())
+            theirs = nx.to_graph6_bytes(H, header=False).decode()
+            assert graph6_encode(G) == theirs.strip()
+            decoded = graph6_decode(theirs)
+            assert decoded == G
+            back = nx.from_graph6_bytes(graph6_encode(G).encode())
+            assert back.number_of_nodes() == n
+            assert sorted(tuple(sorted(e)) for e in back.edges()) == G.edges()
+            # the checks both constructors skip would pass
+            assert Graph(n, G.adj) == G and Graph(n, decoded.adj) == decoded
+
+    @pytest.mark.parametrize("text,match", [
+        ("B" + chr(127), "payload byte out of range"),  # one above "~"
+        ("Bé", "payload byte out of range"),  # not ASCII
+        ("~??~", "malformed graph6 header byte"),  # long form, n >= 63
+    ], ids=["above-tilde", "non-ascii", "long-form"])
+    def test_hostile_input(self, text, match, capsys, monkeypatch):
+        with pytest.raises(GraphInputError, match=match) as info:
+            graph6_decode(text)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text + "\n"))
+        code = main(["dim", "-"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {info.value}\n"
 
 
 class TestEdgeListText:
@@ -189,6 +243,22 @@ class TestDistances:
         assert read == unread and hash(read) == hash(unread)
         assert "distances" in vars(read) and "distances" not in vars(unread)
         assert len({read, unread}) == 1
+
+
+class TestConnectedWithin:
+    def test_agrees_with_induced_subgraphs(self):
+        # every vertex set, so every single-vertex deletion, of every class
+        # with n <= 6, against the induced subgraph's BFS distances
+        for n in range(1, 7):
+            for G in enumerate_connected(n):
+                for mask in range(1 << n):
+                    H, _ = induced_subgraph(G, bits(mask))
+                    assert _connected_within(G.adj, mask) == H.distances.connected
+
+    def test_empty_mask(self):
+        assert _connected_within(complete_graph(3).adj, 0) is False
+        assert _connected_within((), 0) is False
+        assert not is_connected(Graph(0, ()))
 
 
 class TestRelabeling:

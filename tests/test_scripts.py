@@ -42,6 +42,15 @@ class TestRunSweeps:
             "8db8be5710b059d5de7ffe3c6cb2122016185a176bd67620ea4e6a1aa99c9b4b")
 
 
+    @pytest.mark.slow
+    def test_n8_stdout_bytes(self):
+        proc = run_script("run_sweeps.py", "--max-n", "8")
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.splitlines()) == 15
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+            "c18b6f9348de99cacad13a330383d5c6acd19f375a65b5daa7d755d0cdbb708f")
+
+
 class TestLayerTimes:
     def test_prints_one_json_line_of_every_layer(self):
         proc = run_script("layer_times.py", "--n", "5")
@@ -50,7 +59,7 @@ class TestLayerTimes:
         report = json.loads(line)
         assert (report["n"], report["classes"], report["repeats"]) == (5, 21, 5)
         assert sorted(report["us_per_class"]) == sorted([
-            "bfs", "build_vertex_instance", "build_edge_instance", "_transpose", "greedy_upper_bound",
+            "graph6_decode", "canonical_graph6", "bfs", "build_vertex_instance", "build_edge_instance", "_transpose", "greedy_upper_bound",
             "_minimal_families", "min_hitting_set", "metric_dimension", "edge_metric_dimension",
             "char_edim_n1", "char_edim_ge_n2", "tuple_lemma_check", "max_clique", "chromatic_number",
             "degeneracy"])
