@@ -13,9 +13,11 @@ transpose, the greedy upper bound, the superset reduction and the whole
 hitting-set solve; then the two front ends, build and solve together; then the record
 layers a sweep pays per class: the two characterization predicates, the
 tuple lemma at k = n - edim, the largest clique, the chromatic number and
-the degeneracy.
-Each graph's distances and edim and each instance's columns are computed
-once before timing, so the layers that only read them do not pay for them.
+the degeneracy; last the two resolving checks, each on the class's solved
+basis, which run BFS from that basis alone.
+Each graph's distances, both solved bases and each instance's columns are
+computed once before timing, so the layers that only read them do not pay
+for them.
 n runs from 3, the smallest swept size, to 8; the default,
 n = 8, is 11,117 classes; standard library only.
 """
@@ -30,7 +32,7 @@ from time import perf_counter
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from metricdim import characterizations, enumerator, graph_core, solver  # noqa: E402
+from metricdim import characterizations, enumerator, graph_core, metric, solver  # noqa: E402
 from metricdim.enumerator import SWEEP_N_MIN, enumerate_connected  # noqa: E402
 from metricdim.graph_core import GraphInputError, SizeLimitError  # noqa: E402
 
@@ -67,7 +69,9 @@ def main() -> int:
                  for build in (solver.build_vertex_instance, solver.build_edge_instance)]
     for inst in instances:
         inst.columns  # read by the greedy bound and the reduction
-    lemma_args = [(G, G.n - solver.edge_metric_dimension(G).value) for G in graphs]
+    vertex_checks = [(G, solver.metric_dimension(G).basis) for G in graphs]
+    edge_checks = [(G, solver.edge_metric_dimension(G).basis) for G in graphs]
+    lemma_args = [(G, G.n - len(basis)) for G, basis in edge_checks]
     strings = [graph_core.graph6_encode(G) for G in graphs]
     layers = {
         "graph6_decode": (graph_core.graph6_decode, strings),
@@ -87,6 +91,8 @@ def main() -> int:
         "max_clique": (graph_core.max_clique, graphs),
         "chromatic_number": (graph_core.chromatic_number, graphs),
         "degeneracy": (graph_core.degeneracy, graphs),
+        "is_vertex_resolving": (lambda arg: metric.is_vertex_resolving(*arg), vertex_checks),
+        "is_edge_resolving": (lambda arg: metric.is_edge_resolving(*arg), edge_checks),
     }
     us = {name: round(s / len(graphs) * 1e6, 2) for name, s in best_s(layers).items()}
     print(json.dumps({"n": args.n, "classes": len(graphs), "repeats": REPEATS, "us_per_class": us},

@@ -21,13 +21,7 @@ from .graph_core import (
     graph6_encode,
     is_connected,
 )
-from .metric import (
-    ResolutionWitness,
-    edge_distance_vector,
-    is_edge_resolving,
-    is_vertex_resolving,
-    vertex_distance_vector,
-)
+from .metric import ResolutionWitness, is_edge_resolving, is_vertex_resolving
 from .solver import (
     BudgetExceededError,
     DimensionCertificate,

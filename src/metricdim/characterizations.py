@@ -33,6 +33,7 @@ from typing import Optional
 
 from .graph_core import (
     Graph,
+    GraphInputError,
     SizeLimitError,
     bits,
 )
@@ -135,7 +136,7 @@ def tuple_lemma_check(G: Graph, k: int) -> TupleLemmaResult:
     needed; ``violating`` is the first violating subset in
     ``combinations`` order."""
     if k < 1:
-        raise ValueError(f"tuple lemma needs k >= 1, got {k}")
+        raise GraphInputError(f"tuple lemma needs k >= 1, got {k}")
     if G.n < k + 1:
         return TupleLemmaResult(True, True, None)
     close = _within_two(G)

@@ -9,15 +9,15 @@ labeled block comes first in label value order, then the center where
 present, then the auxiliary blocks in index order.
 
 The md_star and md_biclique variants delete labeled vertices whose
-landmark distance vectors collide.  md_star deletes one leaf at a time and
-recomputes the distances after each deletion, since a deletion can change
-the remaining distances.  Both variants re-verify the returned landmark set
-on the returned graph and raise ConstructionError if it does not resolve.
+landmark distance vectors collide.  One step, ``_delete``, removes a
+vertex list and checks the landmark set on what is left; md_biclique takes
+it once, and md_star once per deleted leaf, since a deletion can change the
+remaining distances.  Both variants raise ConstructionError when the
+landmark set does not resolve the returned graph.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from math import prod
 
@@ -28,7 +28,6 @@ from .graph_core import (
     SizeLimitError,
     from_edge_list,
     induced_subgraph,
-    _connected_within,
 )
 from .metric import is_vertex_resolving
 
@@ -51,6 +50,22 @@ class ConstructionOutput:
     roles: dict[int, str] = field(default_factory=dict)
     labels: dict[int, str] = field(default_factory=dict)
     deleted: tuple[tuple[str, str], ...] = ()
+
+
+def _delete(G: Graph, doomed: list[int], landmarks, roles: dict, labels: dict):
+    """The gadget ``G`` less the ``doomed`` vertices, renumbered densely in
+    id order, as a ConstructionOutput; with the kept old ids, in new id
+    order, and the vertex check of the landmark set on the smaller graph."""
+    keep = [v for v in range(G.n) if v not in doomed]
+    H, remap = induced_subgraph(G, keep)
+    out = ConstructionOutput(
+        H,
+        tuple(remap[s] for s in landmarks),
+        {remap[v]: roles[v] for v in keep},
+        {remap[v]: labels[v] for v in keep if v in labels},
+        tuple((roles[v], labels[v]) for v in doomed),
+    )
+    return out, keep, *is_vertex_resolving(H, out.landmarks)
 
 
 def _digit(value: int, i: int, base: int) -> int:
@@ -114,12 +129,13 @@ def md_star(k: int) -> ConstructionOutput:
     """Star with 3^k ternary-labeled leaves plus landmark pairs (r_i, s_i)
     per digit: s_i is adjacent to digit-0 leaves and to r_i, and r_i is
     adjacent to digit-1 leaves.  Colliding leaves are then deleted one at a
-    time: each round recomputes the distance vectors to {s_i} and deletes
-    the first leaf, in label order, whose vector is shared with another
-    vertex and whose removal keeps the graph connected.
+    time: each round checks {s_i} on the graph left so far and, while the
+    first vertex of the lexicographically first colliding pair is a leaf,
+    deletes it.  The leaves have the lowest ids, so that is the first leaf,
+    in label order, whose vector is shared with another vertex.
 
-    The returned graph is re-verified: it is connected, the s_i resolve it,
-    and the center keeps at least 3^k - k - 1 leaves; a miss raises
+    The rounds end on a check of the returned graph: the s_i must resolve
+    it, and the center must keep at least 3^k - k - 1 leaves; a miss raises
     ConstructionError.
     """
     if not 1 <= k <= 3:
@@ -147,37 +163,15 @@ def md_star(k: int) -> ConstructionOutput:
 
     doomed: list[int] = []
     while True:
-        keep = [v for v in range(G.n) if v not in doomed]
-        G2, remap = induced_subgraph(G, keep)
-        D = G2.distances
-        vec = {v: tuple(D.rows[remap[v]][remap[s]] for s in s_ids) for v in keep}
-        shared = Counter(vec.values())
-        colliding = (v for v in keep if v < size and shared[vec[v]] > 1)
-        victim = next((v for v in colliding
-                       if _connected_within(G2.adj, ((1 << G2.n) - 1) ^ 1 << remap[v])), None)
-        if victim is None:
+        out, keep, ok, witness = _delete(G, doomed, s_ids, roles, labels)
+        if ok or out.roles[witness.a] != "leaf":
             break
-        doomed.append(victim)
-
-    if not D.connected:
-        raise ConstructionError(f"md_star({k}) graph is disconnected after deletion")
-    out = ConstructionOutput(
-        G2,
-        tuple(remap[s] for s in s_ids),
-        {remap[v]: roles[v] for v in keep},
-        {remap[v]: labels[v] for v in keep if v in labels},
-        tuple(("leaf", labels[v]) for v in doomed),
-    )
-    ok, witness = is_vertex_resolving(out.graph, out.landmarks)
+        doomed.append(keep[witness.a])
     if not ok:
-        raise ConstructionError(
-            f"md_star({k}) landmark set fails after deletion: {witness}"
-        )
-    if G2.degree(remap[center]) < size - k - 1:
-        raise ConstructionError(
-            f"md_star({k}) center keeps {G2.degree(remap[center])} leaves,"
-            f" below {size - k - 1}"
-        )
+        raise ConstructionError(f"md_star({k}) landmark set fails after deletion: {witness}")
+    degree = out.graph.degree(keep.index(center))
+    if degree < size - k - 1:
+        raise ConstructionError(f"md_star({k}) center keeps {degree} leaves, below {size - k - 1}")
     return out
 
 
@@ -221,24 +215,13 @@ def edim_biclique(k: int) -> ConstructionOutput:
 
 def md_biclique(k: int) -> ConstructionOutput:
     """Same biclique gadget, with the all-ones vertex deleted from each side;
-    the landmarks then resolve the vertices.  The returned certificate is
-    re-verified and a residual collision raises ConstructionError."""
-    G, landmarks, roles, labels, side, digits = _biclique_base(k, "md_biclique")
+    the landmarks then resolve the vertices.  The certificate is checked on
+    the returned graph and a residual collision raises ConstructionError."""
+    G, landmarks, roles, labels, side, _ = _biclique_base(k, "md_biclique")
     doomed = [side - 1, 2 * side - 1]  # the all-ones label on each side
-    keep = [v for v in range(G.n) if v not in set(doomed)]
-    G2, remap = induced_subgraph(G, keep)
-    out = ConstructionOutput(
-        G2,
-        tuple(remap[s] for s in landmarks),
-        {remap[v]: roles[v] for v in keep},
-        {remap[v]: labels[v] for v in keep if v in labels},
-        tuple((roles[v], labels[v]) for v in doomed),
-    )
-    ok, witness = is_vertex_resolving(out.graph, out.landmarks)
+    out, _, ok, witness = _delete(G, doomed, landmarks, roles, labels)
     if not ok:
-        raise ConstructionError(
-            f"md_biclique({k}) landmark set fails after deletion: {witness}"
-        )
+        raise ConstructionError(f"md_biclique({k}) landmark set fails after deletion: {witness}")
     return out
 
 

@@ -6,7 +6,9 @@ per vertex, with bit v of ``adj[u]`` set iff {u, v} is an edge, so all
 neighbourhood algebra is plain integer bit arithmetic.  Graphs are immutable
 after construction and every operation here is a pure function.  All-pairs
 distances are computed once per graph, on first read of ``Graph.distances``,
-and kept on it; every layer that needs distances reads that one matrix.
+and kept on it; every layer that needs them all reads that one matrix.
+``_bfs_rows`` gives the rows of chosen sources only, for the resolving
+checks, and ``bfs_all_pairs`` is its every-source case.
 
 Interchange formats: graph6 (short form, n <= 62) and a plain edge-list
 text format (header line "n m", then one "u v" line per edge).
@@ -271,10 +273,11 @@ class DistanceMatrix:
         return max(map(max, self.rows))
 
 
-def bfs_all_pairs(G: Graph) -> DistanceMatrix:
-    """Breadth-first distances from every vertex, via bitset frontier expansion."""
+def _bfs_rows(G: Graph, sources) -> list[tuple[int, ...]]:
+    """Breadth-first distances from each source in turn, via bitset frontier
+    expansion: one row of length n per source."""
     rows = []
-    for src in range(G.n):
+    for src in sources:
         dist = [UNREACHABLE] * G.n
         seen = frontier = 1 << src
         d = 0
@@ -287,7 +290,12 @@ def bfs_all_pairs(G: Graph) -> DistanceMatrix:
             seen |= frontier
             d += 1
         rows.append(tuple(dist))
-    return DistanceMatrix(G.n, tuple(rows))
+    return rows
+
+
+def bfs_all_pairs(G: Graph) -> DistanceMatrix:
+    """Breadth-first distances from every vertex."""
+    return DistanceMatrix(G.n, tuple(_bfs_rows(G, range(G.n))))
 
 
 def _connected_within(adj: tuple[int, ...], mask: int) -> bool:
@@ -308,7 +316,8 @@ def is_connected(G: Graph) -> bool:
 
 def connected_distances(G: Graph, message: str) -> DistanceMatrix:
     """``G.distances`` of a connected graph; DisconnectedGraphError(message)
-    otherwise.  The one connectivity precondition of every layer."""
+    otherwise.  The one connectivity precondition of every layer that reads
+    the matrix."""
     D = G.distances
     if not D.connected:
         raise DisconnectedGraphError(message)

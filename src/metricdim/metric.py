@@ -1,10 +1,13 @@
-"""Distance vectors and resolving-set verification.
+"""Resolving-set verification.
 
 A landmark set S assigns every vertex (or edge) the tuple of its distances
-to the landmarks, taken in sorted landmark order.  S resolves the vertex
-(edge) family iff those tuples are pairwise distinct.  The empty landmark
-set yields the empty tuple for every object, so it resolves a family iff
-the family has at most one element.
+to the landmarks, taken in sorted landmark order; an edge sits at the
+smaller of its two endpoint distances.  S resolves the vertex (edge) family
+iff those tuples are pairwise distinct.  The empty landmark set yields the
+empty tuple for every object, so it resolves a family iff the family has at
+most one element.  A check needs only the landmarks' rows of the distance
+matrix, so it runs BFS from the landmarks alone and leaves
+``Graph.distances`` unfilled.
 """
 
 from __future__ import annotations
@@ -12,13 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph_core import (
-    DistanceMatrix,
+    DisconnectedGraphError,
     Graph,
     GraphInputError,
-    connected_distances,
+    _bfs_rows,
+    is_connected,
 )
-
-_DISCONNECTED = "resolving checks require a connected graph"
 
 
 @dataclass(frozen=True)
@@ -43,22 +45,19 @@ def landmark_tuple(S, n: int) -> tuple[int, ...]:
     return out
 
 
-def vertex_distance_vector(D: DistanceMatrix, v: int, S) -> tuple[int, ...]:
-    """Distances from vertex v to each landmark, in sorted landmark order."""
-    return tuple(D.rows[v][s] for s in landmark_tuple(S, D.n))
-
-
-def edge_distance_vector(D: DistanceMatrix, e: tuple[int, int], S) -> tuple[int, ...]:
-    """Distances from edge e to each landmark; an edge sits at the smaller
-    of its two endpoint distances."""
-    u, w = e
-    ru, rw = D.rows[u], D.rows[w]
-    return tuple(min(ru[s], rw[s]) for s in landmark_tuple(S, D.n))
-
-
-def _first_collision(kind: str, objs, vecs) -> tuple[bool, ResolutionWitness | None]:
-    """(True, None) when the vectors are pairwise distinct, else False and
-    the lexicographically first colliding object pair."""
+def _check(kind: str, G: Graph, S) -> tuple[bool, ResolutionWitness | None]:
+    """The one resolving check: the graph must be connected and the landmark
+    ids valid, in that order.  (True, None) when the vectors of the ``kind``
+    objects are pairwise distinct, else False and the lexicographically
+    first colliding pair."""
+    if not is_connected(G):
+        raise DisconnectedGraphError("resolving checks require a connected graph")
+    # the landmark rows transposed: each vertex's vector, () for no landmarks
+    vecs = list(zip(*_bfs_rows(G, landmark_tuple(S, G.n)))) or [()] * G.n
+    objs = range(G.n)
+    if kind == "edge":
+        objs = G.edges()
+        vecs = [tuple(map(min, vecs[u], vecs[w])) for u, w in objs]
     groups: dict[tuple[int, ...], list] = {}
     for o, vec in zip(objs, vecs):
         groups.setdefault(vec, []).append(o)
@@ -69,20 +68,10 @@ def _first_collision(kind: str, objs, vecs) -> tuple[bool, ResolutionWitness | N
 def is_vertex_resolving(G: Graph, S) -> tuple[bool, ResolutionWitness | None]:
     """Whether S distinguishes every vertex pair; on failure, also the
     lexicographically first colliding pair."""
-    D = connected_distances(G, _DISCONNECTED)
-    St = landmark_tuple(S, G.n)
-    vecs = [tuple(D.rows[v][s] for s in St) for v in range(G.n)]
-    return _first_collision("vertex", range(G.n), vecs)
+    return _check("vertex", G, S)
 
 
 def is_edge_resolving(G: Graph, S) -> tuple[bool, ResolutionWitness | None]:
     """Whether S distinguishes every edge pair; on failure, also the
     lexicographically first colliding pair."""
-    D = connected_distances(G, _DISCONNECTED)
-    St = landmark_tuple(S, G.n)
-    edges = G.edges()
-    vecs = []
-    for u, w in edges:
-        ru, rw = D.rows[u], D.rows[w]
-        vecs.append(tuple(min(ru[s], rw[s]) for s in St))
-    return _first_collision("edge", edges, vecs)
+    return _check("edge", G, S)

@@ -14,6 +14,7 @@ from metricdim.characterizations import (
 )
 from metricdim.enumerator import _diam_le_3k_1, _diam_le_5, _tuple_lemma, enumerate_connected
 from metricdim.graph_core import (
+    GraphError,
     SizeLimitError,
     complete_bipartite_graph,
     complete_graph,
@@ -104,8 +105,9 @@ class TestTupleLemma:
         assert res.holds and res.vacuous and res.violating is None
 
     def test_k_below_one_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as caught:
             tuple_lemma_check(path_graph(4), 0)
+        assert isinstance(caught.value, GraphError)
 
     def test_matches_oracle_on_every_small_class(self):
         checked = 0

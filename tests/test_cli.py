@@ -17,6 +17,7 @@ from metricdim.graph_core import (
     path_graph,
     star_graph,
 )
+from metricdim.metric import ResolutionWitness
 
 
 @pytest.fixture
@@ -125,7 +126,7 @@ class TestConstruct:
         assert payload["checked"] is True
         assert payload["check_ok"] is True
 
-    def test_check_fail_md_star_k2(self, capsys):
+    def test_check_md_star_k2_passes(self, capsys):
         # md_star deletes colliding leaves one at a time, so the k=2
         # certificate re-checks on the returned graph
         code, out, _ = run(capsys, ["construct", "md-star", "--k", "2", "--check"])
@@ -134,7 +135,7 @@ class TestConstruct:
         assert payload["checked"] is True
         assert payload["check_ok"] is True
 
-    def test_md_star_k1_check_hits_disconnection(self, capsys):
+    def test_check_md_star_k1_passes(self, capsys):
         # the k=1 graph stays connected, so the check runs and passes
         code, out, _ = run(capsys, ["construct", "md-star", "--k", "1", "--check"])
         assert code == 0
@@ -149,8 +150,9 @@ class TestConstruct:
         assert json.loads(out)["deleted"] == [["leaf", "0"]]
 
     def test_md_star_failed_recheck_is_usage_error(self, capsys, monkeypatch):
+        center = ResolutionWitness("vertex", 9, 10, (1, 1))  # names a non-leaf
         monkeypatch.setattr("metricdim.constructions.is_vertex_resolving",
-                            lambda G, S: (False, None))
+                            lambda G, S: (False, center))
         code, out, err = run(capsys, ["construct", "md-star", "--k", "2"])
         assert code == 2
         assert out == ""

@@ -22,7 +22,7 @@ from metricdim.graph_core import (
     max_clique,
     max_star,
 )
-from metricdim.metric import is_edge_resolving, is_vertex_resolving
+from metricdim.metric import ResolutionWitness, is_edge_resolving, is_vertex_resolving
 from metricdim.solver import edge_metric_dimension, metric_dimension
 from oracles import naive_metric_dimension
 
@@ -125,7 +125,7 @@ class TestMdStar:
     every k, including k=1 and k=2, where deleting all base-graph
     collisions at once would disconnect the graph or leave a collision."""
 
-    def test_k1_disconnects(self):
+    def test_k1_stays_connected(self):
         # Deleting only leaf "0" keeps the star connected: the result is
         # the path s_1 r_1 "1" center "2", on which s_1 resolves.
         out = md_star(1)
@@ -135,7 +135,7 @@ class TestMdStar:
         ok, _ = is_vertex_resolving(out.graph, out.landmarks)
         assert ok
 
-    def test_k2_certificate_fails_but_dimension_holds(self):
+    def test_k2_certificate_and_dimension_hold(self):
         # The landmark certificate holds and the dimension is 2; the
         # solver's basis is the oracle's lex-smallest one.
         out = md_star(2)
@@ -190,8 +190,11 @@ class TestMdStar:
         assert out.deleted == tuple(("leaf", label) for label in deleted)
 
     def test_failed_recheck_raises(self, monkeypatch):
+        # a collision whose first vertex is the center, not a leaf, ends
+        # the deletion rounds on a failed check
+        center = ResolutionWitness("vertex", 9, 10, (1, 1))
         monkeypatch.setattr("metricdim.constructions.is_vertex_resolving",
-                            lambda G, S: (False, None))
+                            lambda G, S: (False, center))
         with pytest.raises(ConstructionError, match="landmark set fails"):
             md_star(2)
 
@@ -303,7 +306,7 @@ class TestGrid:
 
 
 class TestConnectivityAndRoles:
-    def test_all_families_connected_except_md_star_k1(self):
+    def test_all_families_connected(self):
         outs = [md_complete(3), edim_star(3), md_star(1), md_star(2), md_star(3),
                 md_biclique(4), edim_biclique(4)]
         for out in outs:

@@ -37,8 +37,7 @@ from metricdim.graph_core import (
     star_graph,
     _connected_within,
 )
-from metricdim.metric import edge_distance_vector
-from oracles import relabeled
+from oracles import _edge_vectors, naive_distances, relabeled
 
 # random-ish but deterministic edge sets for property tests
 graphs = st.integers(1, 9).flatmap(
@@ -225,11 +224,13 @@ class TestDistances:
             connected_distances(from_edge_list(3, [(0, 1)]), "needs a connected graph")
 
     def test_edge_vertex_distance(self):
-        # the edge-distance rule (smaller endpoint distance) on the cached matrix
-        D = path_graph(5).distances
-        assert edge_distance_vector(D, (1, 2), (0,)) == (1,)
-        assert edge_distance_vector(D, (1, 2), (4,)) == (2,)
-        assert edge_distance_vector(D, (1, 2), (2,)) == (0,)
+        # the edge-distance rule (smaller endpoint distance) on the cached
+        # matrix, against the oracle's edge vectors
+        G = path_graph(5)
+        D = G.distances
+        for S, want in (((0,), (1,)), ((4,), (2,)), ((2,), (0,)), ((0, 4), (1, 2))):
+            assert tuple(min(D[1][s], D[2][s]) for s in S) == want
+            assert _edge_vectors(naive_distances(G), S, [(1, 2)]) == [want]
 
     @given(graphs)
     def test_distances_computed_once_and_kept(self, G):
@@ -352,5 +353,5 @@ def test_star_import_binds_every_reexported_name():
              if isinstance(node, ast.ImportFrom) for alias in node.names]
     namespace = {}
     exec("from metricdim import *", namespace)
-    assert len(names) == 57
+    assert len(names) == 55
     assert [name for name in names if name not in namespace] == []

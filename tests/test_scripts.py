@@ -62,7 +62,7 @@ class TestLayerTimes:
             "graph6_decode", "canonical_graph6", "bfs", "build_vertex_instance", "build_edge_instance", "_transpose", "greedy_upper_bound",
             "_minimal_families", "min_hitting_set", "metric_dimension", "edge_metric_dimension",
             "char_edim_n1", "char_edim_ge_n2", "tuple_lemma_check", "max_clique", "chromatic_number",
-            "degeneracy"])
+            "degeneracy", "is_vertex_resolving", "is_edge_resolving"])
         assert all(us > 0 for us in report["us_per_class"].values())
 
     def test_size_without_classes_is_a_usage_error(self):
@@ -72,6 +72,15 @@ class TestLayerTimes:
         proc = run_script("layer_times.py", "--n", "2")
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.splitlines()[-1] == "layer_times.py: error: the record layers need n >= 3, got n=2"
+
+
+class TestConstructionsGallery:
+    def test_every_member_resolves(self):
+        proc = run_script("constructions_gallery.py")
+        assert proc.returncode == 0, proc.stderr
+        summaries = [ln for ln in proc.stdout.splitlines() if not ln.startswith("    graph6: ")]
+        assert len(summaries) == 35
+        assert all(" resolves " in ln for ln in summaries)
 
 
 def _load_script(name):
