@@ -46,8 +46,32 @@ class SizeLimitError(GraphError, ValueError):
     """Input exceeds the size an exact routine is certified to handle."""
 
 
+def _byte_table(low: int) -> tuple[tuple[int, ...], ...]:
+    """Entry b: the set bit positions of b << low, ascending."""
+    table = [()]
+    for i in range(low, low + 8):
+        table += [t + (i,) for t in table]  # the entries with bit i - low set, i their highest
+    return tuple(table)
+
+
+_B0, _B1, _B2, _B3 = (_byte_table(8 * j) for j in range(4))  # _Bj[b]: the bits of b << 8j
+
+
 def bits(mask: int):
-    """Yield the set bit positions of ``mask`` in ascending order."""
+    """The set bit positions of ``mask`` in ascending order, to iterate over:
+    a tuple of byte-table lookups below 2**32, a generator above.  A
+    negative mask has no finite set of bits and raises ValueError."""
+    # a negative mask shifts to -1, so it passes both width tests
+    if not mask >> 16:
+        return _B0[mask & 255] + _B1[mask >> 8]
+    if not mask >> 32:
+        return _B0[mask & 255] + _B1[mask >> 8 & 255] + _B2[mask >> 16 & 255] + _B3[mask >> 24]
+    if mask < 0:
+        raise ValueError(f"bits() of a negative mask: {mask}")
+    return _wide_bits(mask)
+
+
+def _wide_bits(mask: int):
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -430,31 +454,31 @@ def max_balanced_biclique(G: Graph, cap: int | None = None) -> int:
 
 def degeneracy(G: Graph) -> int:
     """Degeneracy via iterated minimum-degree removal (ties to smallest id)."""
-    if G.n == 0:
-        return 0
+    adj = G.adj
     alive = (1 << G.n) - 1
-    deg = [G.degree(v) for v in range(G.n)]
+    deg = [row.bit_count() for row in adj]
     out = 0
     for _ in range(G.n):
-        v = min(bits(alive), key=lambda u: (deg[u], u))
+        v = min(bits(alive), key=deg.__getitem__)  # the first minimum: the smallest id
         if deg[v] > out:
             out = deg[v]
         alive ^= 1 << v
-        for w in bits(G.adj[v] & alive):
+        for w in bits(adj[v] & alive):
             deg[w] -= 1
     return out
 
 
 def greedy_coloring(G: Graph) -> int:
     """Color count of the greedy proper coloring in ascending vertex order."""
-    colors = [-1] * G.n
-    for v in range(G.n):
-        used = {colors[w] for w in bits(G.adj[v]) if colors[w] >= 0}
-        c = 0
-        while c in used:
-            c += 1
-        colors[v] = c
-    return max(colors) + 1 if colors else 0
+    classes = []  # the vertex mask of each colour, in colour order
+    for v, row in enumerate(G.adj):
+        for c, members in enumerate(classes):
+            if not members & row:
+                classes[c] = members | 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    return len(classes)
 
 
 def chromatic_number(G: Graph) -> int:
@@ -478,20 +502,21 @@ def chromatic_number(G: Graph) -> int:
 
 
 def _k_colorable(G: Graph, k: int, order: list[int]) -> bool:
-    colors = [-1] * G.n
+    adj = G.adj
+    classes = [0] * k  # the vertex mask of each colour
 
     def rec(i: int, used: int) -> bool:
         if i == len(order):
             return True
         v = order[i]
-        banned = {colors[w] for w in bits(G.adj[v]) if colors[w] >= 0}
+        row = adj[v]
         for c in range(min(used + 1, k)):
-            if c in banned:
+            if classes[c] & row:
                 continue
-            colors[v] = c
+            classes[c] |= 1 << v
             if rec(i + 1, max(used, c + 1)):
                 return True
-            colors[v] = -1
+            classes[c] ^= 1 << v
         return False
 
     return rec(0, 0)

@@ -88,6 +88,21 @@ def reference_columns(masks, width: int) -> list[int]:
     return columns
 
 
+def reference_bits(mask: int) -> list[int]:
+    """The set bit positions of a nonnegative ``mask``, tested one by one."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def first_fit_colour_count(G: Graph) -> int:
+    """Colours used by first fit in ascending vertex order: each vertex takes
+    the smallest colour not in the set of its coloured neighbours'."""
+    colour = {}
+    for v in range(G.n):
+        used = {colour[u] for u in reference_bits(G.adj[v]) if u in colour}
+        colour[v] = min(set(range(len(used) + 1)) - used)
+    return len(set(colour.values()))
+
+
 def naive_is_connected(G: Graph) -> bool:
     return G.n > 0 and len(naive_distances(G)[0]) == G.n
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import random
 
@@ -37,7 +38,14 @@ from metricdim.graph_core import (
     star_graph,
     _connected_within,
 )
-from oracles import _edge_vectors, naive_distances, relabeled
+from oracles import (
+    _edge_vectors,
+    first_fit_colour_count,
+    naive_distances,
+    random_connected_graph,
+    reference_bits,
+    relabeled,
+)
 
 # random-ish but deterministic edge sets for property tests
 graphs = st.integers(1, 9).flatmap(
@@ -84,6 +92,31 @@ class TestGraphBasics:
         assert star_graph(4).degree(0) == 4
         assert complete_bipartite_graph(2, 3).num_edges == 6
         assert max_star(star_graph(7)) == 7
+
+
+class TestBits:
+    @pytest.mark.parametrize("mask", [0, 1, 255, 256, (1 << 16) - 1, 1 << 16, (1 << 32) - 1, 1 << 32,
+                                      1 << 64, (1 << 200) + 5])
+    def test_boundary_masks(self, mask):
+        assert list(bits(mask)) == reference_bits(mask)
+
+    def test_random_masks_of_every_width(self):
+        rng = random.Random(27)
+        for _ in range(2000):
+            mask = rng.getrandbits(rng.randint(1, 130))
+            assert list(bits(mask)) == reference_bits(mask), mask
+
+    @pytest.mark.parametrize("mask", [-1, -2, -(1 << 16), -(1 << 40) - 3])
+    def test_negative_mask_raises(self, mask):
+        with pytest.raises(ValueError, match="negative mask"):
+            bits(mask)
+
+    def test_neighbors_and_edges_on_every_small_class(self):
+        for n in range(1, 7):
+            for G in enumerate_connected(n):
+                for v in range(n):
+                    assert list(G.neighbors(v)) == reference_bits(G.adj[v])
+                assert G.edges() == [(u, v) for u in range(n) for v in range(u + 1, n) if G.adj[u] >> v & 1]
 
 
 class TestGraph6:
@@ -331,6 +364,23 @@ class TestColoringDegeneracy:
         assert degeneracy(path_graph(5)) == 1
         assert degeneracy(cycle_graph(5)) == 2
         assert degeneracy(star_graph(9)) == 1
+
+    @given(graphs)
+    def test_greedy_is_first_fit(self, G):
+        assert greedy_coloring(G) == first_fit_colour_count(G)
+
+    def test_statistics_digest(self):
+        # one digest of the per-class statistics over every class with
+        # 3 <= n <= 8 and 200 seeded random graphs with 9 to 16 vertices
+        rng = random.Random(27)
+        graphs = [G for n in range(3, 9) for G in enumerate_connected(n)]
+        graphs += [random_connected_graph(rng, rng.randint(9, 16)) for _ in range(200)]
+        assert len(graphs) == 12_111 + 200
+        digest = hashlib.sha256()
+        for G in graphs:
+            row = (graph6_encode(G), chromatic_number(G), greedy_coloring(G), degeneracy(G), max_clique(G))
+            digest.update(repr(row).encode())
+        assert digest.hexdigest() == "1515bf67ef3fe25a561fb7edfae63f008c3dca11c50aac3c639f1fba74e4ead0"
 
     @given(graphs)
     def test_degeneracy_matches_networkx(self, G):

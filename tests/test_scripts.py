@@ -64,6 +64,10 @@ class TestLayerTimes:
             "char_edim_n1", "char_edim_ge_n2", "tuple_lemma_check", "max_clique", "chromatic_number",
             "degeneracy", "is_vertex_resolving", "is_edge_resolving"])
         assert all(us > 0 for us in report["us_per_class"].values())
+        record = [report["us_per_class"][name] for name in (
+            "graph6_decode", "bfs", "char_edim_n1", "char_edim_ge_n2", "tuple_lemma_check", "max_clique",
+            "chromatic_number", "degeneracy")]
+        assert report["record_layers"] == pytest.approx(sum(record), abs=0.01)
 
     def test_size_without_classes_is_a_usage_error(self):
         proc = run_script("layer_times.py", "--n", "9")
