@@ -20,10 +20,16 @@ one placed first by the canonical labelling.  Deleting m leaves a connected
 nonempty subset per orbit of every (n-1)-class P under the automorphisms
 the labelling of P found (McKay's orbit rule), and the child is kept only
 if deleting its m gives P again.  Children in which x does not score
-highest among the non-cut vertices are refused before any labelling; when
-x scores highest alone it is m and the child is kept.  Each n-class is thus
-kept under exactly one parent, so a per-parent set of canonical strings
-drops the remaining repeats.
+highest among the non-cut vertices are refused before any labelling, most
+of them before their rows are built: a vertex non-cut in P stays non-cut in
+the child unless x's only neighbour is that vertex, so only P's cut
+vertices need a walk on the child.  Each child is labelled once.  When x
+scores highest alone it is m and the child is kept.  On a tie, m is found
+by walking the labelling's order; if the child's found automorphisms map x
+to m, then C - m is isomorphic to C - x = P and the child is kept.  Those
+maps need not generate the whole group, so otherwise C - m is labelled and
+compared with P's string.  Each n-class is thus kept under exactly one
+parent, so a per-parent set of canonical codes drops the remaining repeats.
 
 ``graph_core`` owns the graph6 byte layout (``_graph6_text`` packs the
 labelling's code) and the walk that tests each deletion (``_connected_within``).
@@ -140,8 +146,33 @@ def _scores(adj: tuple[int, ...]) -> list[int]:
     return [deg[v] << 7 | sum(deg[u] for u in _BITS[row]) for v, row in enumerate(adj)]
 
 
+def _orbit(autos: list[dict[int, int]], v: int) -> int:
+    """Mask of v's orbit under the group the maps generate; each map fixes
+    the vertices it does not name."""
+    orbit, todo = 1 << v, [v]
+    while todo:
+        u = todo.pop()
+        for moved in autos:
+            w = moved.get(u, u)
+            if not orbit >> w & 1:
+                orbit |= 1 << w
+                todo.append(w)
+    return orbit
+
+
 @lru_cache(maxsize=None)
 def _connected_classes(n: int) -> tuple[str, ...]:
+    """The canonical graph6 strings of the connected n-vertex classes, sorted.
+
+    Each (n-1)-class P gets a new vertex x = n - 1 joined to one attachment
+    set S per orbit.  A vertex that is non-cut in P stays non-cut in the
+    child C unless S is that vertex alone, so a child in which such a vertex
+    outscores x is refused before its rows are built; only P's other
+    vertices need a walk on C.  C is labelled once.  Its canonical deletion
+    vertex m is the first top-scoring non-cut vertex in the canonical order;
+    C is kept if m is x, or if the labelling's automorphisms map x to m (then
+    C - m is C - x = P), or else if C - m labels to P's string: the found
+    maps need not generate the whole group."""
     if n == 1:
         return ("@",)  # K1
     x = n - 1
@@ -153,33 +184,43 @@ def _connected_classes(n: int) -> tuple[str, ...]:
         # per automorphism the labelling of P found: the image of every subset
         perms = {tuple(moved.get(v, v) for v in range(x)) for moved in _label(parent_adj)[2]}
         images = [reduce(lambda table, w: table + [t | 1 << w for t in table], perm, [0]) for perm in perms]
-        kept: dict[str, bool] = {}  # child's canonical graph6 -> accepted
+        noncut = sum([1 << v for v in range(x) if _connected_within(parent_adj, others[v] ^ 1 << x)])
+        best = max([parent_scores[v] for v in _BITS[noncut]], default=-1)  # scores only grow in C
+        # x's score per attachment set S: per vertex of S, 128 plus its degree in C
+        tops = reduce(lambda table, gain: table + [t + gain for t in table],
+                      [129 + row.bit_count() for row in parent_adj], [0])
+        kept: dict[int, bool] = {}  # child's canonical code -> accepted
         for nbrs in range(1, 1 << x):
+            top = tops[nbrs]
+            size = top >> 7
+            # x is non-cut (deleting it leaves P); m must score at least as high.  A
+            # vertex non-cut in P stays so in C unless S is that vertex alone.
+            if size > 1 and best > top:
+                continue
             if images and any(image[nbrs] < nbrs for image in images):  # not its orbit's least
                 continue
-            adj = (*[row | 1 << x if nbrs >> v & 1 else row for v, row in enumerate(parent_adj)], nbrs)
-            size = nbrs.bit_count()
             scores = [s + (nbrs >> v & 1) * (128 + size) + (row & nbrs).bit_count()
                       for v, (s, row) in enumerate(zip(parent_scores, parent_adj))]
-            top = size << 7 | sum([parent_adj[u].bit_count() + 1 for u in _BITS[nbrs]])  # x's score
-            # x is non-cut (deleting it leaves P); m must score at least as high
-            if any(s > top and _connected_within(adj, others[v]) for v, s in enumerate(scores)):
+            sure = noncut & ~nbrs if size == 1 else noncut  # non-cut in C too
+            if any(scores[v] > top for v in _BITS[sure]):  # refused before C's rows exist
                 continue
-            g6 = canonical_graph6(_unchecked_graph(n, adj))
-            if g6 in kept:
+            adj = (*[row | 1 << x if nbrs >> v & 1 else row for v, row in enumerate(parent_adj)], nbrs)
+            if any(scores[v] > top and _connected_within(adj, others[v]) for v in _BITS[others[x] ^ sure]):
                 continue
-            if not any(s == top and _connected_within(adj, others[v]) for v, s in enumerate(scores)):
-                kept[g6] = True  # x is m
+            order, code, autos = _label(adj)
+            if code in kept:
                 continue
-            # m is the tied vertex placed first in the canonical graph
-            canonical = graph6_decode(g6).adj
-            cscores = _scores(canonical)
-            m = next(v for v in range(n) if cscores[v] == top and _connected_within(canonical, others[v]))
+            # m: the first top-scoring non-cut vertex in canonical order
+            m = next(v for v in order if v == x or scores[v] == top
+                     and (sure >> v & 1 or _connected_within(adj, others[v])))
+            if m == x or _orbit(autos, x) >> m & 1:
+                kept[code] = True
+                continue
             low = (1 << m) - 1  # vertices below m keep their bits, the others move down
-            rest = tuple(row & low | row >> 1 & ~low for v, row in enumerate(canonical) if v != m)
-            kept[g6] = (sorted(_scores(rest)) == sorted(parent_scores)
-                        and canonical_graph6(_unchecked_graph(x, rest)) == parent_g6)
-        classes.extend(g6 for g6, accepted in kept.items() if accepted)
+            rest = tuple(row & low | row >> 1 & ~low for v, row in enumerate(adj) if v != m)
+            kept[code] = (sorted(_scores(rest)) == sorted(parent_scores)
+                          and canonical_graph6(_unchecked_graph(x, rest)) == parent_g6)
+        classes.extend(_graph6_text(n, code) for code, accepted in kept.items() if accepted)
     return tuple(sorted(classes))
 
 

@@ -233,10 +233,12 @@ def graph6_decode(text: str) -> Graph:
     if code & (1 << pad) - 1:
         raise GraphInputError("graph6 payload has nonzero padding bits")
     rows = [0] * n
-    for bit in bits(code >> pad):
-        u, v = _PAIRS[nbits - 1 - bit]
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
+    code >>= pad
+    for base in range(0, nbits, 32):  # 32-bit chunks keep bits() on its tables
+        for bit in bits(code >> base & 0xFFFFFFFF):
+            u, v = _PAIRS[nbits - 1 - base - bit]
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
     return _unchecked_graph(n, tuple(rows))
 
 

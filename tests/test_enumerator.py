@@ -198,18 +198,29 @@ class TestEnumeration:
         assert len(enumerate_connected(8)) == EXPECTED_COUNTS[8]
 
     def test_labelling_count_is_pinned(self, monkeypatch):
-        # The orbit rule labels one attachment subset per orbit of the
-        # parent's automorphisms; without it n <= 7 takes 2,198 labellings.
-        calls = []
-        real = enumerator.canonical_graph6
-        monkeypatch.setattr(enumerator, "canonical_graph6", lambda G: calls.append(G.n) or real(G))
+        # Every labelling goes through _label: one per parent for its
+        # automorphisms, one per child that passes the score refusals.  The
+        # orbit rule labels one attachment subset per orbit of the parent's
+        # automorphisms (without it n <= 7 takes 2,198 labellings), and the
+        # child's own automorphisms settle every score tie at n <= 7, so the
+        # fallback labelling of C - m (through canonical_graph6) never runs.
+        labels, fallbacks = [], []
+        real_label, real_graph6 = enumerator._label, enumerator.canonical_graph6
+        monkeypatch.setattr(enumerator, "_label", lambda adj: labels.append(len(adj)) or real_label(adj))
+        monkeypatch.setattr(enumerator, "canonical_graph6", lambda G: fallbacks.append(G.n) or real_graph6(G))
         _connected_classes.cache_clear()
         try:
             for n in range(1, 8):
                 assert len(_connected_classes(n)) == EXPECTED_COUNTS[n]
         finally:
             _connected_classes.cache_clear()
-        assert len(calls) == 1546
+        assert (len(labels), len(fallbacks)) == (1192, 0)
+
+    def test_n8_classes_are_pinned(self):
+        # sha256 recorded with the enumerator that labelled C - m on every
+        # score tie; at n = 8, 38 ties still take that fallback
+        digest = hashlib.sha256("\n".join(_connected_classes(8)).encode()).hexdigest()
+        assert digest == "f5f3c140aec1aaae215464473cedb2c7ce12cb2775b9306772763c31383b12cb"
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_labelling_every_child(self, n):
@@ -234,6 +245,43 @@ class TestEnumeration:
             enumerate_connected(ENUMERATION_HARD_LIMIT + 1, allow_large=True)
         with pytest.raises(SizeLimitError):
             enumerate_connected(0)
+
+
+def _relabelled_classes(rng):
+    """Every class with n <= 6 and every 10th class with n = 7, each under
+    a random relabelling."""
+    graphs = [G for n in range(1, 7) for G in enumerate_connected(n)] + enumerate_connected(7)[::10]
+    for G in graphs:
+        order = list(range(G.n))
+        rng.shuffle(order)
+        yield relabeled(G, order)
+
+
+class TestLabellingAutomorphisms:
+    def test_every_reported_map_preserves_adjacency(self):
+        graphs = list(_relabelled_classes(random.Random(28)))
+        rng = random.Random(29)
+        graphs += [random_connected_graph(rng, n) for n in (8, 9, 10) for _ in range(10)]
+        graphs += [complete_graph(8), cycle_graph(10), complete_bipartite_graph(4, 5), star_graph(9)]
+        for G in graphs:
+            for moved in enumerator._label(G.adj)[2]:
+                perm = [moved.get(v, v) for v in range(G.n)]
+                assert sorted(perm) == list(range(G.n))
+                assert all(G.adj[perm[u]] >> perm[v] & 1 == G.adj[u] >> v & 1
+                           for u in range(G.n) for v in range(G.n))
+
+    def test_orbit_lies_within_the_automorphism_orbit(self):
+        for G in _relabelled_classes(random.Random(30)):
+            H = to_networkx(G)
+            true_orbit = {v: 0 for v in range(G.n)}
+            for iso in nx.algorithms.isomorphism.GraphMatcher(H, H).isomorphisms_iter():
+                for v, w in iso.items():
+                    true_orbit[v] |= 1 << w
+            autos = enumerator._label(G.adj)[2]
+            for v in range(G.n):
+                orbit = enumerator._orbit(autos, v)
+                assert orbit >> v & 1
+                assert orbit & ~true_orbit[v] == 0
 
 
 class TestSweeps:

@@ -59,7 +59,7 @@ class TestLayerTimes:
         report = json.loads(line)
         assert (report["n"], report["classes"], report["repeats"]) == (5, 21, 5)
         assert sorted(report["us_per_class"]) == sorted([
-            "graph6_decode", "canonical_graph6", "bfs", "build_vertex_instance", "build_edge_instance", "_transpose", "greedy_upper_bound",
+            "enumerate", "graph6_decode", "canonical_graph6", "bfs", "build_vertex_instance", "build_edge_instance", "_transpose", "greedy_upper_bound",
             "_minimal_families", "min_hitting_set", "metric_dimension", "edge_metric_dimension",
             "char_edim_n1", "char_edim_ge_n2", "tuple_lemma_check", "max_clique", "chromatic_number",
             "degeneracy", "is_vertex_resolving", "is_edge_resolving"])
