@@ -49,27 +49,30 @@ from .graph_core import (
     parse_edge_list_text,
 )
 from .metric import is_edge_resolving, is_vertex_resolving, landmark_tuple
-from .enumerator import THEOREM_CHECKS, sweep
+from .enumerator import SCHEMA_VERSION, THEOREM_CHECKS, sweep
 from .solver import (
     BudgetExceededError,
     edge_metric_dimension,
     metric_dimension,
 )
 
-SCHEMA_VERSION = 1
-
 # bounds table limits: one row costs big-int work superlinear in k and D
 BOUNDS_MAX_VALUE = 256
 BOUNDS_MAX_ROWS = 4096
 
-# family -> (maker, resolving kind its landmarks certify); grid is built from --dims
+
+def _grid(dims) -> ConstructionOutput:
+    return ConstructionOutput(grid(dims), grid_edge_landmarks(dims))
+
+
+# family -> (maker, its parameter, the resolving check its landmarks certify)
 CONSTRUCT_FAMILIES = {
-    "md-complete": (md_complete, "vertex"),
-    "edim-star": (edim_star, "edge"),
-    "md-star": (md_star, "vertex"),
-    "md-biclique": (md_biclique, "vertex"),
-    "edim-biclique": (edim_biclique, "edge"),
-    "grid": (None, "edge"),
+    "md-complete": (md_complete, "k", is_vertex_resolving),
+    "edim-star": (edim_star, "k", is_edge_resolving),
+    "md-star": (md_star, "k", is_vertex_resolving),
+    "md-biclique": (md_biclique, "k", is_vertex_resolving),
+    "edim-biclique": (edim_biclique, "k", is_edge_resolving),
+    "grid": (_grid, "dims", is_edge_resolving),
 }
 
 
@@ -140,13 +143,13 @@ def _witness_json(witness) -> Optional[dict]:
     }
 
 
-def _cmd_dimension(args, kind: str) -> int:
+def _cmd_dimension(args) -> int:
     G = _read_graph(args.graph, args.format)
-    solve = metric_dimension if kind == "vertex" else edge_metric_dimension
+    solve = metric_dimension if args.command == "dim" else edge_metric_dimension
     cert = solve(G, budget=args.budget)
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "command": "dim" if kind == "vertex" else "edim",
+        "command": args.command,
         "n": G.n,
         "m": G.num_edges,
         "value": cert.value,
@@ -177,24 +180,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    maker, check_kind = CONSTRUCT_FAMILIES[args.family]
-    if args.family == "grid":
-        if not args.dims:
-            raise GraphInputError("grid construction requires --dims")
-        dims = _parse_int_list(args.dims, "dims")
-        G = grid(dims)
-        out = ConstructionOutput(G, grid_edge_landmarks(dims))
-        params = {"dims": dims}
-    else:
-        if args.k is None:
-            raise GraphInputError(f"{args.family} construction requires --k")
-        out = maker(args.k)
-        params = {"k": args.k}
+    maker, param, check = CONSTRUCT_FAMILIES[args.family]
+    value = getattr(args, param)
+    if value in (None, ""):
+        raise GraphInputError(f"{args.family} construction requires --{param}")
+    if isinstance(value, str):  # --dims arrives as text
+        value = _parse_int_list(value, param)
+    out = maker(value)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "construct",
         "family": args.family,
-        **params,
+        param: value,
         "n": out.graph.n,
         "m": out.graph.num_edges,
         "graph6": graph6_encode(out.graph),
@@ -208,8 +205,7 @@ def cmd_construct(args) -> int:
     }
     code = 0
     if args.check:
-        checker = is_edge_resolving if check_kind == "edge" else is_vertex_resolving
-        ok, witness = checker(out.graph, out.landmarks)
+        ok, witness = check(out.graph, out.landmarks)
         payload["check_ok"] = ok
         payload["witness"] = _witness_json(witness)
         if not ok:
@@ -303,13 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p_dim = commands.add_parser("dim", help="vertex metric dimension with certificate")
-    _add_graph_input(p_dim)
-    p_dim.set_defaults(func=functools.partial(_cmd_dimension, kind="vertex"))
-
-    p_edim = commands.add_parser("edim", help="edge metric dimension with certificate")
-    _add_graph_input(p_edim)
-    p_edim.set_defaults(func=functools.partial(_cmd_dimension, kind="edge"))
+    for name, kind in (("dim", "vertex"), ("edim", "edge")):
+        p_solve = commands.add_parser(name, help=f"{kind} metric dimension with certificate")
+        _add_graph_input(p_solve)
+        p_solve.set_defaults(func=_cmd_dimension)
 
     p_verify = commands.add_parser("verify", help="check a landmark set, with witness on failure")
     _add_graph_input(p_verify)

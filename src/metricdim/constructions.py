@@ -1,12 +1,14 @@
 """Generators for the extremal gadget families and grid graphs.
 
 Each gadget starts from a base graph (clique, star, or balanced biclique)
-whose vertices carry fixed-width digit labels, and attaches one landmark
-vertex per digit position wired by a digit rule.  Digit 1 of a label is the
+whose vertices carry fixed-width digit labels, and attaches its landmarks
+by one rule, ``_wire``: landmark tag_i is joined to the vertices of a
+labeled block whose digit i has a given value.  Digit 1 of a label is the
 least significant position; label strings are written most significant
 digit first.  Vertex numbering is fixed so encodings stay stable: the
 labeled block comes first in label value order, then the center where
-present, then the auxiliary blocks in index order.
+present, then the landmark blocks in index order.  The CLI's family table
+holds one (maker, parameter, resolving check) row per family, grid too.
 
 The md_star and md_biclique variants delete labeled vertices whose
 landmark distance vectors collide.  One step, ``_delete``, removes a
@@ -52,18 +54,18 @@ class ConstructionOutput:
     deleted: tuple[tuple[str, str], ...] = ()
 
 
-def _delete(G: Graph, doomed: list[int], landmarks, roles: dict, labels: dict):
-    """The gadget ``G`` less the ``doomed`` vertices, renumbered densely in
-    id order, as a ConstructionOutput; with the kept old ids, in new id
-    order, and the vertex check of the landmark set on the smaller graph."""
-    keep = [v for v in range(G.n) if v not in doomed]
-    H, remap = induced_subgraph(G, keep)
+def _delete(base: ConstructionOutput, doomed: list[int]):
+    """The gadget ``base`` less the ``doomed`` vertices, renumbered densely
+    in id order; with the kept old ids, in new id order, and the vertex
+    check of the landmark set on the smaller graph."""
+    keep = [v for v in range(base.graph.n) if v not in doomed]
+    H, remap = induced_subgraph(base.graph, keep)
     out = ConstructionOutput(
         H,
-        tuple(remap[s] for s in landmarks),
-        {remap[v]: roles[v] for v in keep},
-        {remap[v]: labels[v] for v in keep if v in labels},
-        tuple((roles[v], labels[v]) for v in doomed),
+        tuple(remap[s] for s in base.landmarks),
+        {remap[v]: base.roles[v] for v in keep},
+        {remap[v]: base.labels[v] for v in keep if v in base.labels},
+        tuple((base.roles[v], base.labels[v]) for v in doomed),
     )
     return out, keep, *is_vertex_resolving(H, out.landmarks)
 
@@ -75,6 +77,18 @@ def _digit(value: int, i: int, base: int) -> int:
 
 def _label(value: int, width: int, base: int) -> str:
     return "".join(str(_digit(value, width - j, base)) for j in range(width))
+
+
+def _wire(edges: list, roles: dict, tag: str, first: int, block: range,
+          width: int, base: int, digit: int) -> tuple[int, ...]:
+    """Place landmarks tag_1..tag_width at ids ``first``.. and join landmark
+    i to each vertex of ``block`` whose label (its id less ``block.start``)
+    has ``digit`` at position i; the landmark ids are returned."""
+    ids = tuple(range(first, first + width))
+    for i, u in enumerate(ids, 1):
+        roles[u] = f"{tag}_{i}"
+        edges.extend((v, u) for v in block if _digit(v - block.start, i, base) == digit)
+    return ids
 
 
 # ---------------------------------------------------------------------------
@@ -92,11 +106,7 @@ def md_complete(k: int) -> ConstructionOutput:
     edges = [(a, b) for a in range(size) for b in range(a + 1, size)]
     roles = {v: "clique" for v in range(size)}
     labels = {v: _label(v, k, 2) for v in range(size)}
-    for i in range(1, k + 1):
-        u = size + i - 1
-        roles[u] = f"u_{i}"
-        edges.extend((v, u) for v in range(size) if _digit(v, i, 2) == 0)
-    landmarks = tuple(range(size, size + k))
+    landmarks = _wire(edges, roles, "u", size, range(size), k, 2, 0)
     return ConstructionOutput(from_edge_list(size + k, edges), landmarks, roles, labels)
 
 
@@ -112,16 +122,11 @@ def edim_star(k: int) -> ConstructionOutput:
     if not 1 <= k <= 5:
         raise ConstructionError(f"edim_star requires 1 <= k <= 5, got {k}")
     size = 1 << k
-    center = size
-    edges = [(v, center) for v in range(size)]
+    edges = [(v, size) for v in range(size)]  # the center follows the leaves
     roles = {v: "leaf" for v in range(size)}
-    roles[center] = "center"
+    roles[size] = "center"
     labels = {v: _label(v, k, 2) for v in range(size)}
-    for i in range(1, k + 1):
-        u = size + i
-        roles[u] = f"u_{i}"
-        edges.extend((v, u) for v in range(size) if _digit(v, i, 2) == 0)
-    landmarks = tuple(range(size + 1, size + 1 + k))
+    landmarks = _wire(edges, roles, "u", size + 1, range(size), k, 2, 0)
     return ConstructionOutput(from_edge_list(size + 1 + k, edges), landmarks, roles, labels)
 
 
@@ -141,35 +146,24 @@ def md_star(k: int) -> ConstructionOutput:
     if not 1 <= k <= 3:
         raise ConstructionError(f"md_star requires 1 <= k <= 3, got {k}")
     size = 3 ** k
-    center = size
-    r_ids = [size + 1 + i for i in range(k)]
-    s_ids = [size + 1 + k + i for i in range(k)]
-    edges = [(v, center) for v in range(size)]
+    edges = [(v, size) for v in range(size)]  # the center follows the leaves
     roles = {v: "leaf" for v in range(size)}
-    roles[center] = "center"
+    roles[size] = "center"
     labels = {v: _label(v, k, 3) for v in range(size)}
-    for i in range(1, k + 1):
-        r, s = r_ids[i - 1], s_ids[i - 1]
-        roles[r] = f"r_{i}"
-        roles[s] = f"s_{i}"
-        edges.append((r, s))
-        for v in range(size):
-            d = _digit(v, i, 3)
-            if d == 0:
-                edges.append((v, s))
-            elif d == 1:
-                edges.append((v, r))
-    G = from_edge_list(size + 1 + 2 * k, edges)
+    r_ids = _wire(edges, roles, "r", size + 1, range(size), k, 3, 1)
+    s_ids = _wire(edges, roles, "s", size + 1 + k, range(size), k, 3, 0)
+    edges.extend(zip(r_ids, s_ids))
+    base = ConstructionOutput(from_edge_list(size + 1 + 2 * k, edges), s_ids, roles, labels)
 
     doomed: list[int] = []
     while True:
-        out, keep, ok, witness = _delete(G, doomed, s_ids, roles, labels)
+        out, keep, ok, witness = _delete(base, doomed)
         if ok or out.roles[witness.a] != "leaf":
             break
         doomed.append(keep[witness.a])
     if not ok:
         raise ConstructionError(f"md_star({k}) landmark set fails after deletion: {witness}")
-    degree = out.graph.degree(keep.index(center))
+    degree = out.graph.degree(keep.index(size))  # the center
     if degree < size - k - 1:
         raise ConstructionError(f"md_star({k}) center keeps {degree} leaves, below {size - k - 1}")
     return out
@@ -180,7 +174,8 @@ def md_star(k: int) -> ConstructionOutput:
 # ---------------------------------------------------------------------------
 
 
-def _biclique_base(k: int, name: str):
+def _biclique_base(k: int, name: str) -> tuple[ConstructionOutput, int]:
+    """The biclique gadget of parameter k, and its side length."""
     if not 2 <= k <= 7:
         raise ConstructionError(f"{name} requires 2 <= k <= 7, got {k}")
     digits = k // 2
@@ -190,36 +185,27 @@ def _biclique_base(k: int, name: str):
     edges = [(a, b) for a in left for b in right]
     roles = {v: "left" for v in left}
     roles.update({v: "right" for v in right})
-    labels = {v: _label(v, digits, 2) for v in left}
-    labels.update({v: _label(v - side, digits, 2) for v in right})
-    for i in range(1, digits + 1):
-        u = 2 * side + i - 1
-        roles[u] = f"u_{i}"
-        edges.extend((v, u) for v in left if _digit(v, i, 2) == 0)
-    for i in range(1, digits + 1):
-        r = 2 * side + digits + i - 1
-        roles[r] = f"r_{i}"
-        edges.extend((v, r) for v in right if _digit(v - side, i, 2) == 0)
+    labels = {v: _label(v % side, digits, 2) for v in range(2 * side)}
+    u_ids = _wire(edges, roles, "u", 2 * side, left, digits, 2, 0)
+    r_ids = _wire(edges, roles, "r", 2 * side + digits, right, digits, 2, 0)
     G = from_edge_list(2 * side + 2 * digits, edges)
-    landmarks = tuple(range(2 * side, 2 * side + 2 * digits))
-    return G, landmarks, roles, labels, side, digits
+    return ConstructionOutput(G, u_ids + r_ids, roles, labels), side
 
 
 def edim_biclique(k: int) -> ConstructionOutput:
     """Balanced biclique with 2^(k//2) binary-labeled vertices per side plus
     landmarks u_i (adjacent to digit-0 left vertices) and r_i (adjacent to
     digit-0 right vertices).  The 2*(k//2) landmarks resolve the edges."""
-    G, landmarks, roles, labels, _, _ = _biclique_base(k, "edim_biclique")
-    return ConstructionOutput(G, landmarks, roles, labels)
+    return _biclique_base(k, "edim_biclique")[0]
 
 
 def md_biclique(k: int) -> ConstructionOutput:
     """Same biclique gadget, with the all-ones vertex deleted from each side;
     the landmarks then resolve the vertices.  The certificate is checked on
     the returned graph and a residual collision raises ConstructionError."""
-    G, landmarks, roles, labels, side, _ = _biclique_base(k, "md_biclique")
+    base, side = _biclique_base(k, "md_biclique")
     doomed = [side - 1, 2 * side - 1]  # the all-ones label on each side
-    out, _, ok, witness = _delete(G, doomed, landmarks, roles, labels)
+    out, _, ok, witness = _delete(base, doomed)
     if not ok:
         raise ConstructionError(f"md_biclique({k}) landmark set fails after deletion: {witness}")
     return out
@@ -256,14 +242,8 @@ def grid(dims) -> Graph:
     if total > GRAPH6_MAX_N:
         raise SizeLimitError(f"grid would have {total} vertices, supported max is {GRAPH6_MAX_N}")
     strides = _grid_strides(dims)
-    edges = []
-    for idx in range(total):
-        rest = idx
-        for axis, r in enumerate(dims):
-            coord = rest // strides[axis]
-            rest %= strides[axis]
-            if coord + 1 < r:
-                edges.append((idx, idx + strides[axis]))
+    edges = [(v, v + stride) for v in range(total)
+             for side, stride in zip(dims, strides) if v // stride % side < side - 1]
     return from_edge_list(total, edges)
 
 

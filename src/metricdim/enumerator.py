@@ -367,7 +367,9 @@ class SweepReport:
         return json.dumps(payload, sort_keys=True)
 
     def summary_line(self) -> str:
-        verdict = "PASS" if self.passed else f"FAIL ({len(self.failures)} failures)"
+        exhausted = self.solver_budget_exhaustions
+        extra = f", {exhausted} budget exhaustions" if exhausted else ""
+        verdict = "PASS" if self.passed else f"FAIL ({len(self.failures)} failures{extra})"
         return (
             f"{self.theorem_id}: {self.graphs_checked} graphs, "
             f"n={self.n_min}..{self.n_max}, {verdict}"

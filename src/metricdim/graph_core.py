@@ -400,8 +400,7 @@ def max_clique(G: Graph) -> tuple[int, ...]:
             cand ^= low
             expand(r_mask | low, r_size + 1, cand & adj[v])
 
-    if G.n:
-        expand(0, 0, (1 << G.n) - 1)
+    expand(0, 0, (1 << G.n) - 1)
     return tuple(bits(best_mask))
 
 
@@ -418,8 +417,6 @@ def max_balanced_biclique(G: Graph, cap: int | None = None) -> int:
     n = G.n
     hard = n // 2
     cap = hard if cap is None else min(cap, hard)
-    if cap <= 0:
-        return 0
     adj = G.adj
     best = 0
 
@@ -488,10 +485,6 @@ def chromatic_number(G: Graph) -> int:
     bound and the greedy upper bound."""
     if G.n > CHROMATIC_EXACT_LIMIT:
         raise SizeLimitError(f"chromatic_number is certified for n <= {CHROMATIC_EXACT_LIMIT}, got {G.n}")
-    if G.n == 0:
-        return 0
-    if G.num_edges == 0:
-        return 1
     lower = len(max_clique(G))
     upper = greedy_coloring(G)
     if lower == upper:

@@ -458,9 +458,6 @@ def _branch_and_bound(inst: DistinguisherInstance, budget: int | None) -> Dimens
     """The value, then the basis, by the decision search, counting its nodes."""
     ub_set = greedy_upper_bound(inst)  # validates the families first
     fams, hits = _minimal_families(inst.masks, inst.columns)
-    if not fams:
-        return DimensionCertificate(inst.kind, 0, (), True, 0)
-
     search = _Search(fams, hits, budget)
     lower = _disjoint_lb(fams)
     upper = len(ub_set)

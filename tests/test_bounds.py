@@ -162,6 +162,10 @@ class TestPatternBounds:
         assert pattern_bounds(4).biclique_emd_upper_exact
         assert not pattern_bounds(5).biclique_emd_upper_exact
 
+    def test_rejects_k_below_1(self):
+        with pytest.raises(GraphInputError, match="k >= 1, got 0"):
+            pattern_bounds(0)
+
     def test_lower_never_exceeds_upper(self):
         for k in range(1, 8):
             pb = pattern_bounds(k)

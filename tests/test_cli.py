@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -169,6 +170,61 @@ class TestConstruct:
         assert run(capsys, ["construct", "grid"])[0] == 2  # --dims required
         assert run(capsys, ["construct", "md-complete"])[0] == 2  # --k required
         assert run(capsys, ["construct", "md-complete", "--k", "9"])[0] == 2
+        code, out, err = run(capsys, ["construct", "grid", "--dims", "2,x"])
+        assert (code, out) == (2, "")
+        assert err == "error: bad dims list '2,x'; expected comma-separated integers\n"
+
+    def test_failed_check_reports_witness(self, capsys, monkeypatch):
+        from metricdim import cli
+
+        witness = ResolutionWitness("vertex", 0, 1, (1,))
+        maker, param, _ = cli.CONSTRUCT_FAMILIES["md-complete"]
+        monkeypatch.setitem(cli.CONSTRUCT_FAMILIES, "md-complete",
+                            (maker, param, lambda G, S: (False, witness)))
+        code, out, _ = run(capsys, ["construct", "md-complete", "--k", "2", "--check"])
+        assert code == 1
+        payload = json.loads(out)
+        assert (payload["checked"], payload["check_ok"]) == (True, False)
+        assert payload["witness"] == {"kind": "vertex", "a": 0, "b": 1, "shared_vector": [1]}
+
+
+# every `construct` request per family: no parameter, each parameter from
+# below to above the family's range, --check off and on, every output format
+CONSTRUCT_REQUESTS = {
+    "md-complete": ("--k", [str(k) for k in range(-1, 7)]),
+    "edim-star": ("--k", [str(k) for k in range(-1, 7)]),
+    "md-star": ("--k", [str(k) for k in range(-1, 5)]),
+    "md-biclique": ("--k", [str(k) for k in range(0, 9)]),
+    "edim-biclique": ("--k", [str(k) for k in range(0, 9)]),
+    "grid": ("--dims", ["", "0", "1", "2", "1,3", "2,x", "2,2", "2,3", "3,4", "4,4", "5,5",
+                        "7,8", "8,8", "2,2,2", "2,3,4", "3,3,3", "2,2,2,2", "2,2,2,2,2",
+                        "62", "63", "2,31"]),
+}
+
+# sha256 of each family's transcript: a new value is a change of output
+CONSTRUCT_SHA256 = {
+    "md-complete": "c39e3886030c3f78e267cc151cb1ac45ff30b15f416fd7e330087a7c8d749425",
+    "edim-star": "e606bb21fd60153712340e0eff8d29ec2e8a79c45e1bffd3c75bcef485310260",
+    "md-star": "a44736d8e450dfb96e4cc87931a4acd59c83756ae4e3b00ee61032440d41955f",
+    "md-biclique": "57f23937670b6f13403e5a4cf9ee7e397276e477f2b662557d8c70143e22c6b9",
+    "edim-biclique": "234a683df8cd26acfd0dd5ef21e51fa1174bdeff951094f6b616599b86df1370",
+    "grid": "4aa03b207dbf6756ad998dc4a284b9dfae5616bf4bcff87b6232164f916b6955",
+}
+
+
+class TestConstructPin:
+    @pytest.mark.parametrize("family", sorted(CONSTRUCT_REQUESTS))
+    def test_output_bytes(self, capsys, family):
+        flag, values = CONSTRUCT_REQUESTS[family]
+        transcript = []
+        for fmt in ("json", "table", "csv"):
+            for check in ([], ["--check"]):
+                for param in [[]] + [[flag, value] for value in values]:
+                    argv = ["--output", fmt, "construct", family, *param, *check]
+                    code, out, err = run(capsys, argv)
+                    transcript.append(f"{' '.join(argv)}\n{code}\n{out}{err}")
+        digest = hashlib.sha256("".join(transcript).encode()).hexdigest()
+        assert digest == CONSTRUCT_SHA256[family]
 
 
 class TestCheck:
@@ -190,6 +246,19 @@ class TestCheck:
         code, out, _ = run(capsys, ["--output", "table", "check", "char1-equiv", "--max-n", "5"])
         assert code == 0
         assert out.startswith("char1-equiv: 29 graphs, n=3..5, PASS")
+
+    def test_budget_exhaustion_exits_4_and_is_named(self, capsys):
+        argv = ["--budget", "0", "check", "tuple-lemma", "--max-n", "4"]
+        code, out, _ = run(capsys, argv)
+        assert code == 4
+        payload = json.loads(out)
+        assert (payload["failures"], payload["solver_budget_exhaustions"]) == ([], 8)
+        code, out, _ = run(capsys, ["--output", "table", *argv])
+        assert (code, out) == (4, "tuple-lemma: 8 graphs, n=3..4, FAIL (0 failures, 8 budget exhaustions)\n")
+
+    def test_csv_output_lists_failures_only(self, capsys):
+        code, out, _ = run(capsys, ["--output", "csv", "check", "tuple-lemma", "--max-n", "4"])
+        assert (code, out) == (0, "graph6,detail\n")
 
     def test_threads_option_is_gone(self, capsys):
         code, out, err = run(capsys, ["--threads", "2", "check", "tuple-lemma", "--max-n", "4"])

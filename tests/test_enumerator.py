@@ -245,6 +245,8 @@ class TestEnumeration:
             enumerate_connected(ENUMERATION_HARD_LIMIT + 1, allow_large=True)
         with pytest.raises(SizeLimitError):
             enumerate_connected(0)
+        with pytest.raises(SizeLimitError, match=f"n <= {CANONICAL_LIMIT}, got 11"):
+            canonical_graph6(path_graph(CANONICAL_LIMIT + 1))
 
 
 def _relabelled_classes(rng):
@@ -472,6 +474,15 @@ class TestFailureDetails:
         payload = json.loads(capsys.readouterr().out)
         assert code == 1
         assert payload["failures"][0] == {"graph6": graph6, "detail": detail}
+
+    def test_forged_violation_as_table_and_csv(self, capsys, monkeypatch):
+        forge_records(monkeypatch, "zero")
+        detail = "predicate=True edim=0 n=3 pair=None"
+        assert main(["--output", "table", "check", "char1-equiv", "--max-n", "3"]) == 1
+        assert capsys.readouterr().out == (
+            f"char1-equiv: 2 graphs, n=3..3, FAIL (1 failures)\n  Bw  {detail}\n")
+        assert main(["--output", "csv", "check", "char1-equiv", "--max-n", "3"]) == 1
+        assert capsys.readouterr().out == f"graph6,detail\nBw,{detail}\n"
 
 
 class TestSweepAll:

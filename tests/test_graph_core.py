@@ -84,6 +84,12 @@ class TestGraphBasics:
             Graph(2, (2, 0))
         with pytest.raises(GraphInputError, match="self-loop"):
             Graph(1, (1,))
+        with pytest.raises(GraphInputError, match="nonnegative"):
+            Graph(-1, ())
+        with pytest.raises(GraphInputError, match="table length"):
+            Graph(2, (2,))
+        with pytest.raises(GraphInputError, match="row 0 references a vertex >= 2"):
+            Graph(2, (4, 1))
 
     def test_factories(self):
         assert path_graph(5).num_edges == 4
@@ -92,6 +98,8 @@ class TestGraphBasics:
         assert star_graph(4).degree(0) == 4
         assert complete_bipartite_graph(2, 3).num_edges == 6
         assert max_star(star_graph(7)) == 7
+        with pytest.raises(GraphInputError, match="at least 3 vertices"):
+            cycle_graph(2)
 
 
 class TestBits:
@@ -221,6 +229,8 @@ class TestEdgeListText:
             parse_edge_list_text("3 2\n0 1\n")
         with pytest.raises(GraphInputError, match="edge line"):
             parse_edge_list_text("3 1\n0 1 2\n")
+        with pytest.raises(GraphInputError, match="two integers: '0 x'"):
+            parse_edge_list_text("2 1\n0 x\n")
 
     def test_vertex_count_capped_before_allocation(self):
         with pytest.raises(SizeLimitError, match="edge-list input supports n <= 62"):
@@ -308,6 +318,8 @@ class TestRelabeling:
         H, mapping = induced_subgraph(G, [0, 1, 2, 4])
         assert mapping == {0: 0, 1: 1, 2: 2, 4: 3}
         assert H.edges() == [(0, 1), (0, 3), (1, 2)]
+        with pytest.raises(GraphInputError, match="out of range"):
+            induced_subgraph(G, [0, 5])
 
 
 class TestCliqueStarBiclique:
@@ -315,6 +327,14 @@ class TestCliqueStarBiclique:
         assert max_clique(complete_graph(5)) == (0, 1, 2, 3, 4)
         assert len(max_clique(cycle_graph(5))) == 2
         assert len(max_clique(path_graph(1))) == 1
+
+    @pytest.mark.parametrize("stat,limit", [(max_clique, 64), (max_balanced_biclique, 24),
+                                            (chromatic_number, 16)],
+                             ids=["max_clique", "max_balanced_biclique", "chromatic_number"])
+    def test_size_limits(self, stat, limit):
+        stat(path_graph(limit))
+        with pytest.raises(SizeLimitError, match=f"certified for n <= {limit}, got {limit + 1}"):
+            stat(path_graph(limit + 1))
 
     @given(graphs)
     def test_max_clique_matches_networkx(self, G):
@@ -334,6 +354,8 @@ class TestCliqueStarBiclique:
         assert max_balanced_biclique(path_graph(4)) == 1
         assert max_balanced_biclique(complete_graph(4)) == 2  # sides need not be independent
         assert max_balanced_biclique(path_graph(1)) == 0
+        for cap in (0, -1):
+            assert max_balanced_biclique(complete_bipartite_graph(3, 3), cap=cap) == 0
 
 
 class TestColoringDegeneracy:
@@ -342,7 +364,10 @@ class TestColoringDegeneracy:
         assert chromatic_number(cycle_graph(5)) == 3
         assert chromatic_number(cycle_graph(6)) == 2
         assert chromatic_number(path_graph(1)) == 1
-        assert chromatic_number(from_edge_list(3, [])) == 1
+        for n in range(6):  # edgeless, the empty graph included
+            G = from_edge_list(n, [])
+            assert chromatic_number(G) == min(n, 1)
+            assert max_clique(G) == tuple(range(min(n, 1)))
 
     @given(graphs)
     def test_chromatic_is_proper_and_minimal(self, G):

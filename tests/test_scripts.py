@@ -85,6 +85,8 @@ class TestConstructionsGallery:
         summaries = [ln for ln in proc.stdout.splitlines() if not ln.startswith("    graph6: ")]
         assert len(summaries) == 35
         assert all(" resolves " in ln for ln in summaries)
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+            "e87c5c3414373b81c5185f350582a9a9171c23bee864cb478afa71bb42be9274")
 
 
 def _load_script(name):

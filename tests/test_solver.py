@@ -473,6 +473,12 @@ class TestHittingSetDirect:
         inst = DistinguisherInstance(kind="vertex", universe=3, masks=())
         cert = min_hitting_set(inst)
         assert cert.value == 0 and cert.basis == () and cert.optimal
+        # past LATTICE_LIMIT, on the search path, at any budget
+        for universe in (17, 20, 25):
+            for budget in (0, 10):
+                inst = DistinguisherInstance(kind="vertex", universe=universe, masks=())
+                cert = min_hitting_set(inst, budget=budget)
+                assert (cert.value, cert.basis, cert.optimal, cert.nodes_explored) == (0, (), True, 0)
 
 
 def _superset_filter(masks):
