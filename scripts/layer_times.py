@@ -23,13 +23,22 @@ computed once before timing, so the layers that only read them do not pay
 for them.
 n runs from 3, the smallest swept size, to 8; the default,
 n = 8, is 11,117 classes; standard library only.
+
+The classes all take the subset lattice (at most 16 vertices), so
+``pool_us_per_instance`` times the branch-and-bound layers past it: the
+superset reduction, the greedy upper bound and the whole hitting-set solve
+on both instances of each graph of POOL, a fixed set of seeded random
+connected graphs with 17 to 20 vertices, in microseconds per instance.
+They run in the same repeats as the class layers.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
+from itertools import combinations
 from pathlib import Path
 from time import perf_counter
 
@@ -37,9 +46,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from metricdim import characterizations, enumerator, graph_core, metric, solver  # noqa: E402
 from metricdim.enumerator import SWEEP_N_MIN, enumerate_connected  # noqa: E402
-from metricdim.graph_core import GraphInputError, SizeLimitError  # noqa: E402
+from metricdim.graph_core import GraphInputError, SizeLimitError, from_edge_list, is_connected  # noqa: E402
 
 REPEATS = 5
+# (vertices, edge probability) of each pool graph, the graph of index i drawn
+# from random.Random(i): G(n, p) until connected
+POOL = [(17 + i % 4, 0.15 if i % 2 else 0.45) for i in range(8)]
 RECORD_LAYERS = ("graph6_decode", "bfs", "char_edim_n1", "char_edim_ge_n2", "tuple_lemma_check",
                  "max_clique", "chromatic_number", "degeneracy")
 
@@ -55,6 +67,26 @@ def best_s(layers: dict) -> dict:
                 fn(arg)
             best[name] = min(best[name], perf_counter() - start)
     return best
+
+
+def both_instances(graphs) -> list:
+    return [build(G) for G in graphs for build in (solver.build_vertex_instance, solver.build_edge_instance)]
+
+
+def reduction(inst):
+    return solver._minimal_families(inst.masks, inst.columns)
+
+
+def pool_graphs() -> list:
+    graphs = []
+    for seed, (n, p) in enumerate(POOL):
+        rng = random.Random(seed)
+        while True:
+            G = from_edge_list(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+            if is_connected(G):
+                break
+        graphs.append(G)
+    return graphs
 
 
 def cold_classes(n: int) -> None:
@@ -76,14 +108,18 @@ def main() -> int:
         parser.error(str(exc))  # exit 2: no such class list
     for G in graphs:
         G.distances  # computed once, outside the timed layers
-    instances = [build(G) for G in graphs
-                 for build in (solver.build_vertex_instance, solver.build_edge_instance)]
-    for inst in instances:
+    instances, pool = both_instances(graphs), both_instances(pool_graphs())
+    for inst in instances + pool:
         inst.columns  # read by the greedy bound and the reduction
     vertex_checks = [(G, solver.metric_dimension(G).basis) for G in graphs]
     edge_checks = [(G, solver.edge_metric_dimension(G).basis) for G in graphs]
     lemma_args = [(G, G.n - len(basis)) for G, basis in edge_checks]
     strings = [graph_core.graph6_encode(G) for G in graphs]
+    pool_layers = {
+        "_minimal_families": (reduction, pool),
+        "greedy_upper_bound": (solver.greedy_upper_bound, pool),
+        "min_hitting_set": (solver.min_hitting_set, pool),
+    }
     layers = {
         "enumerate": (cold_classes, [args.n]),
         "graph6_decode": (graph_core.graph6_decode, strings),
@@ -93,7 +129,7 @@ def main() -> int:
         "build_edge_instance": (solver.build_edge_instance, graphs),
         "_transpose": (lambda inst: solver._transpose(inst.masks, inst.universe), instances),
         "greedy_upper_bound": (solver.greedy_upper_bound, instances),
-        "_minimal_families": (lambda inst: solver._minimal_families(inst.masks, inst.columns), instances),
+        "_minimal_families": (reduction, instances),
         "min_hitting_set": (solver.min_hitting_set, instances),
         "metric_dimension": (solver.metric_dimension, graphs),
         "edge_metric_dimension": (solver.edge_metric_dimension, graphs),
@@ -106,10 +142,13 @@ def main() -> int:
         "is_vertex_resolving": (lambda arg: metric.is_vertex_resolving(*arg), vertex_checks),
         "is_edge_resolving": (lambda arg: metric.is_edge_resolving(*arg), edge_checks),
     }
-    us = {name: round(s / len(graphs) * 1e6, 2) for name, s in best_s(layers).items()}
+    best = best_s({**layers, **{f"pool {name}": layer for name, layer in pool_layers.items()}})
+    us = {name: round(best[name] / len(graphs) * 1e6, 2) for name in layers}
+    pool_us = {name: round(best[f"pool {name}"] / len(pool) * 1e6, 2) for name in pool_layers}
     record = round(sum(us[name] for name in RECORD_LAYERS), 2)
     print(json.dumps({"n": args.n, "classes": len(graphs), "repeats": REPEATS, "us_per_class": us,
-                      "record_layers": record}, sort_keys=True))
+                      "record_layers": record, "pool_instances": len(pool), "pool_us_per_instance": pool_us},
+                     sort_keys=True))
     return 0
 
 

@@ -181,6 +181,9 @@ def cmd_verify(args) -> int:
 
 def cmd_construct(args) -> int:
     maker, param, check = CONSTRUCT_FAMILIES[args.family]
+    other = "dims" if param == "k" else "k"
+    if getattr(args, other) is not None:
+        raise GraphInputError(f"{args.family} construction takes --{param}, not --{other}")
     value = getattr(args, param)
     if value in (None, ""):
         raise GraphInputError(f"{args.family} construction requires --{param}")
@@ -232,6 +235,8 @@ def cmd_check(args) -> int:
         writer = csv.DictWriter(sys.stdout, fieldnames=["graph6", "detail"], lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
+        if report.solver_budget_exhaustions:  # the rows are failures only
+            print(report.summary_line(), file=sys.stderr)
     else:
         print(report.summary_line())
         for g6, detail in report.failures:

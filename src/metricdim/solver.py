@@ -22,11 +22,12 @@ at most k allowed vertices?": it prunes with a greedily built
 pairwise-disjoint-family lower bound whose packing drops the families that
 meet a chosen one by one lookup in a bounded per-solve cover table,
 branches on the disjoint family with the fewest allowed vertices, bars a
-refuted branch's vertex from its later siblings, and settles a k = 1 node's
-leaves itself.  The value is the first k from the disjoint bound up that
-the search accepts, else the greedy max-coverage upper bound; the basis,
-the lexicographically smallest optimal set, is grown one vertex at a time
-with the same search, so results are stable across runs.
+refuted branch's vertex from its later siblings, and settles the children
+of a node with k <= 2 itself; all its family sets are non-negative ints.
+The value is the first k from the disjoint bound up that the search
+accepts, else the greedy max-coverage upper bound; the basis, the
+lexicographically smallest optimal set, is grown one vertex at a time with
+the same search, so results are stable across runs.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .graph_core import (
     GraphError,
     GraphInputError,
     SizeLimitError,
+    bits,
     connected_distances,
 )
 
@@ -224,7 +226,7 @@ def greedy_upper_bound(inst: DistinguisherInstance) -> tuple[int, ...]:
         counts = [(rem & h).bit_count() for h in hits]
         v = counts.index(max(counts))  # the first, so ties go to the smallest id
         chosen.append(v)
-        rem &= ~hits[v]
+        rem ^= rem & hits[v]
     return tuple(sorted(chosen))
 
 
@@ -283,19 +285,16 @@ def _minimal_families(masks, cols) -> tuple[list[int], list[int]]:
         # every smaller family is kept or contains a kept one, so an alive
         # family of the smallest alive size is minimal; it and its
         # supersets (duplicates included) leave
-        level = alive & ~above
+        level, start = alive ^ (alive & above), len(kept)
         while level:
-            f = masks[(level & -level).bit_length() - 1]
+            f = masks[(level ^ level - 1).bit_length() - 1]
             kept.append(f)
             supersets = alive
-            while f:
-                low = f & -f
-                supersets &= cols[low.bit_length() - 1]
-                f ^= low
-            alive &= ~supersets
-            level &= ~supersets
-    kept.sort()
-    kept.sort(key=int.bit_count)  # stable: (cardinality, mask) order
+            for v in bits(f):
+                supersets &= cols[v]
+            alive ^= supersets
+            level ^= level & supersets
+        kept[start:] = sorted(kept[start:])  # one size a level: (cardinality, mask) order
     return kept, _transpose(kept, len(cols))
 
 
@@ -362,23 +361,38 @@ _COVER_BITS = 1 << 23
 class _Search:
     """Decision search over the reduced families, with a node budget.
 
-    A set of families is an int over family indices; choosing vertex v
-    leaves ``rem & ~hits[v]``.  ``allow`` is the bitmask of usable vertices.
-    ``cover[f]``, for a family f cut down to its allowed vertices, is the
-    AND of ``~hits[v]`` over v in f: the families sharing no vertex with f.
-    It is filled on first use and shared by every call of one solve (see
-    ``_COVER_BITS``).  A k = 1 node counts its k = 0 children's nodes and
-    settles them itself: each holds iff no family is left.
+    A set of families is a non-negative int over family indices (on wide
+    ints CPython's ``~x``, ``-x`` and ``&`` with a negative operand are
+    slow): choosing vertex v leaves ``rem & clear[v]``, ``clear[v] = full ^
+    hits[v]``.  ``allow`` is the bitmask of usable vertices.  ``cover[f]``,
+    for a family f cut down to its allowed vertices, is the AND of
+    ``clear[v]`` over v in f: the families sharing no vertex with f.  It is
+    filled on first use and shared by every call of one solve (see
+    ``_COVER_BITS``).  A node with k <= 2 counts and settles its children
+    itself: a k = 0 child holds iff no family is left; a k = 1 child packs
+    the first family left, fails if that has no allowed vertex or another
+    family left misses it, and else settles each leaf in ascending order.
     """
 
-    __slots__ = ("fams", "clear", "cap", "spent", "cover")
+    __slots__ = ("fams", "full", "clear", "cap", "spent", "cover")
 
     def __init__(self, fams: list[int], hits: list[int], cap: int | None):
         self.fams = fams
-        self.clear = [~h for h in hits]
+        self.full = (1 << len(fams)) - 1
+        self.clear = [self.full ^ h for h in hits]
         self.cap = cap
         self.spent = 0
         self.cover: dict[int, int] = {}
+
+    def _fill(self, f: int) -> int:
+        """``cover[f]``, computed and stored."""
+        if len(self.cover) * len(self.fams) >= _COVER_BITS:
+            self.cover.clear()
+        left, clear = self.full, self.clear
+        for v in bits(f):
+            left &= clear[v]
+        self.cover[f] = left
+        return left
 
     def exists(self, rem: int, k: int, allow: int) -> bool:
         """Whether the families in ``rem`` have a hitting set of at most k
@@ -394,7 +408,7 @@ class _Search:
         # cleared, so it is reached unless the bound already exceeds k.
         r, count, branch, least = rem, 0, 0, 0
         while r:
-            f = fams[(r & -r).bit_length() - 1] & allow
+            f = fams[(r ^ r - 1).bit_length() - 1] & allow
             count += 1
             if not f or count > k:
                 return False
@@ -403,24 +417,26 @@ class _Search:
                 branch, least = f, size
             left = cover.get(f)
             if left is None:
-                if len(cover) * len(fams) >= _COVER_BITS:
-                    cover.clear()
-                left, g = -1, f
-                while g:
-                    low = g & -g
-                    left &= clear[low.bit_length() - 1]
-                    g ^= low
-                cover[f] = left
+                left = self._fill(f)
             r &= left
         while branch:
             low = branch & -branch
             rest = rem & clear[low.bit_length() - 1]
-            if k == 1:  # the k = 0 child: counted here, and it holds iff nothing is left
+            if k <= 2:  # the child, counted here as exists would count it
                 self.spent += 1
                 if self.cap is not None and self.spent > self.cap:
                     raise _BudgetSignal
                 if not rest:
                     return True
+                if k == 2 and (f := fams[(rest ^ rest - 1).bit_length() - 1] & allow):
+                    left = cover.get(f)
+                    if not rest & (self._fill(f) if left is None else left):
+                        for v in bits(f):  # its leaves
+                            self.spent += 1
+                            if self.cap is not None and self.spent > self.cap:
+                                raise _BudgetSignal
+                            if not rest & clear[v]:
+                                return True
             elif self.exists(rest, k - 1, allow):
                 return True
             allow &= ~low  # refuted: later siblings need not use this vertex
@@ -471,7 +487,7 @@ def _branch_and_bound(inst: DistinguisherInstance, budget: int | None) -> Dimens
         for v in range(len(hits)):
             if len(basis) == value:
                 break
-            after = rem & ~hits[v]
+            after = rem ^ (rem & hits[v])
             if search.exists(after, value - len(basis) - 1, vertices & (-1 << (v + 1))):
                 basis.append(v)
                 rem = after

@@ -152,6 +152,53 @@ def naive_hitting_set(universe: int, masks) -> tuple[int, tuple[int, ...], int]:
     raise AssertionError("no subset meets an empty mask")
 
 
+class _Exhausted(Exception):
+    pass
+
+
+def reference_search(fams, rem: int, k: int, allow: int, cap=None) -> tuple[bool | None, int]:
+    """Whether the families ``fams[i]`` with bit i set in ``rem`` have a
+    hitting set of at most k vertices of ``allow``, by plain recursion, and
+    the nodes it visited; (None, cap + 1) once the nodes pass ``cap``.
+
+    Each call is one node.  It packs the families left, in index order, that
+    meet no packed family in an allowed vertex, and fails when a packed
+    family has no allowed vertex or more than k are packed.  It branches on
+    the first packed family with the fewest allowed vertices, a vertex at a
+    time in ascending order, and bars each refuted vertex from the later
+    branches.  There is no cover table, and no node settles its children."""
+    spent = 0
+
+    def search(rem, k, allow):
+        nonlocal spent
+        spent += 1
+        if cap is not None and spent > cap:
+            raise _Exhausted
+        left = [i for i in range(len(fams)) if rem >> i & 1]
+        packed = []
+        for i in left:
+            f = fams[i] & allow
+            if any(f & g for g in packed):
+                continue
+            if not f or len(packed) == k:
+                return False
+            packed.append(f)
+        if not packed:
+            return True
+        branch = min(packed, key=int.bit_count)
+        for v in reference_bits(branch):
+            rest = sum(1 << i for i in left if not fams[i] >> v & 1)
+            if search(rest, k - 1, allow):
+                return True
+            allow &= ~(1 << v)
+        return False
+
+    try:
+        return search(rem, k, allow), spent
+    except _Exhausted:
+        return None, spent
+
+
 def naive_is_vertex_resolving(G: Graph, S) -> bool:
     dist = naive_distances(G)
     vecs = _vertex_vectors(dist, tuple(S), G.n)

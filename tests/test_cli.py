@@ -174,6 +174,18 @@ class TestConstruct:
         assert (code, out) == (2, "")
         assert err == "error: bad dims list '2,x'; expected comma-separated integers\n"
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["md-complete", "--k", "2", "--dims", "3,3"], "--dims"),
+        (["edim-biclique", "--dims", "2", "--k", "3", "--check"], "--dims"),
+        (["grid", "--dims", "2,2", "--k", "9"], "--k"),
+        (["grid", "--k", "2"], "--k"),
+    ])
+    def test_other_family_flag_is_refused(self, capsys, argv, flag):
+        code, out, err = run(capsys, ["construct", *argv])
+        assert (code, out) == (2, "")
+        family, own = argv[0], "--k" if flag == "--dims" else "--dims"
+        assert err == f"error: {family} construction takes {own}, not {flag}\n"
+
     def test_failed_check_reports_witness(self, capsys, monkeypatch):
         from metricdim import cli
 
@@ -257,8 +269,14 @@ class TestCheck:
         assert (code, out) == (4, "tuple-lemma: 8 graphs, n=3..4, FAIL (0 failures, 8 budget exhaustions)\n")
 
     def test_csv_output_lists_failures_only(self, capsys):
-        code, out, _ = run(capsys, ["--output", "csv", "check", "tuple-lemma", "--max-n", "4"])
-        assert (code, out) == (0, "graph6,detail\n")
+        code, out, err = run(capsys, ["--output", "csv", "check", "tuple-lemma", "--max-n", "4"])
+        assert (code, out, err) == (0, "graph6,detail\n", "")
+
+    def test_csv_names_budget_exhaustions_on_stderr(self, capsys):
+        # stdout keeps the failure rows alone; the count goes to stderr
+        code, out, err = run(capsys, ["--output", "csv", "--budget", "0", "check", "tuple-lemma", "--max-n", "4"])
+        assert (code, out) == (4, "graph6,detail\n")
+        assert err == "tuple-lemma: 8 graphs, n=3..4, FAIL (0 failures, 8 budget exhaustions)\n"
 
     def test_threads_option_is_gone(self, capsys):
         code, out, err = run(capsys, ["--threads", "2", "check", "tuple-lemma", "--max-n", "4"])

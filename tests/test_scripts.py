@@ -68,6 +68,13 @@ class TestLayerTimes:
             "graph6_decode", "bfs", "char_edim_n1", "char_edim_ge_n2", "tuple_lemma_check", "max_clique",
             "chromatic_number", "degeneracy")]
         assert report["record_layers"] == pytest.approx(sum(record), abs=0.01)
+        # the branch-and-bound layers, on the fixed pool past the lattice
+        assert report["pool_instances"] == 16
+        assert sorted(report["pool_us_per_instance"]) == ["_minimal_families", "greedy_upper_bound",
+                                                          "min_hitting_set"]
+        assert all(us > 0 for us in report["pool_us_per_instance"].values())
+        assert sorted(report) == ["classes", "n", "pool_instances", "pool_us_per_instance", "record_layers",
+                                  "repeats", "us_per_class"]
 
     def test_size_without_classes_is_a_usage_error(self):
         proc = run_script("layer_times.py", "--n", "9")

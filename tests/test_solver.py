@@ -42,6 +42,7 @@ from oracles import (
     random_connected_graph,
     reference_columns,
     reference_edge_instance,
+    reference_search,
     reference_vertex_instance,
 )
 
@@ -672,6 +673,62 @@ class TestSearchTree:
                     assert exc_info.value.nodes_explored == budget + 1, (graph6_encode(G), budget)
                     checked += 1
         assert checked == 1926
+
+    def test_matches_the_reference_search(self):
+        # the nodes a k <= 2 node counts and settles for its children are
+        # the reference's, node for node, and a budget runs out on each
+        from metricdim.solver import _BudgetSignal, _minimal_families, _Search
+
+        def search(fams, hits, rem, k, allow, cap=None):
+            tree = _Search(fams, hits, cap)
+            try:
+                return tree.exists(rem, k, allow), tree.spent
+            except _BudgetSignal:
+                return None, tree.spent
+
+        rng, outcomes, checked = random.Random(6), set(), 0
+        for G in _search_graphs()[::3]:  # four dense, three sparse
+            for inst in (build_vertex_instance(G), build_edge_instance(G)):
+                fams, hits = _minimal_families(inst.masks, inst.columns)
+                full = (1 << len(fams)) - 1
+                for _ in range(4):
+                    rem = full  # less the families a few chosen vertices hit
+                    for v in rng.sample(range(len(hits)), rng.randint(0, len(hits) // 2)):
+                        rem &= full ^ hits[v]
+                    allow = (1 << G.n) - 1 ^ sum(1 << v for v in rng.sample(range(G.n), rng.randint(0, 3)))
+                    for k in range(1, 5):
+                        result, nodes = reference_search(fams, rem, k, allow)
+                        outcomes.add((k, result, nodes > 20))
+                        for cap in [None, *range(nodes + 1)]:
+                            expected = reference_search(fams, rem, k, allow, cap)
+                            assert search(fams, hits, rem, k, allow, cap) == expected, (graph6_encode(G), k, cap)
+                            checked += 1
+        assert {(k, result) for k, result, _ in outcomes} == {(k, r) for k in range(1, 5) for r in (True, False)}
+        assert {(k, True) for k in (2, 3, 4)} <= {(k, big) for k, _, big in outcomes}  # trees of over 20 nodes
+        assert checked > 1000
+
+    def test_search_works_on_non_negative_ints(self, monkeypatch):
+        # a revert to ~hits[v] gives the same answers, but CPython's & with a
+        # negative operand is several times slower on wide ints
+        from metricdim import solver
+
+        made = []
+
+        class Recorded(solver._Search):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(solver, "_Search", Recorded)
+        for G in _search_graphs()[:3]:
+            metric_dimension(G)
+            edge_metric_dimension(G)
+        assert len(made) == 6
+        for search in made:
+            assert search.cover and search.full == (1 << len(search.fams)) - 1
+            assert min(search.clear) >= 0 and min(search.cover.values()) >= 0
 
     def test_cover_table_stays_bounded(self):
         # a long budgeted edim search over thousands of families empties the
