@@ -29,7 +29,10 @@ The classes all take the subset lattice (at most 16 vertices), so
 superset reduction, the greedy upper bound and the whole hitting-set solve
 on both instances of each graph of POOL, a fixed set of seeded random
 connected graphs with 17 to 20 vertices, in microseconds per instance.
-They run in the same repeats as the class layers.
+``lattice_us_per_instance`` times the whole hitting-set solve on both
+instances of each graph of LATTICE_POOL, seeded random connected graphs
+with 10 to 16 vertices: the lattice at the universes no class reaches.
+Both pools run in the same repeats as the class layers.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ REPEATS = 5
 # (vertices, edge probability) of each pool graph, the graph of index i drawn
 # from random.Random(i): G(n, p) until connected
 POOL = [(17 + i % 4, 0.15 if i % 2 else 0.45) for i in range(8)]
+LATTICE_POOL = [(10 + i % 7, 0.25 if i % 2 else 0.6) for i in range(14)]
 RECORD_LAYERS = ("graph6_decode", "bfs", "char_edim_n1", "char_edim_ge_n2", "tuple_lemma_check",
                  "max_clique", "chromatic_number", "degeneracy")
 
@@ -77,9 +81,9 @@ def reduction(inst):
     return solver._minimal_families(inst.masks, inst.columns)
 
 
-def pool_graphs() -> list:
+def pool_graphs(pool) -> list:
     graphs = []
-    for seed, (n, p) in enumerate(POOL):
+    for seed, (n, p) in enumerate(pool):
         rng = random.Random(seed)
         while True:
             G = from_edge_list(n, [e for e in combinations(range(n), 2) if rng.random() < p])
@@ -108,7 +112,8 @@ def main() -> int:
         parser.error(str(exc))  # exit 2: no such class list
     for G in graphs:
         G.distances  # computed once, outside the timed layers
-    instances, pool = both_instances(graphs), both_instances(pool_graphs())
+    instances, pool = both_instances(graphs), both_instances(pool_graphs(POOL))
+    lattice = both_instances(pool_graphs(LATTICE_POOL))
     for inst in instances + pool:
         inst.columns  # read by the greedy bound and the reduction
     vertex_checks = [(G, solver.metric_dimension(G).basis) for G in graphs]
@@ -142,12 +147,15 @@ def main() -> int:
         "is_vertex_resolving": (lambda arg: metric.is_vertex_resolving(*arg), vertex_checks),
         "is_edge_resolving": (lambda arg: metric.is_edge_resolving(*arg), edge_checks),
     }
-    best = best_s({**layers, **{f"pool {name}": layer for name, layer in pool_layers.items()}})
+    best = best_s({**layers, **{f"pool {name}": layer for name, layer in pool_layers.items()},
+                   "lattice min_hitting_set": (solver.min_hitting_set, lattice)})
     us = {name: round(best[name] / len(graphs) * 1e6, 2) for name in layers}
     pool_us = {name: round(best[f"pool {name}"] / len(pool) * 1e6, 2) for name in pool_layers}
+    lattice_us = {"min_hitting_set": round(best["lattice min_hitting_set"] / len(lattice) * 1e6, 2)}
     record = round(sum(us[name] for name in RECORD_LAYERS), 2)
     print(json.dumps({"n": args.n, "classes": len(graphs), "repeats": REPEATS, "us_per_class": us,
-                      "record_layers": record, "pool_instances": len(pool), "pool_us_per_instance": pool_us},
+                      "record_layers": record, "pool_instances": len(pool), "pool_us_per_instance": pool_us,
+                      "lattice_instances": len(lattice), "lattice_us_per_instance": lattice_us},
                      sort_keys=True))
     return 0
 

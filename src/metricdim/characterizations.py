@@ -82,34 +82,44 @@ def char_edim_ge_n2(G: Graph) -> Char2Result:
     """Decide whether every vertex triple admits an ordering with a
     dominating apex (condition 1) or an outside near-dominating vertex
     (condition 2); equivalent to edim >= n-2 on connected graphs.  Returns
-    the verdict and the first failing triple in ``combinations`` order."""
+    the verdict and the first failing triple in ``combinations`` order.
+
+    A triple x < y < z fails iff z is not in ``rescue(x, y)``, y not in
+    ``rescue(x, z)`` and x not in ``rescue(y, z)``, where ``rescue(a, b)``
+    is the mask of the third vertices w for which one of the conditions
+    holds through the pair (a, b): w as the apex, or a common neighbour u
+    of a and b as the near-dominating vertex outside {a, b, w}.  Each pair's
+    mask is computed once, on first use."""
     _require_small_ok(G)
     adj = G.adj
     near = _within_two(G)
-    full = (1 << G.n) - 1
-    for triple in combinations(range(G.n), 3):
-        x, y, z = triple
-        for apex, a, b in ((x, y, z), (y, x, z), (z, x, y)):
-            ends = (1 << a) | (1 << b)
-            if adj[apex] & ends == ends and not (adj[a] ^ adj[b]) & ~adj[apex]:
-                break
-        else:
-            outside = full & ~((1 << x) | (1 << y) | (1 << z))
-            for v1, v2 in ((x, y), (x, z), (y, z)):
+    n = G.n
+    full = (1 << n) - 1
+    masks: dict[int, int] = {}
+
+    def rescue(a: int, b: int) -> int:
+        found = masks.get(a * n + b)
+        if found is None:
+            odd, lone, found = adj[a] ^ adj[b], near[a] ^ near[b], 0
+            for u in bits(adj[a] & adj[b]):
+                if not odd & ~adj[u]:  # u is a dominating apex
+                    found |= 1 << u
                 # u must be adjacent to their non-mutual neighbours outside
                 # the triple and within 2 of every outside vertex within 2 of
-                # just one of them; such a vertex adjacent to one of them is a
-                # non-mutual neighbour, so only the distance-2 ones add a test
-                nmn = (adj[v1] ^ adj[v2]) & outside
-                lone = (near[v1] ^ near[v2]) & outside
-                for u in bits(adj[v1] & adj[v2] & outside):
-                    if not nmn & ~adj[u] and not lone & ~near[u]:
-                        break
-                else:
-                    continue  # no such u: try the next pair
-                break
-            else:
-                return Char2Result(False, triple)
+                # just one of them (a non-mutual neighbour within 1 adds no
+                # test); a and b are neighbours of u, so what u misses may
+                # hold w alone, and if it is empty u is an apex as well
+                miss = odd & ~adj[u] | lone & ~near[u]
+                if not miss & (miss - 1):
+                    found |= miss or full
+            masks[a * n + b] = found
+        return found
+
+    for x in range(n - 2):
+        for y in range(x + 1, n - 1):
+            for z in bits(full >> (y + 1) << (y + 1) & ~rescue(x, y)):
+                if not rescue(x, z) >> y & 1 and not rescue(y, z) >> x & 1:
+                    return Char2Result(False, (x, y, z))
     return Char2Result(True, None)
 
 

@@ -12,7 +12,11 @@ sum of its ends' rows halved.  A universe of at most LATTICE_LIMIT = 16
 vertices is solved by one closure over its subset lattice (see
 ``_lattice_solve``), whose 2**u-bit ints grow peak memory from u = 17 on
 and by u = 18 cost about as much as the search below: every smaller subset
-is ruled out, and ``nodes_explored`` counts the subsets a scan tests.  Past 16,
+is ruled out, and ``nodes_explored`` counts the subsets a scan tests.  Its
+families' int is filled a byte per family and packed when the families
+are at least one per _SPARSE subsets, else a bit per family; the fill
+checks the families, and only a bad instance calls ``_check_families``,
+which names its error before any lattice table is read.  Past 16,
 the greedy bound and the reduction read each landmark's column, the families
 it is in as bits of one int, transposed from the masks in one place (see
 ``_transpose``).  The reduction counts family sizes bit-sliced over the
@@ -304,15 +308,27 @@ def _minimal_families(masks, cols) -> tuple[list[int], list[int]]:
 
 
 @lru_cache(maxsize=None)
-def _lattice(u: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(W, L) as 2**u-bit ints over the subsets X of range(u): bit X of
-    ``W[i]`` is set iff i is not in X, of ``L[k]`` iff X has k members."""
+def _lattice(u: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """(W, L, full) as 2**u-bit ints over the subsets X of range(u): bit X of
+    ``W[i]`` is set iff i is not in X, of ``L[k]`` iff X has k members, and
+    of ``full`` always."""
     if not u:
-        return (), (1,)
-    W, L = _lattice(u - 1)  # the lower half; the upper half's X hold u - 1
+        return (), (1,), 1
+    W, L, full = _lattice(u - 1)  # the lower half; the upper half's X hold u - 1
     half = 1 << (u - 1)
-    return (tuple([w | w << half for w in W]) + ((1 << half) - 1,),
-            tuple([a | b << half for a, b in zip(L + (0,), (0,) + L)]))
+    return (tuple([w | w << half for w in W]) + (full,),
+            tuple([a | b << half for a, b in zip(L + (0,), (0,) + L)]), full | full << half)
+
+
+# The lattice marks one byte per family in a table of 2**u bytes, packed into
+# the families' int afterwards, unless the table would hold more than _SPARSE
+# bytes per family: then one bit per family, in 2**u / 8 bytes, with no pack.
+# 80 is the measured crossover, where the pack costs what the byte fill saves.
+_SPARSE = 80
+# A byte table of at most this many subsets packs by one translate and parse.
+_PARSE_LIMIT = 1 << 10
+# byte 0 or 1 -> its ASCII binary digit
+_DIGIT = bytes.maketrans(b"\0\1", b"01")
 
 
 def _lattice_solve(inst: DistinguisherInstance, budget: int | None) -> DimensionCertificate:
@@ -321,19 +337,46 @@ def _lattice_solve(inst: DistinguisherInstance, budget: int | None) -> Dimension
     iff T holds a family, so the hitting sets are the complements of the T
     left clear.  ``nodes_explored``, the basis's position in that order, is
     what an exhaustive scan tests; past ``budget``, the sizes it covers
-    bound the value below."""
-    _check_families(inst)
-    u = inst.universe
-    if not inst.masks:
+    bound the value below.
+
+    The families' int is filled at the grain the instance's density pays
+    for (see ``_SPARSE``): a byte per family, packed by one parse up to
+    ``_PARSE_LIMIT`` subsets and by eight stride lanes past it, or a bit per
+    family.  The families are checked in the fill: one ``min`` refuses a
+    negative universe, an empty family and a negative mask (a table index
+    would wrap) before it, and a mask past the table raises IndexError in
+    it; either way ``_check_families`` names the error before any table of
+    the lattice is read."""
+    u, masks = inst.universe, inst.masks
+    if u < 0 or min(masks, default=1) <= 0:
+        _check_families(inst)  # raises
+    if not masks:
         return DimensionCertificate(inst.kind, 0, (), True, 0)
-    W, L = _lattice(u)
-    present = bytearray(((1 << u) + 7) >> 3)
-    for f in inst.masks:
-        present[f >> 3] |= 1 << (f & 7)
-    covers = int.from_bytes(present, "little")
+    size = 1 << u
+    sparse = len(masks) * _SPARSE < size  # so u >= 7, and 2**u is whole bytes
+    present = bytearray(size >> 3 if sparse else size)
+    try:
+        if sparse:
+            for f in masks:
+                present[f >> 3] |= 1 << (f & 7)
+        else:
+            for f in masks:
+                present[f] = 1
+    except IndexError:  # a mask past 2**u - 1
+        _check_families(inst)  # raises
+        raise
+    if sparse:
+        covers = int.from_bytes(present, "little")
+    elif size <= _PARSE_LIMIT:
+        covers = int(present.translate(_DIGIT)[::-1], 2)
+    else:  # bit 8k + j of covers is byte 8k + j of present
+        covers = 0
+        for j in range(8):
+            covers |= int.from_bytes(present[j::8], "little") << j
+    W, L, full = _lattice(u)
     for i, w in enumerate(W):
         covers |= (covers & w) << (1 << i)
-    free = ~covers  # the complements of the hitting sets
+    free = full ^ covers  # the complements of the hitting sets
     value, found = next((k, sets) for k in range(u + 1) if (sets := L[u - k] & free))
     for w in W:  # keep the complements lacking i if any do: the basis holds i
         found = found & w or found

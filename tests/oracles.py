@@ -11,7 +11,7 @@ from collections import deque
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from metricdim.characterizations import TupleLemmaResult
+from metricdim.characterizations import Char2Result, TupleLemmaResult, _within_two
 from metricdim.enumerator import canonical_graph6
 from metricdim.graph_core import (
     Graph,
@@ -226,6 +226,31 @@ def brute_tuple_lemma(G: Graph, k: int) -> TupleLemmaResult:
         if all(close[t] & mask == 0 for t in tup):
             return TupleLemmaResult(False, False, tup)
     return TupleLemmaResult(True, False, None)
+
+
+def reference_char_edim_ge_n2(G: Graph) -> Char2Result:
+    """``char_edim_ge_n2`` triple by triple: each triple in ``combinations``
+    order tries the three apex orderings, then each of its pairs with every
+    common neighbour outside the triple."""
+    adj = G.adj
+    near = _within_two(G)
+    full = (1 << G.n) - 1
+    for triple in combinations(range(G.n), 3):
+        x, y, z = triple
+        for apex, a, b in ((x, y, z), (y, x, z), (z, x, y)):
+            ends = (1 << a) | (1 << b)
+            if adj[apex] & ends == ends and not (adj[a] ^ adj[b]) & ~adj[apex]:
+                break
+        else:
+            outside = full & ~((1 << x) | (1 << y) | (1 << z))
+            for v1, v2 in ((x, y), (x, z), (y, z)):
+                nmn = (adj[v1] ^ adj[v2]) & outside
+                lone = (near[v1] ^ near[v2]) & outside
+                if any(not nmn & ~adj[u] and not lone & ~near[u] for u in bits(adj[v1] & adj[v2] & outside)):
+                    break
+            else:
+                return Char2Result(False, triple)
+    return Char2Result(True, None)
 
 
 def relabeled(G: Graph, order) -> Graph:

@@ -26,7 +26,7 @@ from metricdim.graph_core import (
 )
 from metricdim.solver import edge_metric_dimension
 
-from oracles import brute_tuple_lemma, naive_distances
+from oracles import brute_tuple_lemma, naive_distances, random_connected_graph, reference_char_edim_ge_n2
 
 
 class TestTopCharacterization:
@@ -67,6 +67,29 @@ class TestSecondTierCharacterization:
         assert char_edim_eq_n2(complete_bipartite_graph(2, 3))
         assert not char_edim_eq_n2(complete_graph(4))  # sits in the top tier
         assert not char_edim_eq_n2(path_graph(4))
+
+
+    def test_matches_the_triple_scan_on_every_class_to_n8(self):
+        # the per-pair rescue masks give the verdict and failing triple of
+        # the triple-by-triple scan
+        graphs = [G for n in range(3, 9) for G in enumerate_connected(n)]
+        assert len(graphs) == 994 + 11_117
+        verdicts = {True: 0, False: 0}
+        for G in graphs:
+            res = char_edim_ge_n2(G)
+            assert res == reference_char_edim_ge_n2(G), graph6_encode(G)
+            verdicts[res.holds] += 1
+        assert min(verdicts.values()) > 100
+
+    def test_matches_the_triple_scan_on_random_graphs(self):
+        rng = random.Random(17)
+        verdicts = {True: 0, False: 0}
+        for _ in range(200):
+            G = random_connected_graph(rng, rng.randint(9, 16))
+            res = char_edim_ge_n2(G)
+            assert res == reference_char_edim_ge_n2(G), graph6_encode(G)
+            verdicts[res.holds] += 1
+        assert min(verdicts.values()) > 5
 
 
 class TestPredicatesMatchSolver:

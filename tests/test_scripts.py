@@ -73,8 +73,12 @@ class TestLayerTimes:
         assert sorted(report["pool_us_per_instance"]) == ["_minimal_families", "greedy_upper_bound",
                                                           "min_hitting_set"]
         assert all(us > 0 for us in report["pool_us_per_instance"].values())
-        assert sorted(report) == ["classes", "n", "pool_instances", "pool_us_per_instance", "record_layers",
-                                  "repeats", "us_per_class"]
+        # the lattice solve, on the fixed pool of 10 to 16 vertices
+        assert report["lattice_instances"] == 28
+        assert list(report["lattice_us_per_instance"]) == ["min_hitting_set"]
+        assert report["lattice_us_per_instance"]["min_hitting_set"] > 0
+        assert sorted(report) == ["classes", "lattice_instances", "lattice_us_per_instance", "n", "pool_instances",
+                                  "pool_us_per_instance", "record_layers", "repeats", "us_per_class"]
 
     def test_size_without_classes_is_a_usage_error(self):
         proc = run_script("layer_times.py", "--n", "9")

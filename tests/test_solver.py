@@ -409,20 +409,28 @@ class TestHittingSetDirect:
         with pytest.raises(GraphInputError, match="outside 0..1"):
             solve(inst)
 
-    def test_families_checked_once_per_solve(self, monkeypatch):
+    def test_families_checked_in_the_fill_or_once_per_search(self, monkeypatch):
+        # the lattice checks a valid instance's families in its fill, with no
+        # _check_families call; the search path calls it once
         from metricdim import solver
 
         checked = []
         real = solver._check_families
         monkeypatch.setattr(solver, "_check_families", lambda inst: checked.append(inst) or real(inst))
-        # one universe on the lattice path, one past LATTICE_LIMIT on the search
-        for G in (cycle_graph(6), cycle_graph(LATTICE_LIMIT + 2)):
-            inst = build_edge_instance(G)
-            checked.clear()
+        rng = random.Random(3)
+        lattice = [cycle_graph(6), star_graph(LATTICE_LIMIT - 1)] + [
+            random_connected_graph(rng, n) for n in range(10, LATTICE_LIMIT + 1)]
+        instances = [build(G) for G in lattice for build in (build_vertex_instance, build_edge_instance)]
+        for inst in instances:
             min_hitting_set(inst)
-            assert checked == [inst]
+        assert checked == []
+        # both grains of the fill
+        assert {len(inst.masks) * solver._SPARSE < 1 << inst.universe for inst in instances} == {False, True}
+        inst = build_edge_instance(cycle_graph(LATTICE_LIMIT + 2))
+        min_hitting_set(inst)
+        assert checked == [inst]
 
-    @pytest.mark.parametrize("universe", [3, LATTICE_LIMIT, LATTICE_LIMIT + 1])
+    @pytest.mark.parametrize("universe", [1, 2, 3, LATTICE_LIMIT, LATTICE_LIMIT + 1])
     def test_both_paths_raise_the_same_errors(self, universe, monkeypatch):
         # the families are checked before the lattice's tables or any search
         from metricdim import solver
@@ -435,11 +443,19 @@ class TestHittingSetDirect:
             monkeypatch.setattr(solver, name, no_work)
         with pytest.raises(EmptyDistinguisherError):
             min_hitting_set(DistinguisherInstance("vertex", universe, (1, 0, 2)))
-        with pytest.raises(GraphInputError, match=f"outside 0..{universe - 1}$"):
-            min_hitting_set(DistinguisherInstance("edge", universe, (1, 1 << universe)))
-        # a negative mask names every vertex from some point up
-        for masks in ((-2, 1), (-1, 3)):
+        # masks at or past 2**universe, alone or among many valid ones (a
+        # dense table, or a sparse one where a universe allows it)
+        for masks in ((1, 1 << universe), (1 << universe,), (1 | 1 << universe,), (1 << universe + 1,),
+                      (1,) * 100 + (1 << universe,), (1 << universe,) + (1,) * 100, (1, 1 << universe + 1)):
             with pytest.raises(GraphInputError, match=f"outside 0..{universe - 1}$"):
+                min_hitting_set(DistinguisherInstance("edge", universe, masks))
+        # a negative mask names every vertex from some point up
+        for masks in ((-2, 1), (-1, 3), (1, -(1 << universe + 1) - 1)):
+            with pytest.raises(GraphInputError, match=f"outside 0..{universe - 1}$"):
+                min_hitting_set(DistinguisherInstance("vertex", universe, masks))
+        # an empty family is named before a mask past the universe, in either order
+        for masks in ((1 << universe, 0), (0, 1 << universe + 1)):
+            with pytest.raises(EmptyDistinguisherError):
                 min_hitting_set(DistinguisherInstance("vertex", universe, masks))
         with pytest.raises(GraphInputError, match="got -1$"):
             min_hitting_set(DistinguisherInstance("vertex", -1, (1,)))
@@ -626,13 +642,46 @@ class TestLatticeScan:
                     checked += 1
         assert checked == 6557  # the branch-and-bound search took 3594 nodes on these
 
+    def test_fill_grains_match_the_all_subsets_scan(self):
+        # hand-built instances on both sides of the fill's grain crossover
+        # (one byte or one bit per family), with duplicates, the full mask and
+        # one-vertex masks; the all-subsets scan up to 12 vertices, the
+        # branch-and-bound search past it
+        from metricdim import solver
+        from metricdim.solver import DistinguisherInstance, _branch_and_bound
+
+        rng = random.Random(31)
+        grains = Counter()
+        assert min_hitting_set(DistinguisherInstance("vertex", 0, ())).nodes_explored == 0
+        for u in range(1, LATTICE_LIMIT + 1):
+            crossover = (1 << u) // solver._SPARSE
+            for count in sorted({1, 2, crossover, crossover + 1, 3 * crossover + 5}):
+                if not count:
+                    continue
+                masks = [1 << rng.randrange(u), (1 << u) - 1]
+                while len(masks) < count:
+                    masks.append(rng.choice(masks) if rng.random() < 0.2
+                                 else sum(1 << v for v in range(u) if rng.random() < 0.4) or 1 << (u - 1))
+                rng.shuffle(masks)
+                masks = tuple(masks[:count])
+                inst = DistinguisherInstance("vertex", u, masks)
+                cert = min_hitting_set(inst)
+                if u <= 12:
+                    assert (cert.value, cert.basis, cert.nodes_explored) == naive_hitting_set(u, masks), (u, masks)
+                else:
+                    assert _answer(cert) == _answer(_branch_and_bound(inst, None)), (u, masks)
+                grains[u, count * solver._SPARSE < 1 << u] += 1
+        # from u = 7 on (2**u > _SPARSE) each universe takes both grains
+        assert all(grains[u, True] and grains[u, False] for u in range(7, LATTICE_LIMIT + 1))
+
     def test_tables(self):
         from metricdim.solver import _lattice
 
         for u in range(6):
-            W, L = _lattice(u)
+            W, L, full = _lattice(u)
             assert W == tuple(sum(1 << X for X in range(1 << u) if not X >> i & 1) for i in range(u))
             assert L == tuple(sum(1 << X for X in range(1 << u) if X.bit_count() == k) for k in range(u + 1))
+            assert full == (1 << (1 << u)) - 1
 
 
 def _search_graphs():
