@@ -3,13 +3,16 @@
 and print one summary line each, then its graph6 string.  A certificate
 that does not re-check is reported with its witness rather than hidden.
 
-    PYTHONPATH=src python3 scripts/constructions_gallery.py
+    python3 scripts/constructions_gallery.py
 """
 
 import sys
+from pathlib import Path
 
-from metricdim.cli import CONSTRUCT_FAMILIES
-from metricdim.graph_core import graph6_encode
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from metricdim.cli import CONSTRUCT_FAMILIES  # noqa: E402
+from metricdim.graph_core import graph6_encode  # noqa: E402
 
 GRIDS = [[2, 2], [2, 3], [3, 4], [4, 4], [5, 5], [7, 8], [2, 2, 2], [2, 3, 4], [3, 3, 3], [2, 2, 2, 2]]
 

@@ -7,9 +7,12 @@ Usage: run_sweeps.py [--max-n N] [--allow-large] [--timing]
 
 import argparse
 import sys
+from pathlib import Path
 
-from metricdim.enumerator import THEOREM_CHECKS, sweep_all
-from metricdim.graph_core import GraphInputError, SizeLimitError
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from metricdim.enumerator import THEOREM_CHECKS, sweep_all  # noqa: E402
+from metricdim.graph_core import GraphInputError, SizeLimitError  # noqa: E402
 
 
 def main() -> int:

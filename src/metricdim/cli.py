@@ -51,6 +51,7 @@ from .graph_core import (
 from .metric import is_edge_resolving, is_vertex_resolving, landmark_tuple
 from .enumerator import SCHEMA_VERSION, THEOREM_CHECKS, sweep
 from .solver import (
+    LATTICE_LIMIT,
     BudgetExceededError,
     edge_metric_dimension,
     metric_dimension,
@@ -300,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=None,
-        help="solver budget: subsets tested up to 16 vertices, search nodes past (exit 4 when exhausted)",
+        help=f"solver budget: subsets tested up to {LATTICE_LIMIT} vertices, search nodes past "
+             "(exit 4 when exhausted)",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 

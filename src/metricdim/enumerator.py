@@ -55,7 +55,7 @@ from .graph_core import (
     max_clique,
     _connected_within,
     _graph6_text,
-    _unchecked_graph,
+    _unchecked,
 )
 
 CANONICAL_LIMIT = 10
@@ -219,7 +219,7 @@ def _connected_classes(n: int) -> tuple[str, ...]:
             low = (1 << m) - 1  # vertices below m keep their bits, the others move down
             rest = tuple(row & low | row >> 1 & ~low for v, row in enumerate(adj) if v != m)
             kept[code] = (sorted(_scores(rest)) == sorted(parent_scores)
-                          and canonical_graph6(_unchecked_graph(x, rest)) == parent_g6)
+                          and canonical_graph6(_unchecked(Graph, n=x, adj=rest)) == parent_g6)
         classes.extend(_graph6_text(n, code) for code, accepted in kept.items() if accepted)
     return tuple(sorted(classes))
 

@@ -14,7 +14,9 @@ Interchange formats: graph6 (short form, n <= 62) and a plain edge-list
 text format (header line "n m", then one "u v" line per edge).
 ``_graph6_text`` is the one graph6 packer, for ``graph6_encode`` and the
 enumerator's ``canonical_graph6``.  ``graph6_decode`` and ``from_edge_list``
-validate their own input and skip the table rescan of ``Graph(n, adj)``.
+validate their own input and skip the table rescan of ``Graph(n, adj)``
+through ``_unchecked``; the solver's instance builder skips the family
+check of ``DistinguisherInstance`` the same way.
 ``_connected_within`` is the one connectivity walk, over any vertex mask.
 """
 
@@ -135,11 +137,12 @@ class Graph:
 # ---------------------------------------------------------------------------
 
 
-def _unchecked_graph(n: int, adj: tuple[int, ...]) -> Graph:
-    """A Graph on a table the caller built valid, skipping the checks."""
-    G = object.__new__(Graph)
-    G.__dict__.update(n=n, adj=adj)
-    return G
+def _unchecked(cls, **fields):
+    """A ``cls`` (a frozen dataclass that checks its fields in
+    ``__post_init__``) on fields the caller built valid, skipping the checks."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def from_edge_list(n: int, edge_iter) -> Graph:
@@ -156,7 +159,7 @@ def from_edge_list(n: int, edge_iter) -> Graph:
             raise GraphInputError(f"duplicate edge: {(min(u, v), max(u, v))}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return _unchecked_graph(n, tuple(rows))
+    return _unchecked(Graph, n=n, adj=tuple(rows))
 
 
 def path_graph(n: int) -> Graph:
@@ -239,7 +242,7 @@ def graph6_decode(text: str) -> Graph:
             u, v = _PAIRS[nbits - 1 - base - bit]
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-    return _unchecked_graph(n, tuple(rows))
+    return _unchecked(Graph, n=n, adj=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@ vertices is solved by one closure over its subset lattice (see
 and by u = 18 cost about as much as the search below: every smaller subset
 is ruled out, and ``nodes_explored`` counts the subsets a scan tests.  Its
 families' int is filled a byte per family and packed when the families
-are at least one per _SPARSE subsets, else a bit per family; the fill
-checks the families, and only a bad instance calls ``_check_families``,
-which names its error before any lattice table is read.  Past 16,
+are at least one per _SPARSE subsets, else a bit per family.  An
+instance's families are checked once, when it is constructed (see
+``DistinguisherInstance``), so no solver checks them again.  Past 16,
 the greedy bound and the reduction read each landmark's column, the families
 it is in as bits of one int, transposed from the masks in one place (see
 ``_transpose``).  The reduction counts family sizes bit-sliced over the
@@ -49,6 +49,7 @@ from .graph_core import (
     GraphError,
     GraphInputError,
     SizeLimitError,
+    _unchecked,
     bits,
     connected_distances,
 )
@@ -87,12 +88,25 @@ class DistinguisherInstance:
     ``masks[i]`` is the distinguisher set of the i-th object pair as a
     bitmask, the pairs taken in ``itertools.combinations(objects, 2)``
     order, where the objects are ``range(G.n)`` for a vertex instance and
-    ``G.edges()`` for an edge instance.
+    ``G.edges()`` for an edge instance.  The constructor checks the
+    families; the builders below skip that (see ``graph_core._unchecked``),
+    since their masks come from a checked ``Graph``.
     """
 
     kind: str  # "vertex" or "edge"
     universe: int
     masks: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.universe < 0:
+            raise GraphInputError(f"a universe holds at least 0 vertices, got {self.universe}")
+        low = min(self.masks, default=1)
+        if not low:
+            raise EmptyDistinguisherError(
+                "a distinguisher family is empty; two distinct objects share all distances"
+            )
+        if low < 0 or max(self.masks, default=0) >> self.universe:  # a negative mask names every high vertex
+            raise GraphInputError(f"a distinguisher family names a vertex outside 0..{self.universe - 1}")
 
     @cached_property
     def columns(self) -> list[int]:
@@ -106,8 +120,9 @@ class DistinguisherInstance:
 class DimensionCertificate:
     """A certified-minimum resolving set.
 
-    ``basis`` is the lexicographically smallest optimal set; ``optimal`` is
-    True only when the search ran to exhaustion.
+    ``basis`` is the lexicographically smallest optimal set.  ``optimal``
+    is always True: a solve that stops before it is certified raises
+    BudgetExceededError instead of returning a certificate.
     """
 
     kind: str
@@ -211,7 +226,7 @@ def _pair_masks(kind: str, n: int, packed: bytes, lane: int, width: int) -> Dist
         else:  # fields past 64 bits
             masks.extend([int.from_bytes(block[k : k + step], "big") for k in range(0, len(block), step)])
         i = stop
-    return DistinguisherInstance(kind, n, tuple(masks))
+    return _unchecked(DistinguisherInstance, kind=kind, universe=n, masks=tuple(masks))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +237,6 @@ def _pair_masks(kind: str, n: int, packed: bytes, lane: int, width: int) -> Dist
 def greedy_upper_bound(inst: DistinguisherInstance) -> tuple[int, ...]:
     """Max-coverage greedy hitting set (ties to the smallest vertex id).
     Always returns a valid hitting set, hence a resolving set."""
-    _check_families(inst)
     hits = inst.columns
     rem = (1 << len(inst.masks)) - 1
     chosen = []
@@ -232,18 +246,6 @@ def greedy_upper_bound(inst: DistinguisherInstance) -> tuple[int, ...]:
         chosen.append(v)
         rem ^= rem & hits[v]
     return tuple(sorted(chosen))
-
-
-def _check_families(inst: DistinguisherInstance):
-    if inst.universe < 0:
-        raise GraphInputError(f"a universe holds at least 0 vertices, got {inst.universe}")
-    low = min(inst.masks, default=1)
-    if not low:
-        raise EmptyDistinguisherError(
-            "a distinguisher family is empty; two distinct objects share all distances"
-        )
-    if low < 0 or max(inst.masks, default=0) >> inst.universe:  # a negative mask names every high vertex
-        raise GraphInputError(f"a distinguisher family names a vertex outside 0..{inst.universe - 1}")
 
 
 def _disjoint_lb(sorted_masks) -> int:
@@ -342,37 +344,26 @@ def _lattice_solve(inst: DistinguisherInstance, budget: int | None) -> Dimension
     The families' int is filled at the grain the instance's density pays
     for (see ``_SPARSE``): a byte per family, packed by one parse up to
     ``_PARSE_LIMIT`` subsets and by eight stride lanes past it, or a bit per
-    family.  The families are checked in the fill: one ``min`` refuses a
-    negative universe, an empty family and a negative mask (a table index
-    would wrap) before it, and a mask past the table raises IndexError in
-    it; either way ``_check_families`` names the error before any table of
-    the lattice is read."""
+    family."""
     u, masks = inst.universe, inst.masks
-    if u < 0 or min(masks, default=1) <= 0:
-        _check_families(inst)  # raises
     if not masks:
         return DimensionCertificate(inst.kind, 0, (), True, 0)
     size = 1 << u
-    sparse = len(masks) * _SPARSE < size  # so u >= 7, and 2**u is whole bytes
-    present = bytearray(size >> 3 if sparse else size)
-    try:
-        if sparse:
-            for f in masks:
-                present[f >> 3] |= 1 << (f & 7)
-        else:
-            for f in masks:
-                present[f] = 1
-    except IndexError:  # a mask past 2**u - 1
-        _check_families(inst)  # raises
-        raise
-    if sparse:
+    if len(masks) * _SPARSE < size:  # a bit per family; so u >= 7, and 2**u is whole bytes
+        present = bytearray(size >> 3)
+        for f in masks:
+            present[f >> 3] |= 1 << (f & 7)
         covers = int.from_bytes(present, "little")
-    elif size <= _PARSE_LIMIT:
-        covers = int(present.translate(_DIGIT)[::-1], 2)
-    else:  # bit 8k + j of covers is byte 8k + j of present
-        covers = 0
-        for j in range(8):
-            covers |= int.from_bytes(present[j::8], "little") << j
+    else:  # a byte per family, packed
+        present = bytearray(size)
+        for f in masks:
+            present[f] = 1
+        if size <= _PARSE_LIMIT:
+            covers = int(present.translate(_DIGIT)[::-1], 2)
+        else:  # bit 8k + j of covers is byte 8k + j of present
+            covers = 0
+            for j in range(8):
+                covers |= int.from_bytes(present[j::8], "little") << j
     W, L, full = _lattice(u)
     for i, w in enumerate(W):
         covers |= (covers & w) << (1 << i)
@@ -515,7 +506,7 @@ def min_hitting_set(inst: DistinguisherInstance, budget: int | None = None) -> D
 
 def _branch_and_bound(inst: DistinguisherInstance, budget: int | None) -> DimensionCertificate:
     """The value, then the basis, by the decision search, counting its nodes."""
-    ub_set = greedy_upper_bound(inst)  # validates the families first
+    ub_set = greedy_upper_bound(inst)
     fams, hits = _minimal_families(inst.masks, inst.columns)
     search = _Search(fams, hits, budget)
     lower = _disjoint_lb(fams)

@@ -383,6 +383,15 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "error: sweep budget must be at least 0, got budget=-3\n"
 
+    def test_budget_help_names_the_lattice_limit(self):
+        from metricdim.cli import build_parser
+        from metricdim.solver import LATTICE_LIMIT
+
+        (action,) = [a for a in build_parser()._actions if a.dest == "budget"]
+        assert action.help == ("solver budget: subsets tested up to 16 vertices, search nodes past "
+                               "(exit 4 when exhausted)")
+        assert f" up to {LATTICE_LIMIT} vertices," in action.help
+
     def test_zero_budget_stays_valid(self, capsys, g6_file):
         assert run(capsys, ["--budget", "0", "dim", g6_file(path_graph(1))])[0] == 0
         assert run(capsys, ["--budget", "0", "dim", g6_file(cycle_graph(6))])[0] == 4

@@ -18,6 +18,17 @@ def run_script(name, *args):
     )
 
 
+@pytest.mark.parametrize("name,args", [("run_sweeps.py", ["--max-n", "4"]), ("constructions_gallery.py", [])])
+def test_runs_from_a_plain_checkout(name, args, tmp_path):
+    # the script puts src/ on its own path, as layer_times.py does, so it
+    # needs no PYTHONPATH or install, from any working directory
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run_script(name, *args).stdout
+
+
 class TestRunSweeps:
     @pytest.mark.parametrize("args,message", [
         (["--max-n", "3", "--threads", "0"], "unrecognized arguments: --threads 0"),

@@ -188,6 +188,28 @@ class TestPackedBuilds:
         assert max(blocks) * 8 <= solver._BLOCK_BITS
         assert sum(blocks) * 8 == 94_395 * 32
 
+    def test_built_instances_pass_the_constructor_checks(self):
+        # the builders skip DistinguisherInstance's family check, so every
+        # instance they return must pass it: both kinds of every class to
+        # n = 7, a seeded pool of 16 to 24 vertices, every construction
+        # member, and C70, whose fields are wider than 64 bits
+        from metricdim.cli import CONSTRUCT_FAMILIES
+        from metricdim.solver import DistinguisherInstance
+
+        rng = random.Random(24)
+        members = {"md-complete": range(1, 6), "edim-star": range(1, 6), "md-star": range(1, 4),
+                   "md-biclique": range(2, 8), "edim-biclique": range(2, 8), "grid": GRID_MEMBERS}
+        assert sorted(members) == sorted(CONSTRUCT_FAMILIES)
+        graphs = (_classes_to_n7() + [random_connected_graph(rng, n) for n in range(16, 25) for _ in range(3)]
+                  + [CONSTRUCT_FAMILIES[family][0](param).graph for family, params in members.items()
+                     for param in params]
+                  + [from_edge_list(70, [(i, (i + 1) % 70) for i in range(70)])])
+        assert len(graphs) == 996 + 27 + 5 + 5 + 3 + 6 + 6 + len(GRID_MEMBERS) + 1
+        for G in graphs:
+            for build in (build_vertex_instance, build_edge_instance):
+                inst = build(G)
+                assert DistinguisherInstance(inst.kind, inst.universe, inst.masks) == inst, (inst.kind, G.adj)
+
     @pytest.mark.parametrize("width", [0, 1, 8, 9, 16, 17, 24, 32, 33, 64, 65, 200])
     def test_transpose_matches_definition(self, width):
         rng = random.Random(width)
@@ -397,38 +419,42 @@ class TestHittingSetDirect:
     def test_rejects_empty_family_with_multiple_objects(self):
         from metricdim.solver import DistinguisherInstance
 
-        inst = DistinguisherInstance(kind="vertex", universe=3, masks=(0,))
         with pytest.raises(EmptyDistinguisherError):
-            min_hitting_set(inst)
+            min_hitting_set(DistinguisherInstance(kind="vertex", universe=3, masks=(0,)))
 
     @pytest.mark.parametrize("solve", [min_hitting_set, greedy_upper_bound])
     def test_rejects_vertex_outside_universe(self, solve):
         from metricdim.solver import DistinguisherInstance
 
-        inst = DistinguisherInstance(kind="vertex", universe=2, masks=(0b11, 0b100))
         with pytest.raises(GraphInputError, match="outside 0..1"):
-            solve(inst)
+            solve(DistinguisherInstance(kind="vertex", universe=2, masks=(0b11, 0b100)))
 
-    def test_families_checked_in_the_fill_or_once_per_search(self, monkeypatch):
-        # the lattice checks a valid instance's families in its fill, with no
-        # _check_families call; the search path calls it once
+    def test_families_checked_once_at_construction(self, monkeypatch):
+        # the builders skip the constructor's family check; a hand-built
+        # instance runs it once, and neither solver path nor the greedy
+        # bound runs it again
         from metricdim import solver
+        from metricdim.solver import DistinguisherInstance
 
         checked = []
-        real = solver._check_families
-        monkeypatch.setattr(solver, "_check_families", lambda inst: checked.append(inst) or real(inst))
+        real = DistinguisherInstance.__post_init__
+        monkeypatch.setattr(DistinguisherInstance, "__post_init__", lambda inst: checked.append(inst) or real(inst))
         rng = random.Random(3)
-        lattice = [cycle_graph(6), star_graph(LATTICE_LIMIT - 1)] + [
-            random_connected_graph(rng, n) for n in range(10, LATTICE_LIMIT + 1)]
-        instances = [build(G) for G in lattice for build in (build_vertex_instance, build_edge_instance)]
-        for inst in instances:
-            min_hitting_set(inst)
+        graphs = [cycle_graph(6), star_graph(LATTICE_LIMIT - 1), cycle_graph(LATTICE_LIMIT + 2)] + [
+            random_connected_graph(rng, n) for n in range(10, LATTICE_LIMIT + 2)]
+        built = [build(G) for G in graphs for build in (build_vertex_instance, build_edge_instance)]
         assert checked == []
-        # both grains of the fill
-        assert {len(inst.masks) * solver._SPARSE < 1 << inst.universe for inst in instances} == {False, True}
-        inst = build_edge_instance(cycle_graph(LATTICE_LIMIT + 2))
-        min_hitting_set(inst)
-        assert checked == [inst]
+        for inst in built:
+            bare = DistinguisherInstance(inst.kind, inst.universe, inst.masks)
+            assert len(checked) == 1 and checked[0] is bare
+            assert min_hitting_set(bare) == min_hitting_set(inst)
+            assert greedy_upper_bound(bare) == greedy_upper_bound(inst)
+            assert len(checked) == 1
+            checked.clear()
+        # both grains of the lattice fill, and the search past it
+        lattice = [inst for inst in built if inst.universe <= LATTICE_LIMIT]
+        assert {len(inst.masks) * solver._SPARSE < 1 << inst.universe for inst in lattice} == {False, True}
+        assert len(lattice) < len(built)
 
     @pytest.mark.parametrize("universe", [1, 2, 3, LATTICE_LIMIT, LATTICE_LIMIT + 1])
     def test_both_paths_raise_the_same_errors(self, universe, monkeypatch):
