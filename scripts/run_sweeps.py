@@ -3,6 +3,9 @@
 print one JSON report per line.
 
 Usage: run_sweeps.py [--max-n N] [--allow-large] [--timing]
+
+With --timing, stderr also gets one line with the worker count and the wall
+time of enumeration, records and rows.
 """
 
 import argparse
@@ -12,7 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from metricdim.enumerator import THEOREM_CHECKS, sweep_all  # noqa: E402
-from metricdim.graph_core import GraphInputError, SizeLimitError  # noqa: E402
+from metricdim.graph_core import GraphError, GraphInputError, SizeLimitError  # noqa: E402
 
 
 def main() -> int:
@@ -22,16 +25,25 @@ def main() -> int:
                         help="allow --max-n 9 (261,080 classes; minutes of CPU)")
     parser.add_argument("--timing", action="store_true",
                         help="include elapsed_ms and enumerate_ms, the one pass's timings, in every "
-                             "report (breaks byte determinism)")
+                             "report (breaks byte determinism), and print the worker count and the "
+                             "time of each phase on stderr")
     args = parser.parse_args()
 
     try:
         reports = sweep_all(sorted(THEOREM_CHECKS), args.max_n, allow_large=args.allow_large)
     except (GraphInputError, SizeLimitError) as exc:
         parser.error(str(exc))  # exit 2: the range is unusable
+    except GraphError as exc:  # a worker process failed
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 3
     for report in reports:
         print(report.to_json(include_timing=args.timing))
         print(report.summary_line(), file=sys.stderr)
+    if args.timing:
+        first = reports[0]
+        rows_ms = first.elapsed_ms - first.enumerate_ms - first.records_ms
+        print(f"timing: {first.workers} workers, enumeration {first.enumerate_ms:.1f} ms, "
+              f"records {first.records_ms:.1f} ms, rows {rows_ms:.1f} ms", file=sys.stderr)
     return 0 if all(report.passed for report in reports) else 1
 
 

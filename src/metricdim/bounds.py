@@ -13,14 +13,16 @@ from functools import cached_property
 from math import isqrt
 from typing import Callable, Optional
 
-from .characterizations import char_edim_ge_n2, char_edim_n1
+from .characterizations import char_edim_ge_n2, char_edim_n1, tuple_lemma_check
 from .graph_core import (
+    DisconnectedGraphError,
     Graph,
     GraphInputError,
     chromatic_number,
-    connected_distances,
     degeneracy,
     greedy_coloring,
+    is_connected,
+    max_clique,
     max_star,
     CHROMATIC_EXACT_LIMIT,
 )
@@ -147,19 +149,26 @@ def pattern_bounds(k: int) -> PatternBounds:
 
 class GraphRecord:
     """Per-graph statistics: the one record of ``audit_graph`` and of the
-    theorem sweeps.  The graph's distance matrix gives connectivity and
-    diameter on construction; the rest is computed on first use.
+    theorem sweeps.  Construction checks connectivity by one bit walk;
+    the diameter and the rest are computed on first use.
     ``dim_value``/``edim_value`` are None when the budget ran out;
-    ``chromatic`` is greedy past CHROMATIC_EXACT_LIMIT vertices;
-    ``char_n1``/``char_ge_n2`` are the two characterization verdicts."""
+    ``chromatic`` is greedy past CHROMATIC_EXACT_LIMIT vertices and reads
+    the exact branch's lower bound from ``clique``, the clique number;
+    ``char_n1``/``char_ge_n2`` are the two characterization verdicts and
+    ``tuple_lemma`` the tuple lemma's."""
 
     def __init__(self, G: Graph, budget: Optional[int] = None):
         self.graph = G
         self.budget = budget
         self.n = G.n
         self.m = G.num_edges
-        self.diameter = connected_distances(G, "audit requires a connected graph").diameter
+        if not is_connected(G):
+            raise DisconnectedGraphError("audit requires a connected graph")
         self.chromatic_exact = G.n <= CHROMATIC_EXACT_LIMIT
+
+    @cached_property
+    def diameter(self) -> int:
+        return self.graph.distances.diameter
 
     def _value(self, solve) -> Optional[int]:
         try:
@@ -188,8 +197,14 @@ class GraphRecord:
         return degeneracy(self.graph)
 
     @cached_property
+    def clique(self) -> int:
+        return len(max_clique(self.graph))
+
+    @cached_property
     def chromatic(self) -> int:
-        return chromatic_number(self.graph) if self.chromatic_exact else greedy_coloring(self.graph)
+        if self.chromatic_exact:
+            return chromatic_number(self.graph, self.clique)
+        return greedy_coloring(self.graph)
 
     @cached_property
     def char_n1(self) -> bool:
@@ -198,6 +213,12 @@ class GraphRecord:
     @cached_property
     def char_ge_n2(self) -> bool:
         return char_edim_ge_n2(self.graph).holds
+
+    @cached_property
+    def tuple_lemma(self) -> Optional[tuple[int, ...]]:
+        """The (k+1)-tuple lemma at k = n - edim: the first violating
+        subset, or None when it holds."""
+        return tuple_lemma_check(self.graph, self.n - self.edim_value).violating
 
     @cached_property
     def checks(self) -> dict[str, bool]:

@@ -4,7 +4,8 @@ Exit codes are a stable contract:
   0  success / property holds
   1  property fails (non-resolving set, failed self-check, sweep failures)
   2  usage errors (bad arguments, unparseable graph, unknown theorem id)
-  3  precondition violations (disconnected input, size limits)
+  3  precondition violations (disconnected input, size limits), and a
+     sweep worker process that failed
   4  solver budget exhausted (bounds are printed)
 
 All output is deterministic for identical flags; sweep timing is never
@@ -40,8 +41,8 @@ from .constructions import (
     md_star,
 )
 from .graph_core import (
-    DisconnectedGraphError,
     Graph,
+    GraphError,
     GraphInputError,
     SizeLimitError,
     graph6_decode,
@@ -371,7 +372,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (GraphInputError, ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DisconnectedGraphError, SizeLimitError) as exc:
+    except GraphError as exc:  # DisconnectedGraphError, SizeLimitError, a failed worker
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -33,26 +33,35 @@ parent, so a per-parent set of canonical codes drops the remaining repeats.
 
 ``graph_core`` owns the graph6 byte layout (``_graph6_text`` packs the
 labelling's code) and the walk that tests each deletion (``_connected_within``).
+
+Threads cannot share this pure-Python work, so it is split over forked
+processes, one per CPU (``_fork_map``), in two places: the parents of a
+level, whose children are disjoint and sorted afterwards, and the sweep
+records, a batch at a time, each of which depends on its class alone.  The
+rows run in the parent, so no output depends on the worker count.
 """
 
 from __future__ import annotations
 
 import json
+import marshal
+import os
+import sys
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import groupby
-from typing import Callable, Optional
+from itertools import chain, groupby, islice
+from typing import Callable, Optional, Sequence
 
 from .bounds import INEQUALITIES, GraphRecord
-from .characterizations import char_edim_ge_n2, char_edim_n1, tuple_lemma_check
+from .characterizations import char_edim_ge_n2, char_edim_n1
 from .graph_core import (
     Graph,
+    GraphError,
     GraphInputError,
     SizeLimitError,
     bits,
     graph6_decode,
-    max_clique,
     _connected_within,
     _graph6_text,
     _unchecked,
@@ -160,68 +169,145 @@ def _orbit(autos: list[dict[int, int]], v: int) -> int:
     return orbit
 
 
+# Fewer items than this stay in-process.  A fork, its pipe and the reaping
+# cost about 1.1 ms in a 17 MiB process, the work of about ten sweep records
+# or four enumeration parents on 2 CPUs, so a smaller split saves a
+# millisecond or less.
+_FORK_MIN = 32
+# The worker count the tests force; None: one per CPU this process may use.
+_WORKERS: Optional[int] = None
+
+
+def _workers(count: int) -> int:
+    """The processes ``_fork_map`` splits ``count`` items over: one per CPU
+    in the affinity mask, or 1 (in-process) below _FORK_MIN items, without
+    os.fork, or once the process runs other threads, which a fork would copy
+    in whatever state they are in."""
+    threading = sys.modules.get("threading")
+    if count < _FORK_MIN or not hasattr(os, "fork") or threading and threading.active_count() > 1:
+        return 1
+    if _WORKERS is not None:
+        return _WORKERS
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _fork_map(fn: Callable, items: Sequence) -> list:
+    """``[fn(x) for x in items]``, with the items dealt into one interleaved
+    share per worker.  Share 0 runs here and every other share in a forked
+    child, which computes its share whole, writes the marshalled results to
+    its pipe and leaves through os._exit.  The parent reads every pipe to
+    its end and then reaps every child, on failure too; a child that raised
+    or died makes it raise GraphError.  fn's results must marshal."""
+    workers = _workers(len(items))
+    if workers == 1:
+        return [fn(x) for x in items]
+    children, shares = [], []  # (pid, read end) per child; results per share
+    try:
+        for share in range(1, workers):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    try:
+                        out = [fn(x) for x in items[share::workers]]
+                    except Exception as exc:
+                        out = f"{type(exc).__name__}: {exc}"
+                    with open(w, "wb") as pipe:
+                        pipe.write(marshal.dumps(out))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)  # a later child would hold it open, and the pipe would never end
+            children.append((pid, r))
+        shares.append([fn(x) for x in items[::workers]])
+        for _, r in children:
+            with open(r, "rb", closefd=False) as pipe:
+                shares.append(pipe.read())
+    finally:
+        statuses = []
+        for pid, r in children:
+            os.close(r)
+            statuses.append(os.waitpid(pid, 0)[1])
+    results = [None] * len(items)
+    results[::workers] = shares[0]
+    for share, (pid, _), status in zip(range(1, workers), children, statuses):
+        out = marshal.loads(shares[share]) if status == 0 else f"exit status {os.waitstatus_to_exitcode(status)}"
+        if isinstance(out, str):
+            raise GraphError(f"worker process {pid} failed: {out}")
+        results[share::workers] = out
+    return results
+
+
 @lru_cache(maxsize=None)
 def _connected_classes(n: int) -> tuple[str, ...]:
-    """The canonical graph6 strings of the connected n-vertex classes, sorted.
-
-    Each (n-1)-class P gets a new vertex x = n - 1 joined to one attachment
-    set S per orbit.  A vertex that is non-cut in P stays non-cut in the
-    child C unless S is that vertex alone, so a child in which such a vertex
-    outscores x is refused before its rows are built; only P's other
-    vertices need a walk on C.  C is labelled once.  Its canonical deletion
-    vertex m is the first top-scoring non-cut vertex in the canonical order;
-    C is kept if m is x, or if the labelling's automorphisms map x to m (then
-    C - m is C - x = P), or else if C - m labels to P's string: the found
-    maps need not generate the whole group."""
+    """The canonical graph6 strings of the connected n-vertex classes,
+    sorted: the children of every (n-1)-class, one parent per fork-map item,
+    since each class is kept under exactly one parent."""
     if n == 1:
         return ("@",)  # K1
-    x = n - 1
+    return tuple(sorted(g6 for kids in _fork_map(_children, _connected_classes(n - 1)) for g6 in kids))
+
+
+def _children(parent_g6: str) -> list[str]:
+    """The canonical graph6 strings of the classes whose canonical parent is
+    the class P of ``parent_g6``, in no particular order.
+
+    P gets a new vertex x = n - 1 joined to one attachment set S per orbit.
+    A vertex that is non-cut in P stays non-cut in the child C unless S is
+    that vertex alone, so a child in which such a vertex outscores x is
+    refused before its rows are built; only P's other vertices need a walk
+    on C.  C is labelled once.  Its canonical deletion vertex m is the first
+    top-scoring non-cut vertex in the canonical order; C is kept if m is x,
+    or if the labelling's automorphisms map x to m (then C - m is C - x =
+    P), or else if C - m labels to P's string: the found maps need not
+    generate the whole group."""
+    parent_adj = graph6_decode(parent_g6).adj
+    x = len(parent_adj)
+    n = x + 1
     others = [((1 << n) - 1) ^ 1 << v for v in range(n)]  # all vertices but v
-    classes = []
-    for parent_g6 in _connected_classes(n - 1):
-        parent_adj = graph6_decode(parent_g6).adj
-        parent_scores = _scores(parent_adj)
-        # per automorphism the labelling of P found: the image of every subset
-        perms = {tuple(moved.get(v, v) for v in range(x)) for moved in _label(parent_adj)[2]}
-        images = [reduce(lambda table, w: table + [t | 1 << w for t in table], perm, [0]) for perm in perms]
-        noncut = sum([1 << v for v in range(x) if _connected_within(parent_adj, others[v] ^ 1 << x)])
-        best = max([parent_scores[v] for v in _BITS[noncut]], default=-1)  # scores only grow in C
-        # x's score per attachment set S: per vertex of S, 128 plus its degree in C
-        tops = reduce(lambda table, gain: table + [t + gain for t in table],
-                      [129 + row.bit_count() for row in parent_adj], [0])
-        kept: dict[int, bool] = {}  # child's canonical code -> accepted
-        for nbrs in range(1, 1 << x):
-            top = tops[nbrs]
-            size = top >> 7
-            # x is non-cut (deleting it leaves P); m must score at least as high.  A
-            # vertex non-cut in P stays so in C unless S is that vertex alone.
-            if size > 1 and best > top:
-                continue
-            if images and any(image[nbrs] < nbrs for image in images):  # not its orbit's least
-                continue
-            scores = [s + (nbrs >> v & 1) * (128 + size) + (row & nbrs).bit_count()
-                      for v, (s, row) in enumerate(zip(parent_scores, parent_adj))]
-            sure = noncut & ~nbrs if size == 1 else noncut  # non-cut in C too
-            if any(scores[v] > top for v in _BITS[sure]):  # refused before C's rows exist
-                continue
-            adj = (*[row | 1 << x if nbrs >> v & 1 else row for v, row in enumerate(parent_adj)], nbrs)
-            if any(scores[v] > top and _connected_within(adj, others[v]) for v in _BITS[others[x] ^ sure]):
-                continue
-            order, code, autos = _label(adj)
-            if code in kept:
-                continue
-            # m: the first top-scoring non-cut vertex in canonical order
-            m = next(v for v in order if v == x or scores[v] == top
-                     and (sure >> v & 1 or _connected_within(adj, others[v])))
-            if m == x or _orbit(autos, x) >> m & 1:
-                kept[code] = True
-                continue
-            low = (1 << m) - 1  # vertices below m keep their bits, the others move down
-            rest = tuple(row & low | row >> 1 & ~low for v, row in enumerate(adj) if v != m)
-            kept[code] = (sorted(_scores(rest)) == sorted(parent_scores)
-                          and canonical_graph6(_unchecked(Graph, n=x, adj=rest)) == parent_g6)
-        classes.extend(_graph6_text(n, code) for code, accepted in kept.items() if accepted)
-    return tuple(sorted(classes))
+    parent_scores = _scores(parent_adj)
+    # per automorphism the labelling of P found: the image of every subset
+    perms = {tuple(moved.get(v, v) for v in range(x)) for moved in _label(parent_adj)[2]}
+    images = [reduce(lambda table, w: table + [t | 1 << w for t in table], perm, [0]) for perm in perms]
+    noncut = sum([1 << v for v in range(x) if _connected_within(parent_adj, others[v] ^ 1 << x)])
+    best = max([parent_scores[v] for v in _BITS[noncut]], default=-1)  # scores only grow in C
+    # x's score per attachment set S: per vertex of S, 128 plus its degree in C
+    tops = reduce(lambda table, gain: table + [t + gain for t in table],
+                  [129 + row.bit_count() for row in parent_adj], [0])
+    kept: dict[int, bool] = {}  # child's canonical code -> accepted
+    for nbrs in range(1, 1 << x):
+        top = tops[nbrs]
+        size = top >> 7
+        # x is non-cut (deleting it leaves P); m must score at least as high.  A
+        # vertex non-cut in P stays so in C unless S is that vertex alone.
+        if size > 1 and best > top:
+            continue
+        if images and any(image[nbrs] < nbrs for image in images):  # not its orbit's least
+            continue
+        scores = [s + (nbrs >> v & 1) * (128 + size) + (row & nbrs).bit_count()
+                  for v, (s, row) in enumerate(zip(parent_scores, parent_adj))]
+        sure = noncut & ~nbrs if size == 1 else noncut  # non-cut in C too
+        if any(scores[v] > top for v in _BITS[sure]):  # refused before C's rows exist
+            continue
+        adj = (*[row | 1 << x if nbrs >> v & 1 else row for v, row in enumerate(parent_adj)], nbrs)
+        if any(scores[v] > top and _connected_within(adj, others[v]) for v in _BITS[others[x] ^ sure]):
+            continue
+        order, code, autos = _label(adj)
+        if code in kept:
+            continue
+        # m: the first top-scoring non-cut vertex in canonical order
+        m = next(v for v in order if v == x or scores[v] == top
+                 and (sure >> v & 1 or _connected_within(adj, others[v])))
+        if m == x or _orbit(autos, x) >> m & 1:
+            kept[code] = True
+            continue
+        low = (1 << m) - 1  # vertices below m keep their bits, the others move down
+        rest = tuple(row & low | row >> 1 & ~low for v, row in enumerate(adj) if v != m)
+        kept[code] = (sorted(_scores(rest)) == sorted(parent_scores)
+                      and canonical_graph6(_unchecked(Graph, n=x, adj=rest)) == parent_g6)
+    return [_graph6_text(n, code) for code, accepted in kept.items() if accepted]
 
 
 def _require_enumerable(n: int, allow_large: bool, message: str) -> None:
@@ -247,10 +333,37 @@ def enumerate_connected(n: int, allow_large: bool = False) -> list[Graph]:
 # One record per (class, budget).  Callers that sweep one id at a time (the
 # benchmark's sweep workload, the tests) revisit the classes once per id, all
 # at n <= 7, whose 994 classes fit: only the first sweep solves.  sweep_all
-# visits each class once; at n >= 8 the bound keeps the last 1,024 records.
-@lru_cache(maxsize=1024)
+# takes the records a batch of _RECORD_CACHE classes at a time and has the
+# forked workers fill every field of _FIELDS in the ones that lack it; at
+# n >= 8 the bound keeps the last 1,024 records.
+_RECORD_CACHE = 1024
+
+
+@lru_cache(maxsize=_RECORD_CACHE)
 def _record(g6: str, budget: Optional[int]) -> GraphRecord:
     return GraphRecord(graph6_decode(g6), budget)
+
+
+# Every lazy record field a registered row reads; tuple_lemma, filled last,
+# marks a filled record.  A record whose budget ran out has only the first three.
+_FIELDS = ("diameter", "dim_value", "edim_value", "max_degree", "degeneracy", "clique", "chromatic",
+           "char_n1", "char_ge_n2", "tuple_lemma")
+
+
+def _fields(r: GraphRecord) -> list:
+    return [getattr(r, name) for name in (_FIELDS[:3] if r.budget_exhausted else _FIELDS)]
+
+
+def _fill(records: list[GraphRecord]) -> int:
+    """Compute _FIELDS in the records that lack them, split over the forked
+    workers, and return the worker count; in-process (1), the records stay
+    lazy and the rows compute what they read."""
+    todo = [r for r in records if "tuple_lemma" not in r.__dict__]
+    workers = _workers(len(todo))
+    if workers > 1:
+        for r, values in zip(todo, _fork_map(_fields, todo)):
+            r.__dict__.update(zip(_FIELDS, values))
+    return workers
 
 
 # Characterization rows read the record's verdicts; only a failing row reruns its predicate.
@@ -276,9 +389,7 @@ def _eq_n2_equiv(r: GraphRecord) -> Optional[str]:
 
 
 def _tuple_lemma(r: GraphRecord) -> Optional[str]:
-    k = r.n - r.edim_value
-    res = tuple_lemma_check(r.graph, k)
-    return None if res.holds else f"k={k} violating={res.violating}"
+    return None if r.tuple_lemma is None else f"k={r.n - r.edim_value} violating={r.tuple_lemma}"
 
 
 def _diam_le_5(r: GraphRecord) -> Optional[str]:
@@ -344,6 +455,8 @@ class SweepReport:
     elapsed_ms: float
     enumerate_ms: float  # part of elapsed_ms spent building the class lists
     data: dict = field(default_factory=dict)
+    records_ms: float = 0.0  # part of elapsed_ms spent taking and filling records
+    workers: int = 1  # processes the record fill was split over; not in the JSON
 
     @property
     def passed(self) -> bool:
@@ -379,9 +492,11 @@ class SweepReport:
 def sweep_all(theorem_ids, n_max: int, budget: Optional[int] = None,
               allow_large: bool = False) -> list[SweepReport]:
     """Check the given theorem ids in one pass over every connected graph
-    with SWEEP_N_MIN <= n <= n_max, taking one record per class.  One report
-    per id, in the given order, with the pass's timings; failures are
-    (canonical graph6, detail) pairs, sorted for run-to-run determinism."""
+    with SWEEP_N_MIN <= n <= n_max, taking one record per class, a batch of
+    _RECORD_CACHE classes at a time: forked workers fill the batch's records
+    (``_fill``) and the rows then run here.  One report per id, in the given
+    order, with the pass's timings; failures are (canonical graph6, detail)
+    pairs, sorted for run-to-run determinism."""
     theorem_ids = tuple(theorem_ids)
     for theorem_id in theorem_ids:
         if theorem_id not in THEOREM_CHECKS:
@@ -397,10 +512,15 @@ def sweep_all(theorem_ids, n_max: int, budget: Optional[int] = None,
     checks = [([_ROWS[name] for name in THEOREM_CHECKS[t]], []) for t in theorem_ids]  # rows, failures
     explore = "clique-vs-edim-explore" in theorem_ids
     clique_by_edim: dict[int, int] = {}
-    exhausted = 0
-    for n in counts:
-        for g6 in _connected_classes(n):
-            r = _record(g6, budget)
+    exhausted, workers = 0, 1
+    records_s = 0.0
+    classes = chain.from_iterable(map(_connected_classes, counts))
+    while batch := list(islice(classes, _RECORD_CACHE)):
+        taken = time.perf_counter()
+        records = [_record(g6, budget) for g6 in batch]
+        workers = max(workers, _fill(records))
+        records_s += time.perf_counter() - taken
+        for g6, r in zip(batch, records):
             if r.budget_exhausted:
                 exhausted += 1
                 continue
@@ -412,7 +532,7 @@ def sweep_all(theorem_ids, n_max: int, budget: Optional[int] = None,
                         break
             if explore:
                 k = max(r.edim_value, 1)
-                clique_by_edim[k] = max(clique_by_edim.get(k, 0), len(max_clique(r.graph)))
+                clique_by_edim[k] = max(clique_by_edim.get(k, 0), r.clique)
 
     data = {"max_clique_by_edim": {str(k): v for k, v in sorted(clique_by_edim.items())}}
     elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -428,6 +548,8 @@ def sweep_all(theorem_ids, n_max: int, budget: Optional[int] = None,
             elapsed_ms=elapsed_ms,
             enumerate_ms=(enumerated - started) * 1000.0,
             data=data if theorem_id == "clique-vs-edim-explore" else {},
+            records_ms=records_s * 1000.0,
+            workers=workers,
         )
         for theorem_id, (_, failures) in zip(theorem_ids, checks)
     ]
@@ -435,8 +557,10 @@ def sweep_all(theorem_ids, n_max: int, budget: Optional[int] = None,
 
 def sweep(theorem_id: str, n_max: int, threads: int = 1, budget: Optional[int] = None,
           allow_large: bool = False) -> SweepReport:
-    """``sweep_all((theorem_id,), ...)[0]``.  threads is checked (at least 1)
-    and otherwise unused; it stays because the benchmark workloads pass it."""
+    """``sweep_all((theorem_id,), ...)[0]``.  The records are filled by one
+    forked worker per CPU (see ``_fork_map``), whatever threads says: it is
+    checked (at least 1) and otherwise unused, and stays because the
+    benchmark workloads pass it."""
     if threads < 1:
         raise GraphInputError(f"sweep needs at least one thread, got threads={threads}")
     return sweep_all((theorem_id,), n_max, budget, allow_large)[0]

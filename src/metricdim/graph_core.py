@@ -56,12 +56,12 @@ def _byte_table(low: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
-_B0, _B1, _B2, _B3 = (_byte_table(8 * j) for j in range(4))  # _Bj[b]: the bits of b << 8j
+_B0, _B1, _B2, _B3, _B4, _B5, _B6, _B7 = (_byte_table(8 * j) for j in range(8))  # _Bj[b]: the bits of b << 8j
 
 
 def bits(mask: int):
     """The set bit positions of ``mask`` in ascending order, to iterate over:
-    a tuple of byte-table lookups below 2**32, a generator above.  A
+    a tuple of byte-table lookups below 2**64, a generator above.  A
     negative mask has no finite set of bits and raises ValueError."""
     # a negative mask shifts to -1, so it passes both width tests
     if not mask >> 16:
@@ -70,6 +70,9 @@ def bits(mask: int):
         return _B0[mask & 255] + _B1[mask >> 8 & 255] + _B2[mask >> 16 & 255] + _B3[mask >> 24]
     if mask < 0:
         raise ValueError(f"bits() of a negative mask: {mask}")
+    if not mask >> 64:
+        return (_B0[mask & 255] + _B1[mask >> 8 & 255] + _B2[mask >> 16 & 255] + _B3[mask >> 24 & 255]
+                + _B4[mask >> 32 & 255] + _B5[mask >> 40 & 255] + _B6[mask >> 48 & 255] + _B7[mask >> 56])
     return _wide_bits(mask)
 
 
@@ -483,12 +486,13 @@ def greedy_coloring(G: Graph) -> int:
     return len(classes)
 
 
-def chromatic_number(G: Graph) -> int:
+def chromatic_number(G: Graph, clique: int | None = None) -> int:
     """Exact chromatic number by branch and bound between the clique lower
-    bound and the greedy upper bound."""
+    bound (``clique``, the size of a maximum clique, when the caller has it)
+    and the greedy upper bound."""
     if G.n > CHROMATIC_EXACT_LIMIT:
         raise SizeLimitError(f"chromatic_number is certified for n <= {CHROMATIC_EXACT_LIMIT}, got {G.n}")
-    lower = len(max_clique(G))
+    lower = len(max_clique(G)) if clique is None else clique
     upper = greedy_coloring(G)
     if lower == upper:
         return lower

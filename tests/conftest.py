@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from metricdim import graph_core
+from metricdim import enumerator, graph_core
 
 settings.register_profile(
     "suite",
@@ -49,3 +49,11 @@ def bfs_calls(monkeypatch):
 
     monkeypatch.setattr(graph_core, "bfs_all_pairs", counted)
     return calls
+
+
+@pytest.fixture
+def in_process(monkeypatch):
+    """Keep the enumerator's fork map in this process, so that a test that
+    counts calls through monkeypatched functions sees every call: a forked
+    worker's calls reach only its own copy of the counter."""
+    monkeypatch.setattr(enumerator, "_WORKERS", 1)

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
 import threading
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from metricdim import characterizations, enumerator
+from metricdim import bounds, characterizations, enumerator
 from metricdim.cli import main
 from metricdim.enumerator import (
     CANONICAL_LIMIT,
@@ -29,6 +30,7 @@ from metricdim.enumerator import (
     sweep_all,
 )
 from metricdim.graph_core import (
+    GraphError,
     GraphInputError,
     SizeLimitError,
     complete_bipartite_graph,
@@ -197,7 +199,7 @@ class TestEnumeration:
         # test run
         assert len(enumerate_connected(8)) == EXPECTED_COUNTS[8]
 
-    def test_labelling_count_is_pinned(self, monkeypatch):
+    def test_labelling_count_is_pinned(self, monkeypatch, in_process):
         # Every labelling goes through _label: one per parent for its
         # automorphisms, one per child that passes the score refusals.  The
         # orbit rule labels one attachment subset per orbit of the parent's
@@ -343,7 +345,7 @@ class TestSweeps:
             assert hashlib.sha256(stdout.encode()).hexdigest() == (
                 "8db8be5710b059d5de7ffe3c6cb2122016185a176bd67620ea4e6a1aa99c9b4b")
 
-    def test_one_bfs_per_class(self, bfs_calls):
+    def test_one_bfs_per_class(self, bfs_calls, in_process):
         enumerator._record.cache_clear()
         for theorem_id in sorted(THEOREM_CHECKS):
             sweep(theorem_id, 5)
@@ -351,9 +353,9 @@ class TestSweeps:
         assert len(bfs_calls) == 29
         assert len({graph6_encode(G) for G in bfs_calls}) == 29
 
-    def test_one_characterization_per_class(self, monkeypatch):
+    def test_one_characterization_per_class(self, monkeypatch, in_process):
         # each predicate runs once per class across all 15 sweeps, wherever
-        # it is called from, and builds the radius-2 masks once per call
+        # it is called from, and the radius-2 masks are built once per graph
         counts = Counter()
         for name in ("char_edim_n1", "char_edim_ge_n2", "_within_two"):
             real = getattr(characterizations, name)
@@ -368,8 +370,18 @@ class TestSweeps:
         enumerator._record.cache_clear()
         for theorem_id in sorted(THEOREM_CHECKS):
             sweep(theorem_id, 5)
-        # _within_two: once in char_edim_ge_n2 and once in tuple_lemma_check
-        assert counts == {"char_edim_n1": 29, "char_edim_ge_n2": 29, "_within_two": 58}
+        # _within_two: once per graph, shared by char_edim_ge_n2 and tuple_lemma_check
+        assert counts == {"char_edim_n1": 29, "char_edim_ge_n2": 29, "_within_two": 29}
+
+    def test_one_clique_per_class(self, monkeypatch, in_process):
+        # the exact chromatic number and the explore sweep read one record field
+        calls = []
+        real = bounds.max_clique
+        monkeypatch.setattr(bounds, "max_clique", lambda G: calls.append(G) or real(G))
+        enumerator._record.cache_clear()
+        for theorem_id in sorted(THEOREM_CHECKS):
+            sweep(theorem_id, 5)
+        assert len(calls) == 29
 
     def test_explore_data(self):
         rep = sweep("clique-vs-edim-explore", 6)
@@ -539,6 +551,170 @@ class TestSweepAll:
     def test_cache_holds_the_classes_per_id_callers_revisit(self):
         revisited = sum(EXPECTED_COUNTS[n] for n in range(SWEEP_N_MIN, 8))
         assert enumerator._record.cache_info().maxsize >= revisited
+
+
+SWEEPS_N7_SHA = "8db8be5710b059d5de7ffe3c6cb2122016185a176bd67620ea4e6a1aa99c9b4b"
+SWEEPS_N8_SHA = "c18b6f9348de99cacad13a330383d5c6acd19f375a65b5daa7d755d0cdbb708f"  # run_sweeps.py --max-n 8
+
+
+def stdout_sha(reports) -> str:
+    """sha256 of the reports as scripts/run_sweeps.py prints them."""
+    return hashlib.sha256("".join(rep.to_json() + "\n" for rep in reports).encode()).hexdigest()
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+FORK3_CHILD = """
+import hashlib, json, os
+from metricdim import enumerator
+from metricdim.enumerator import THEOREM_CHECKS, sweep_all
+enumerator._WORKERS = 3
+# each child's share is about 100 kB, more than a pipe holds, so a child
+# that kept an earlier child's write end open would block that pipe's end
+wide = enumerator._fork_map(lambda x: "x" * 1000 + str(x), list(range(300)))
+reports = sweep_all(sorted(THEOREM_CHECKS), 7)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = True
+except ChildProcessError:
+    left = False
+print(json.dumps({
+    "wide": wide == ["x" * 1000 + str(x) for x in range(300)],
+    "stdout": hashlib.sha256("".join(r.to_json() + "\\n" for r in reports).encode()).hexdigest(),
+    "classes8": hashlib.sha256("\\n".join(enumerator._connected_classes(8)).encode()).hexdigest(),
+    "left": left,
+}))
+"""
+
+
+class TestForkedWorkers:
+    """_fork_map splits the top enumeration level and the sweep records over
+    forked workers; no output depends on how many there are."""
+
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        """force(count): that many workers, with both caches emptied."""
+        def force(count):
+            monkeypatch.setattr(enumerator, "_WORKERS", count)
+            _connected_classes.cache_clear()
+            enumerator._record.cache_clear()
+        return force
+
+    def test_class_tuples_at_one_and_two_workers(self, workers):
+        tuples = []
+        for count in (1, 2):
+            workers(count)
+            tuples.append([_connected_classes(n) for n in range(1, 9)])
+        assert tuples[0] == tuples[1]
+        assert [len(t) for t in tuples[1]] == [EXPECTED_COUNTS[n] for n in range(1, 9)]
+        digest = hashlib.sha256("\n".join(tuples[1][-1]).encode()).hexdigest()
+        assert digest == "f5f3c140aec1aaae215464473cedb2c7ce12cb2775b9306772763c31383b12cb"
+        no_child_left()
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_sweeps_n7_bytes(self, workers, count):
+        workers(count)
+        ids = sorted(THEOREM_CHECKS)
+        assert stdout_sha(sweep_all(ids, 7)) == SWEEPS_N7_SHA
+        assert stdout_sha([sweep(theorem_id, 7) for theorem_id in ids]) == SWEEPS_N7_SHA
+        no_child_left()
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_sweeps_n8_bytes(self, workers, count):
+        workers(count)
+        assert stdout_sha(sweep_all(sorted(THEOREM_CHECKS), 8)) == SWEEPS_N8_SHA
+        no_child_left()
+
+    def test_forked_fill_leaves_every_field_for_the_per_id_sweeps(self, workers):
+        workers(2)
+        reports = sweep_all(("char1-equiv",), 6)
+        assert reports[0].workers == 2
+        for g6 in (g6 for n in range(SWEEP_N_MIN, 7) for g6 in _connected_classes(n)):
+            assert set(enumerator._FIELDS) <= set(vars(enumerator._record(g6, None))), g6
+        assert sweep("tuple-lemma", 6).workers == 1  # nothing left to fill
+
+    def test_three_workers_under_a_timeout(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run([sys.executable, "-c", FORK3_CHILD], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "wide": True,
+            "stdout": SWEEPS_N7_SHA,
+            "classes8": "f5f3c140aec1aaae215464473cedb2c7ce12cb2775b9306772763c31383b12cb",
+            "left": False,
+        }
+
+    def test_results_in_input_order(self, workers):
+        workers(3)
+        items = list(range(100))  # shares of 34, 33 and 33
+        results = enumerator._fork_map(lambda x: (x, os.getpid()), items)
+        assert [x for x, _ in results] == items
+        pids = [{pid for x, pid in results if x % 3 == share} for share in range(3)]
+        assert pids[0] == {os.getpid()}
+        assert all(len(p) == 1 for p in pids) and len(set.union(*pids)) == 3
+        no_child_left()
+
+    @pytest.mark.parametrize("why", ["few items", "one CPU", "no fork", "threads"])
+    def test_stays_in_process(self, monkeypatch, why):
+        items = list(range(enumerator._FORK_MIN))
+        if why == "few items":
+            monkeypatch.setattr(enumerator, "_WORKERS", 2)
+            items.pop()
+        elif why == "one CPU":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif why == "no fork":
+            monkeypatch.setattr(enumerator, "_WORKERS", 2)
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(enumerator, "_WORKERS", 2)
+            release = threading.Event()
+            waiter = threading.Thread(target=release.wait)
+            waiter.start()
+        try:
+            assert enumerator._fork_map(lambda x: os.getpid(), items) == [os.getpid()] * len(items)
+        finally:
+            if why == "threads":
+                release.set()
+                waiter.join()
+
+    @staticmethod
+    def breaking(how):
+        """A function that fails as ``how`` says in a forked worker only."""
+        parent = os.getpid()
+
+        def fail():
+            if os.getpid() != parent:
+                if how == "raise":
+                    raise RuntimeError("broken share")
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        return fail
+
+    @pytest.mark.parametrize("how, message", [
+        ("raise", r"worker process \d+ failed: RuntimeError: broken share"),
+        ("kill", r"worker process \d+ failed: exit status -9"),
+    ])
+    def test_failed_worker_raises_graph_error(self, workers, how, message):
+        workers(2)
+        fail = self.breaking(how)
+        with pytest.raises(GraphError, match=message):
+            enumerator._fork_map(lambda x: fail() or x, list(range(100)))
+        no_child_left()
+
+    @pytest.mark.parametrize("how", ["raise", "kill"])
+    def test_check_exits_3_without_traceback(self, workers, monkeypatch, capsys, how):
+        workers(2)
+        fail, real = self.breaking(how), enumerator._fields
+        monkeypatch.setattr(enumerator, "_fields", lambda r: fail() or real(r))
+        assert main(["check", "char1-equiv", "--max-n", "6"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: worker process ") and "Traceback" not in err
+        no_child_left()
 
 
 N9_CHILD = """

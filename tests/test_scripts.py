@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -52,6 +53,18 @@ class TestRunSweeps:
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
             "8db8be5710b059d5de7ffe3c6cb2122016185a176bd67620ea4e6a1aa99c9b4b")
 
+    def test_timing_phases_on_stderr(self):
+        # the reports keep their two timing fields; the phases go to stderr
+        proc = run_script("run_sweeps.py", "--max-n", "6", "--timing")
+        assert proc.returncode == 0, proc.stderr
+        reports = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert len(reports) == 15
+        assert all(sorted(rep) == sorted(reports[0]) for rep in reports)
+        assert {"elapsed_ms", "enumerate_ms"} <= set(reports[0])
+        *summaries, timing = proc.stderr.splitlines()
+        assert len(summaries) == 15
+        assert re.fullmatch(r"timing: \d+ workers, enumeration \d+\.\d ms, records \d+\.\d ms, "
+                            r"rows -?\d+\.\d ms", timing), timing
 
     @pytest.mark.slow
     def test_n8_stdout_bytes(self):
