@@ -717,12 +717,19 @@ class TestForkedWorkers:
         no_child_left()
 
 
+# ru_maxrss keeps the peak of the process that spawned this one (Linux
+# carries it across exec), so after heavy tests it reads pytest's own peak;
+# VmHWM is this process's alone.
 N9_CHILD = """
 import json, resource
 from metricdim.enumerator import THEOREM_CHECKS, sweep_all
 reports = sweep_all(sorted(THEOREM_CHECKS), 9, allow_large=True)
-print(json.dumps({"reports": [rep.to_json() for rep in reports],
-                  "peak_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+try:
+    with open("/proc/self/status") as status:
+        peak_kib = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+except OSError:
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"reports": [rep.to_json() for rep in reports], "peak_kib": peak_kib}))
 """
 
 
