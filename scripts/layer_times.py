@@ -17,7 +17,11 @@ class: the two characterization predicates, the
 tuple lemma at k = n - edim, the largest clique, the chromatic number and
 the degeneracy; last the two resolving checks, each on the class's solved
 basis, which run BFS from that basis alone.  ``record_layers`` is the sum of
-the layers the per-class record pays for: RECORD_LAYERS below.
+the layers the per-class record pays for: RECORD_LAYERS below, each timed
+over all classes on its own.  ``record_fill_us`` times the record phase as a
+sweep worker runs it, in microseconds per class: a fresh record per class
+string, filled field by field across the class list by the worker's share
+function (``enumerator._fill_share``), both solves included.
 Each graph's distances, both solved bases and each instance's columns are
 computed once before timing, so the layers that only read them do not pay
 for them.
@@ -48,6 +52,7 @@ from time import perf_counter
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from metricdim import characterizations, enumerator, graph_core, metric, solver  # noqa: E402
+from metricdim.bounds import GraphRecord  # noqa: E402
 from metricdim.enumerator import SWEEP_N_MIN, enumerate_connected  # noqa: E402
 from metricdim.graph_core import GraphInputError, SizeLimitError, from_edge_list, is_connected  # noqa: E402
 
@@ -91,6 +96,10 @@ def pool_graphs(pool) -> list:
                 break
         graphs.append(G)
     return graphs
+
+
+def record_fill(strings) -> None:
+    enumerator._fill_share([GraphRecord(graph_core.graph6_decode(s)) for s in strings])
 
 
 def cold_classes(n: int) -> None:
@@ -148,13 +157,15 @@ def main() -> int:
         "is_edge_resolving": (lambda arg: metric.is_edge_resolving(*arg), edge_checks),
     }
     best = best_s({**layers, **{f"pool {name}": layer for name, layer in pool_layers.items()},
-                   "lattice min_hitting_set": (solver.min_hitting_set, lattice)})
+                   "lattice min_hitting_set": (solver.min_hitting_set, lattice),
+                   "record fill": (record_fill, [strings])})
     us = {name: round(best[name] / len(graphs) * 1e6, 2) for name in layers}
     pool_us = {name: round(best[f"pool {name}"] / len(pool) * 1e6, 2) for name in pool_layers}
     lattice_us = {"min_hitting_set": round(best["lattice min_hitting_set"] / len(lattice) * 1e6, 2)}
     record = round(sum(us[name] for name in RECORD_LAYERS), 2)
     print(json.dumps({"n": args.n, "classes": len(graphs), "repeats": REPEATS, "us_per_class": us,
-                      "record_layers": record, "pool_instances": len(pool), "pool_us_per_instance": pool_us,
+                      "record_layers": record, "record_fill_us": round(best["record fill"] / len(graphs) * 1e6, 2),
+                      "pool_instances": len(pool), "pool_us_per_instance": pool_us,
                       "lattice_instances": len(lattice), "lattice_us_per_instance": lattice_us},
                      sort_keys=True))
     return 0

@@ -9,7 +9,7 @@ with a flag saying whether the floor is the exact value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import isqrt
 from typing import Callable, Optional
 
@@ -247,15 +247,26 @@ def _exceeds(label: str, value: int, bound: int, kind: str, k: int,
     return f"{label}={value} bound={bound} {kind}={k}{tail}"
 
 
+@lru_cache(maxsize=None)
+def _bound(formula: Callable[[int, int], int], k: int, D: int) -> int:
+    """formula(k, D), evaluated once per (formula, k, D) for the rows below;
+    a bad (k, D) raises on every call, as errors are not cached.  k and D are
+    at most the vertex count, at most 62 in the formats read, so the cache
+    stays small."""
+    return formula(k, D)
+
+
 # Every inequality the dimensions imply: name -> (record attributes needed,
 # row); a row maps a GraphRecord to a failure detail, or None when it holds.
 # Bound formulas take the nonempty value max(v, 1), so single-edge graphs
-# pass; the scaled corollary comparisons use the plain values.
+# pass; the scaled corollary comparisons use the plain values.  The rows
+# read the (k, D) formulas through _bound: a sweep meets the same few pairs
+# on thousands of graphs, and the public functions stay uncached.
 INEQUALITIES: dict[str, tuple[tuple[str, ...], Callable[[GraphRecord], Optional[str]]]] = {
     "vertex-bound-hernando": (("dim_value", "diameter"), lambda r: _exceeds(
-        "n", r.n, vertex_bound_hernando(max(r.dim_value, 1), r.diameter), "dim", r.dim_value, r.diameter)),
+        "n", r.n, _bound(vertex_bound_hernando, max(r.dim_value, 1), r.diameter), "dim", r.dim_value, r.diameter)),
     "subgraph-vertex-self": (("dim_value",), lambda r: _exceeds(
-        "n", r.n, subgraph_vertex_bound(max(r.dim_value, 1), r.diameter), "dim", r.dim_value, r.diameter)),
+        "n", r.n, _bound(subgraph_vertex_bound, max(r.dim_value, 1), r.diameter), "dim", r.dim_value, r.diameter)),
     "max-star-md": (("dim_value",), lambda r: _exceeds(
         "max_degree", r.max_degree, 3 ** max(r.dim_value, 1) - 1, "dim", r.dim_value)),
     "corollary-edges-md": (("dim_value",), lambda r: _exceeds(
@@ -265,11 +276,11 @@ INEQUALITIES: dict[str, tuple[tuple[str, ...], Callable[[GraphRecord], Optional[
     "corollary-degeneracy-md": (("dim_value",), lambda r: _exceeds(
         "degeneracy", r.degeneracy, 3 ** r.dim_value - 1, "dim", r.dim_value)),
     "edge-bound-new": (("edim_value", "diameter"), lambda r: _exceeds(
-        "m", r.m, edge_bound_new(max(r.edim_value, 1), r.diameter), "edim", r.edim_value, r.diameter)),
+        "m", r.m, _bound(edge_bound_new, max(r.edim_value, 1), r.diameter), "edim", r.edim_value, r.diameter)),
     "edge-bound-zubrilina": (("edim_value", "diameter"), lambda r: _exceeds(
-        "m", r.m, edge_bound_zubrilina(max(r.edim_value, 1), r.diameter), "edim", r.edim_value, r.diameter)),
+        "m", r.m, _bound(edge_bound_zubrilina, max(r.edim_value, 1), r.diameter), "edim", r.edim_value, r.diameter)),
     "subgraph-edge-self": (("edim_value",), lambda r: _exceeds(
-        "m", r.m, subgraph_edge_bound(max(r.edim_value, 1), r.diameter), "edim", r.edim_value, r.diameter)),
+        "m", r.m, _bound(subgraph_edge_bound, max(r.edim_value, 1), r.diameter), "edim", r.edim_value, r.diameter)),
     "max-star-emd": (("edim_value",), lambda r: _exceeds(
         "max_degree", r.max_degree, 2 ** max(r.edim_value, 1), "edim", r.edim_value)),
     "corollary-edges-emd": (("edim_value",), lambda r: _exceeds(

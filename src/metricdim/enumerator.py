@@ -37,7 +37,9 @@ labelling's code) and the walk that tests each deletion (``_connected_within``).
 Threads cannot share this pure-Python work, so it is split over forked
 processes, one per CPU (``_fork_map``), in two places: the parents of a
 level, whose children are disjoint and sorted afterwards, and the sweep
-records, a batch at a time, each of which depends on its class alone.  The
+records, a batch at a time, each of which depends on its class alone.  A
+worker fills its share of records one field at a time across the share,
+which runs about a quarter faster than finishing each record in turn.  The
 rows run in the parent, so no output depends on the worker count.
 """
 
@@ -170,9 +172,9 @@ def _orbit(autos: list[dict[int, int]], v: int) -> int:
 
 
 # Fewer items than this stay in-process.  A fork, its pipe and the reaping
-# cost about 1.1 ms in a 17 MiB process, the work of about ten sweep records
-# or four enumeration parents on 2 CPUs, so a smaller split saves a
-# millisecond or less.
+# cost about 1.1 ms in a 17 MiB process, the work of about fourteen sweep
+# records (about 80 us each, filled field by field) or four enumeration
+# parents on 2 CPUs, so a smaller split saves a millisecond or less.
 _FORK_MIN = 32
 # The worker count the tests force; None: one per CPU this process may use.
 _WORKERS: Optional[int] = None
@@ -191,16 +193,17 @@ def _workers(count: int) -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _fork_map(fn: Callable, items: Sequence) -> list:
-    """``[fn(x) for x in items]``, with the items dealt into one interleaved
+def _fork_map(fn: Callable[[Sequence], list], items: Sequence) -> list:
+    """``fn(items)``, where fn maps a share of the items to a list of one
+    result per item, in order, with the items dealt into one interleaved
     share per worker.  Share 0 runs here and every other share in a forked
-    child, which computes its share whole, writes the marshalled results to
-    its pipe and leaves through os._exit.  The parent reads every pipe to
+    child, which passes its share to fn whole, writes the marshalled results
+    to its pipe and leaves through os._exit.  The parent reads every pipe to
     its end and then reaps every child, on failure too; a child that raised
     or died makes it raise GraphError.  fn's results must marshal."""
     workers = _workers(len(items))
     if workers == 1:
-        return [fn(x) for x in items]
+        return fn(items)
     children, shares = [], []  # (pid, read end) per child; results per share
     try:
         for share in range(1, workers):
@@ -211,7 +214,7 @@ def _fork_map(fn: Callable, items: Sequence) -> list:
                 try:
                     os.close(r)
                     try:
-                        out = [fn(x) for x in items[share::workers]]
+                        out = fn(items[share::workers])
                     except Exception as exc:
                         out = f"{type(exc).__name__}: {exc}"
                     with open(w, "wb") as pipe:
@@ -221,7 +224,7 @@ def _fork_map(fn: Callable, items: Sequence) -> list:
                     os._exit(code)
             os.close(w)  # a later child would hold it open, and the pipe would never end
             children.append((pid, r))
-        shares.append([fn(x) for x in items[::workers]])
+        shares.append(fn(items[::workers]))
         for _, r in children:
             with open(r, "rb", closefd=False) as pipe:
                 shares.append(pipe.read())
@@ -247,7 +250,8 @@ def _connected_classes(n: int) -> tuple[str, ...]:
     since each class is kept under exactly one parent."""
     if n == 1:
         return ("@",)  # K1
-    return tuple(sorted(g6 for kids in _fork_map(_children, _connected_classes(n - 1)) for g6 in kids))
+    kids = _fork_map(lambda parents: [_children(g6) for g6 in parents], _connected_classes(n - 1))
+    return tuple(sorted(chain.from_iterable(kids)))
 
 
 def _children(parent_g6: str) -> list[str]:
@@ -354,14 +358,29 @@ def _fields(r: GraphRecord) -> list:
     return [getattr(r, name) for name in (_FIELDS[:3] if r.budget_exhausted else _FIELDS)]
 
 
+def _fill_share(records: Sequence[GraphRecord]) -> list[list]:
+    """``[_fields(r) for r in records]``, computed one field at a time across
+    the records: every diameter, then every dim_value, and so on down _FIELDS.
+    This takes about a quarter less time than record by record, most likely
+    as each field's code and data stay in the interpreter's caches."""
+    live = records
+    for i, name in enumerate(_FIELDS):
+        if i == 3:
+            live = [r for r in records if not r.budget_exhausted]
+        for r in live:
+            getattr(r, name)
+    return [_fields(r) for r in records]
+
+
 def _fill(records: list[GraphRecord]) -> int:
     """Compute _FIELDS in the records that lack them, split over the forked
-    workers, and return the worker count; in-process (1), the records stay
-    lazy and the rows compute what they read."""
+    workers, each filling its share through ``_fill_share``, and return the
+    worker count; in-process (1), the records stay lazy and the rows compute
+    what they read."""
     todo = [r for r in records if "tuple_lemma" not in r.__dict__]
     workers = _workers(len(todo))
     if workers > 1:
-        for r, values in zip(todo, _fork_map(_fields, todo)):
+        for r, values in zip(todo, _fork_map(_fill_share, todo)):
             r.__dict__.update(zip(_FIELDS, values))
     return workers
 

@@ -12,6 +12,7 @@ import time
 
 from conftest import ACCEPTANCE_LINES
 
+from metricdim import enumerator
 from metricdim.bounds import (
     edge_bound_general_c,
     edge_bound_new,
@@ -245,14 +246,22 @@ def test_criterion_09_solver_soundness():
            "200 pseudorandom graphs agree with the all-subsets oracle on both dimensions")
 
 
-def test_criterion_10_thread_determinism():
+def test_criterion_10_thread_determinism(monkeypatch):
+    # one worker keeps the records lazy, two fill them in forked workers;
+    # each run takes fresh records
     start = time.monotonic()
     failures = []
     sweep_ids = ("char1-equiv", "char2-equiv", "eq-n2-equiv",
                  "diam-le-5", "diam-le-3k-1", "tuple-lemma") + AUDIT_SWEEPS
     for theorem_id in sweep_ids:
-        reports = {t: sweep(theorem_id, 7, threads=t).to_json() for t in (1, 4)}
-        if reports[1] != reports[4]:
-            failures.append(f"{theorem_id}: reports differ across thread counts")
+        reports = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(enumerator, "_WORKERS", workers)
+            enumerator._record.cache_clear()
+            reports[workers] = sweep(theorem_id, 7)
+        if reports[2].workers != 2:
+            failures.append(f"{theorem_id}: the records were not filled by 2 workers")
+        if reports[1].to_json() != reports[2].to_json():
+            failures.append(f"{theorem_id}: reports differ across worker counts")
     report(10, failures, time.monotonic() - start, 600,
-           f"{len(sweep_ids)} sweep reports byte-identical at 1 and 4 threads")
+           f"{len(sweep_ids)} sweep reports byte-identical at 1 and 2 forked workers")

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 from collections import Counter
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from metricdim import bounds, enumerator
+from metricdim.enumerator import THEOREM_CHECKS, sweep_all
 from metricdim.bounds import (
     INEQUALITIES,
     BoundParams,
@@ -32,6 +34,7 @@ from metricdim.graph_core import (
     path_graph,
     star_graph,
 )
+from oracles import random_connected_graph
 
 
 class TestHandValues:
@@ -246,3 +249,54 @@ class TestAudit:
         G = Graph(n=4, adj=(2, 1, 8, 4))
         with pytest.raises(DisconnectedGraphError):
             audit_graph(G)
+
+
+def uncached(formula, k, D):
+    return formula(k, D)
+
+
+class TestFormulaCache:
+    """The rows read the (k, D) formulas through bounds._bound."""
+
+    @staticmethod
+    def audit(G):
+        rec = audit_graph(G)
+        return rec.checks, {name: row(rec) for name, (_, row) in INEQUALITIES.items() if name in rec.checks}
+
+    def test_rows_match_the_uncached_formulas(self, monkeypatch):
+        rng = random.Random(34)
+        graphs = [graph6_decode(g6) for n in range(1, 8) for g6 in enumerator._connected_classes(n)]
+        graphs += [random_connected_graph(rng, rng.randint(10, 16)) for _ in range(50)]
+        cached = [self.audit(G) for G in graphs]
+        monkeypatch.setattr(bounds, "_bound", uncached)
+        assert [self.audit(G) for G in graphs] == cached
+
+    def test_failing_row_detail(self, monkeypatch):
+        bound = edge_bound_new(2, 3)
+        row = INEQUALITIES["edge-bound-new"][1]
+        for _ in range(2):  # a miss, then a hit
+            rec = GraphRecord(cycle_graph(6))  # edim 2, diameter 3
+            rec.m = bound + 1
+            assert row(rec) == f"m={bound + 1} bound={bound} edim=2 D=3"
+        monkeypatch.setattr(bounds, "_bound", uncached)
+        assert row(rec) == f"m={bound + 1} bound={bound} edim=2 D=3"
+
+    @pytest.mark.parametrize("formula, k, D", [
+        (edge_bound_new, 0, 4), (edge_bound_zubrilina, 2, 0), (vertex_bound_hernando, 2, 0),
+        (subgraph_vertex_bound, 2, -1)])
+    def test_bad_arguments_raise_on_every_call(self, formula, k, D):
+        for _ in range(3):
+            with pytest.raises(GraphInputError):
+                bounds._bound(formula, k, D)
+
+    def test_one_entry_per_formula_and_arguments_after_a_sweep(self):
+        bounds._bound.cache_clear()
+        sweep_all(sorted(THEOREM_CHECKS), 7)
+        records = [enumerator._record(g6, None) for n in range(enumerator.SWEEP_N_MIN, 8)
+                   for g6 in enumerator._connected_classes(n)]
+        keys = {(formula, max(getattr(r, dim), 1), r.diameter) for r in records for formula, dim in (
+            (vertex_bound_hernando, "dim_value"), (subgraph_vertex_bound, "dim_value"), (edge_bound_new, "edim_value"),
+            (edge_bound_zubrilina, "edim_value"), (subgraph_edge_bound, "edim_value"))}
+        info = bounds._bound.cache_info()
+        assert info.currsize == info.misses == len(keys)
+        assert info.hits + info.misses == 5 * len(records)  # five formula rows per record

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -574,7 +575,7 @@ from metricdim.enumerator import THEOREM_CHECKS, sweep_all
 enumerator._WORKERS = 3
 # each child's share is about 100 kB, more than a pipe holds, so a child
 # that kept an earlier child's write end open would block that pipe's end
-wide = enumerator._fork_map(lambda x: "x" * 1000 + str(x), list(range(300)))
+wide = enumerator._fork_map(lambda share: ["x" * 1000 + str(x) for x in share], list(range(300)))
 reports = sweep_all(sorted(THEOREM_CHECKS), 7)
 try:
     os.waitpid(-1, os.WNOHANG)
@@ -636,6 +637,33 @@ class TestForkedWorkers:
             assert set(enumerator._FIELDS) <= set(vars(enumerator._record(g6, None))), g6
         assert sweep("tuple-lemma", 6).workers == 1  # nothing left to fill
 
+    def test_share_fills_one_field_at_a_time(self, monkeypatch):
+        # every fourth record has budget 0, runs out and gets the first three fields only
+        classes = [g6 for n in range(SWEEP_N_MIN, 6) for g6 in _connected_classes(n)]
+
+        def share():
+            return [bounds.GraphRecord(graph6_decode(g6), None if i % 4 else 0) for i, g6 in enumerate(classes)]
+
+        expected = [enumerator._fields(r) for r in share()]
+        records, calls = share(), []
+        index = {id(r): i for i, r in enumerate(records)}
+
+        def spy(name):
+            real = vars(bounds.GraphRecord)[name].func
+            prop = functools.cached_property(lambda r: calls.append((name, index[id(r)])) or real(r))
+            prop.__set_name__(bounds.GraphRecord, name)
+            return prop
+
+        for name in enumerator._FIELDS:
+            monkeypatch.setattr(bounds.GraphRecord, name, spy(name))
+        assert enumerator._fill_share(records) == expected
+        assert calls == [(name, i) for f, name in enumerate(enumerator._FIELDS)
+                         for i in range(len(records)) if f < 3 or i % 4]
+        for i, (r, values) in enumerate(zip(records, expected)):
+            filled = [name for name in enumerator._FIELDS if name in vars(r)]
+            assert filled == list(enumerator._FIELDS if i % 4 else enumerator._FIELDS[:3])
+            assert len(values) == len(filled) and r.budget_exhausted == (i % 4 == 0)
+
     def test_three_workers_under_a_timeout(self):
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         proc = subprocess.run([sys.executable, "-c", FORK3_CHILD], capture_output=True, text=True,
@@ -651,7 +679,7 @@ class TestForkedWorkers:
     def test_results_in_input_order(self, workers):
         workers(3)
         items = list(range(100))  # shares of 34, 33 and 33
-        results = enumerator._fork_map(lambda x: (x, os.getpid()), items)
+        results = enumerator._fork_map(lambda share: [(x, os.getpid()) for x in share], items)
         assert [x for x, _ in results] == items
         pids = [{pid for x, pid in results if x % 3 == share} for share in range(3)]
         assert pids[0] == {os.getpid()}
@@ -675,7 +703,7 @@ class TestForkedWorkers:
             waiter = threading.Thread(target=release.wait)
             waiter.start()
         try:
-            assert enumerator._fork_map(lambda x: os.getpid(), items) == [os.getpid()] * len(items)
+            assert enumerator._fork_map(lambda share: [os.getpid() for _ in share], items) == [os.getpid()] * len(items)
         finally:
             if why == "threads":
                 release.set()
@@ -702,14 +730,14 @@ class TestForkedWorkers:
         workers(2)
         fail = self.breaking(how)
         with pytest.raises(GraphError, match=message):
-            enumerator._fork_map(lambda x: fail() or x, list(range(100)))
+            enumerator._fork_map(lambda share: fail() or list(share), list(range(100)))
         no_child_left()
 
     @pytest.mark.parametrize("how", ["raise", "kill"])
     def test_check_exits_3_without_traceback(self, workers, monkeypatch, capsys, how):
         workers(2)
-        fail, real = self.breaking(how), enumerator._fields
-        monkeypatch.setattr(enumerator, "_fields", lambda r: fail() or real(r))
+        fail, real = self.breaking(how), enumerator._fill_share
+        monkeypatch.setattr(enumerator, "_fill_share", lambda share: fail() or real(share))
         assert main(["check", "char1-equiv", "--max-n", "6"]) == 3
         out, err = capsys.readouterr()
         assert out == ""

@@ -92,6 +92,7 @@ class TestLayerTimes:
             "graph6_decode", "bfs", "char_edim_n1", "char_edim_ge_n2", "tuple_lemma_check", "max_clique",
             "chromatic_number", "degeneracy")]
         assert report["record_layers"] == pytest.approx(sum(record), abs=0.01)
+        assert report["record_fill_us"] > 0
         # the branch-and-bound layers, on the fixed pool past the lattice
         assert report["pool_instances"] == 16
         assert sorted(report["pool_us_per_instance"]) == ["_minimal_families", "greedy_upper_bound",
@@ -102,7 +103,8 @@ class TestLayerTimes:
         assert list(report["lattice_us_per_instance"]) == ["min_hitting_set"]
         assert report["lattice_us_per_instance"]["min_hitting_set"] > 0
         assert sorted(report) == ["classes", "lattice_instances", "lattice_us_per_instance", "n", "pool_instances",
-                                  "pool_us_per_instance", "record_layers", "repeats", "us_per_class"]
+                                  "pool_us_per_instance", "record_fill_us", "record_layers", "repeats",
+                                  "us_per_class"]
 
     def test_size_without_classes_is_a_usage_error(self):
         proc = run_script("layer_times.py", "--n", "9")
