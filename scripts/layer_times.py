@@ -19,9 +19,9 @@ the degeneracy; last the two resolving checks, each on the class's solved
 basis, which run BFS from that basis alone.  ``record_layers`` is the sum of
 the layers the per-class record pays for: RECORD_LAYERS below, each timed
 over all classes on its own.  ``record_fill_us`` times the record phase as a
-sweep worker runs it, in microseconds per class: a fresh record per class
-string, filled field by field across the class list by the worker's share
-function (``enumerator._fill_share``), both solves included.
+sweep runs it at any worker count, in microseconds per class: a fresh record
+per class string, filled field by field across the class list by the share
+function each worker runs (``enumerator._fill_share``), both solves included.
 Each graph's distances, both solved bases and each instance's columns are
 computed once before timing, so the layers that only read them do not pay
 for them.

@@ -48,6 +48,7 @@ from .graph_core import (
     graph6_decode,
     graph6_encode,
     parse_edge_list_text,
+    _nonblank_lines,
 )
 from .metric import is_edge_resolving, is_vertex_resolving, landmark_tuple
 from .enumerator import SCHEMA_VERSION, THEOREM_CHECKS, sweep
@@ -88,10 +89,12 @@ def _read_graph(path: str, fmt: str) -> Graph:
     except (OSError, UnicodeDecodeError) as exc:
         raise GraphInputError(f"cannot read graph input: {exc}")
     if fmt == "graph6":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if len(lines) != 1:
-            raise GraphInputError(f"expected exactly one graph6 line, got {len(lines)}")
-        return graph6_decode(lines[0])
+        lines = _nonblank_lines(text)
+        first = next(lines, None)
+        count = (first is not None) + sum(1 for _ in lines)  # the others are counted, not kept
+        if count != 1:
+            raise GraphInputError(f"expected exactly one graph6 line, got {count}")
+        return graph6_decode(first)
     return parse_edge_list_text(text)
 
 

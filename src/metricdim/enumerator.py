@@ -39,8 +39,9 @@ processes, one per CPU (``_fork_map``), in two places: the parents of a
 level, whose children are disjoint and sorted afterwards, and the sweep
 records, a batch at a time, each of which depends on its class alone.  A
 worker fills its share of records one field at a time across the share,
-which runs about a quarter faster than finishing each record in turn.  The
-rows run in the parent, so no output depends on the worker count.
+which runs about a quarter faster than finishing each record in turn; one
+worker fills the batch the same way.  The rows then run in the parent, so
+no output depends on the worker count.
 """
 
 from __future__ import annotations
@@ -323,8 +324,8 @@ def _require_enumerable(n: int, allow_large: bool, message: str) -> None:
 
 def enumerate_connected(n: int, allow_large: bool = False) -> list[Graph]:
     """One representative per isomorphism class of connected n-vertex
-    graphs, ordered by canonical graph6 string.  n = 9 takes minutes and
-    sits behind the allow_large flag."""
+    graphs, ordered by canonical graph6 string.  n = 9 (261,080 classes,
+    about 7 s on 2 CPUs) sits behind the allow_large flag."""
     _require_enumerable(n, allow_large, "enumeration supports 1 <= n <= {limit}, got n={n}")
     return [graph6_decode(s) for s in _connected_classes(n)]
 
@@ -337,9 +338,9 @@ def enumerate_connected(n: int, allow_large: bool = False) -> list[Graph]:
 # One record per (class, budget).  Callers that sweep one id at a time (the
 # benchmark's sweep workload, the tests) revisit the classes once per id, all
 # at n <= 7, whose 994 classes fit: only the first sweep solves.  sweep_all
-# takes the records a batch of _RECORD_CACHE classes at a time and has the
-# forked workers fill every field of _FIELDS in the ones that lack it; at
-# n >= 8 the bound keeps the last 1,024 records.
+# takes the records a batch of _RECORD_CACHE classes at a time and fills the
+# ones not filled yet (``_fill``); at n >= 8 the bound keeps the last 1,024
+# records.
 _RECORD_CACHE = 1024
 
 
@@ -348,41 +349,34 @@ def _record(g6: str, budget: Optional[int]) -> GraphRecord:
     return GraphRecord(graph6_decode(g6), budget)
 
 
-# Every lazy record field a registered row reads; tuple_lemma, filled last,
-# marks a filled record.  A record whose budget ran out has only the first three.
+# Every lazy record field a registered row reads, in the order the fill computes them.
 _FIELDS = ("diameter", "dim_value", "edim_value", "max_degree", "degeneracy", "clique", "chromatic",
            "char_n1", "char_ge_n2", "tuple_lemma")
 
 
-def _fields(r: GraphRecord) -> list:
-    return [getattr(r, name) for name in (_FIELDS[:3] if r.budget_exhausted else _FIELDS)]
-
-
 def _fill_share(records: Sequence[GraphRecord]) -> list[list]:
-    """``[_fields(r) for r in records]``, computed one field at a time across
-    the records: every diameter, then every dim_value, and so on down _FIELDS.
-    This takes about a quarter less time than record by record, most likely
-    as each field's code and data stay in the interpreter's caches."""
-    live = records
+    """Per record, the values of the _FIELDS its budget allows: all, or the
+    first three once a dimension's budget ran out.  Each field is computed
+    across the records before the next (every diameter, then every
+    dim_value, ...), about a quarter faster than record by record."""
+    values = [[] for _ in records]
+    live = list(zip(records, values))
     for i, name in enumerate(_FIELDS):
         if i == 3:
-            live = [r for r in records if not r.budget_exhausted]
-        for r in live:
-            getattr(r, name)
-    return [_fields(r) for r in records]
+            live = [(r, v) for r, v in live if not r.budget_exhausted]
+        for r, v in live:
+            v.append(getattr(r, name))
+    return values
 
 
 def _fill(records: list[GraphRecord]) -> int:
-    """Compute _FIELDS in the records that lack them, split over the forked
-    workers, each filling its share through ``_fill_share``, and return the
-    worker count; in-process (1), the records stay lazy and the rows compute
-    what they read."""
-    todo = [r for r in records if "tuple_lemma" not in r.__dict__]
-    workers = _workers(len(todo))
-    if workers > 1:
-        for r, values in zip(todo, _fork_map(_fill_share, todo)):
-            r.__dict__.update(zip(_FIELDS, values))
-    return workers
+    """Fill the records not filled yet through ``_fill_share``, split over the
+    forked workers or in-process, and return the worker count.  A filled
+    record, exhausted or not, carries ``_filled``, so none is filled twice."""
+    todo = [r for r in records if "_filled" not in r.__dict__]
+    for r, values in zip(todo, _fork_map(_fill_share, todo)):
+        r.__dict__.update(zip(_FIELDS, values), _filled=True)
+    return _workers(len(todo))
 
 
 # Characterization rows read the record's verdicts; only a failing row reruns its predicate.
@@ -512,10 +506,10 @@ def sweep_all(theorem_ids, n_max: int, budget: Optional[int] = None,
               allow_large: bool = False) -> list[SweepReport]:
     """Check the given theorem ids in one pass over every connected graph
     with SWEEP_N_MIN <= n <= n_max, taking one record per class, a batch of
-    _RECORD_CACHE classes at a time: forked workers fill the batch's records
-    (``_fill``) and the rows then run here.  One report per id, in the given
-    order, with the pass's timings; failures are (canonical graph6, detail)
-    pairs, sorted for run-to-run determinism."""
+    _RECORD_CACHE classes at a time: ``_fill`` fills the batch's records and
+    the rows then run here.  One report per id, in the given order, with the
+    pass's timings; failures are (canonical graph6, detail) pairs, sorted
+    for run-to-run determinism."""
     theorem_ids = tuple(theorem_ids)
     for theorem_id in theorem_ids:
         if theorem_id not in THEOREM_CHECKS:

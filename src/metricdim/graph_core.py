@@ -22,8 +22,11 @@ check of ``DistinguisherInstance`` the same way.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
+from typing import Iterator
 
 UNREACHABLE = 1 << 30  # distance sentinel for disconnected pairs; safe to add offsets to
 GRAPH6_MAX_N = 62
@@ -253,24 +256,43 @@ def graph6_decode(text: str) -> Graph:
 # ---------------------------------------------------------------------------
 
 
+# a run of characters between the line boundaries of str.splitlines
+_LINE = re.compile(r"[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]+")
+
+
+def _nonblank_lines(text: str) -> Iterator[str]:
+    """The stripped nonblank lines of ``text`` as str.splitlines splits it,
+    one at a time, so that no list of every line is built."""
+    return filter(None, (match.group().strip() for match in _LINE.finditer(text)))
+
+
 def parse_edge_list_text(text: str) -> Graph:
-    """Parse "n m" followed by m lines "u v"; n is capped at GRAPH6_MAX_N."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
+    """Parse "n m" followed by m lines "u v".  The header is checked before
+    any edge line is read: n is capped at GRAPH6_MAX_N and m at the
+    n(n - 1)/2 edges n vertices allow, so at most that many lines are kept."""
+    lines = _nonblank_lines(text)
+    header = next(lines, None)
+    if header is None:
         raise GraphInputError("empty edge-list text")
-    head = lines[0].split()
+    head = header.split()
     if len(head) != 2:
-        raise GraphInputError(f"edge-list header must be 'n m', got {lines[0]!r}")
+        raise GraphInputError(f"edge-list header must be 'n m', got {header!r}")
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
-        raise GraphInputError(f"edge-list header must be two integers: {lines[0]!r}") from exc
+        raise GraphInputError(f"edge-list header must be two integers: {header!r}") from exc
     if n > GRAPH6_MAX_N:
         raise SizeLimitError(f"edge-list input supports n <= {GRAPH6_MAX_N}, got {n}")
-    if m != len(lines) - 1:
-        raise GraphInputError(f"header announces {m} edges but {len(lines) - 1} lines follow")
+    if n < 0:
+        raise GraphInputError("vertex count must be nonnegative")
+    if m > n * (n - 1) // 2:
+        raise GraphInputError(f"header announces {m} edges but {n} vertices allow at most {n * (n - 1) // 2}")
+    body = list(islice(lines, max(m, 0)))
+    follow = len(body) + sum(1 for _ in lines)
+    if m != follow:
+        raise GraphInputError(f"header announces {m} edges but {follow} lines follow")
     edges = []
-    for ln in lines[1:]:
+    for ln in body:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphInputError(f"edge line must be 'u v', got {ln!r}")

@@ -247,8 +247,8 @@ def test_criterion_09_solver_soundness():
 
 
 def test_criterion_10_thread_determinism(monkeypatch):
-    # one worker keeps the records lazy, two fill them in forked workers;
-    # each run takes fresh records
+    # one worker fills the records in-process, two fill them the same way in
+    # forked workers; each run takes fresh records
     start = time.monotonic()
     failures = []
     sweep_ids = ("char1-equiv", "char2-equiv", "eq-n2-equiv",

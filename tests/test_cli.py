@@ -409,6 +409,29 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert "n <= 62" in err
 
+    @pytest.mark.parametrize("fmt, head, line, count, message", [
+        ("edgelist", "62 5000000\n", "0 1\n", 5_000_000,
+         "header announces 5000000 edges but 62 vertices allow at most 1891"),
+        ("edgelist", "62 1\n", "0 1\n", 5_000_000, "header announces 1 edges but 5000000 lines follow"),
+        ("graph6", "", "A_\n", 6_700_000, "expected exactly one graph6 line, got 6700000"),
+    ], ids=["edge-count", "edge-lines", "graph6-lines"])
+    def test_hostile_input_exits_2_promptly(self, tmp_path, fmt, head, line, count, message):
+        # a 20 MB file read by a child under a 256 MiB address-space cap: a
+        # list of every line (about 400 MiB) or of every edge cannot fit
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+
+        path = tmp_path / "hostile"
+        path.write_text(head + line * count)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        started = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "metricdim.cli", "dim", str(path), "--format", fmt],
+            capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap_memory,
+        )
+        assert time.perf_counter() - started < 10
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("fmt", ["graph6", "edgelist"])
     @pytest.mark.parametrize("command", [["dim"], ["edim"], ["verify", "--landmarks", "0"]],
                              ids=["dim", "edim", "verify"])

@@ -638,31 +638,72 @@ class TestForkedWorkers:
         assert sweep("tuple-lemma", 6).workers == 1  # nothing left to fill
 
     def test_share_fills_one_field_at_a_time(self, monkeypatch):
-        # every fourth record has budget 0, runs out and gets the first three fields only
-        classes = [g6 for n in range(SWEEP_N_MIN, 6) for g6 in _connected_classes(n)]
-
-        def share():
-            return [bounds.GraphRecord(graph6_decode(g6), None if i % 4 else 0) for i, g6 in enumerate(classes)]
-
-        expected = [enumerator._fields(r) for r in share()]
-        records, calls = share(), []
-        index = {id(r): i for i, r in enumerate(records)}
+        # _fill in-process, at _WORKERS = 1 and below _FORK_MIN: every field a
+        # record's budget allows, one field at a time across the batch, once;
+        # every fourth record has budget 0, runs out and gets the first three only
+        calls = []
 
         def spy(name):
             real = vars(bounds.GraphRecord)[name].func
-            prop = functools.cached_property(lambda r: calls.append((name, index[id(r)])) or real(r))
+            prop = functools.cached_property(lambda r: calls.append((name, id(r))) or real(r))
             prop.__set_name__(bounds.GraphRecord, name)
             return prop
 
+        def batch(n_max):
+            return [bounds.GraphRecord(graph6_decode(g6), None if i % 4 else 0)
+                    for i, g6 in enumerate(g6 for n in range(SWEEP_N_MIN, n_max + 1) for g6 in _connected_classes(n))]
+
+        def field_order(records):  # budget 0 runs out on every class here
+            return [(name, id(r)) for f, name in enumerate(enumerator._FIELDS)
+                    for r in records if f < 3 or r.budget is None]
+
+        expected = {n_max: [[getattr(r, name) for name in enumerator._FIELDS[:None if i % 4 else 3]]
+                            for i, r in enumerate(batch(n_max))] for n_max in (5, 6)}
         for name in enumerator._FIELDS:
             monkeypatch.setattr(bounds.GraphRecord, name, spy(name))
-        assert enumerator._fill_share(records) == expected
-        assert calls == [(name, i) for f, name in enumerate(enumerator._FIELDS)
-                         for i in range(len(records)) if f < 3 or i % 4]
-        for i, (r, values) in enumerate(zip(records, expected)):
-            filled = [name for name in enumerator._FIELDS if name in vars(r)]
-            assert filled == list(enumerator._FIELDS if i % 4 else enumerator._FIELDS[:3])
-            assert len(values) == len(filled) and r.budget_exhausted == (i % 4 == 0)
+        for n_max, count in ((6, 1), (5, 2)):
+            assert (len(expected[n_max]) < enumerator._FORK_MIN) == (n_max == 5)
+            monkeypatch.setattr(enumerator, "_WORKERS", count)
+            records = batch(n_max)
+            assert enumerator._fill_share(records) == expected[n_max]
+            assert calls == field_order(records)
+            calls.clear()
+            records = batch(n_max)
+            assert enumerator._fill(records) == 1
+            assert calls == field_order(records)
+            for i, r in enumerate(records):
+                filled = [name for name in enumerator._FIELDS if name in vars(r)]
+                assert filled == list(enumerator._FIELDS if i % 4 else enumerator._FIELDS[:3])
+                assert [vars(r)[name] for name in filled] == expected[n_max][i]
+                assert r.budget_exhausted == (i % 4 == 0)
+            calls.clear()
+            assert enumerator._fill(records) == 1 and calls == []  # exhausted records too
+        # a sweep fills its records before any row reads them: no field is computed later
+        monkeypatch.setattr(enumerator, "_WORKERS", 1)
+        enumerator._record.cache_clear()
+        sweep_all(sorted(THEOREM_CHECKS), 6)
+        assert calls == field_order([enumerator._record(g6, None) for n in range(SWEEP_N_MIN, 7)
+                                     for g6 in _connected_classes(n)])
+
+    def test_exhausted_records_are_filled_once(self, workers):
+        workers(2)
+        reports = [sweep("char1-equiv", 7, budget=0) for _ in range(3)]
+        assert reports[0].solver_budget_exhaustions == 994
+        assert [rep.workers for rep in reports] == [2, 1, 1]
+        assert len({rep.to_json() for rep in reports}) == 1
+        no_child_left()
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_records_read_before_the_sweep(self, workers, count):
+        # records the audit path read lazily are filled like fresh ones and give the same reports
+        workers(count)
+        classes = [g6 for n in range(SWEEP_N_MIN, 8) for g6 in _connected_classes(n)]
+        for g6 in classes[::3]:
+            enumerator._record(g6, None).checks
+        assert stdout_sha(sweep_all(sorted(THEOREM_CHECKS), 7)) == SWEEPS_N7_SHA
+        for g6 in classes:
+            assert set(enumerator._FIELDS) | {"_filled"} <= set(vars(enumerator._record(g6, None))), g6
+        no_child_left()
 
     def test_three_workers_under_a_timeout(self):
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -239,6 +239,20 @@ class TestEdgeListText:
             parse_edge_list_text("63 0\n")
         assert parse_edge_list_text("62 1\n0 61\n").n == 62
 
+    def test_header_refused_before_the_edge_lines(self):
+        # the edge lines are never read: "0 x" would raise its own error
+        with pytest.raises(GraphInputError, match="^header announces 4 edges but 3 vertices allow at most 3$"):
+            parse_edge_list_text("3 4\n0 x\n")
+        with pytest.raises(GraphInputError, match="^vertex count must be nonnegative$"):
+            parse_edge_list_text("-2 1\n0 x\n")
+        assert parse_edge_list_text("3 3\n0 1\n1 2\n0 2\n").num_edges == 3
+        with pytest.raises(GraphInputError, match="^header announces 0 edges but 2 lines follow$"):
+            parse_edge_list_text("1 0\n\n0 x\r\n \x0c y\n")
+
+    def test_lines_split_as_splitlines_does(self):
+        text = "4 3\r\n0 1\x0b1 2\x85 \u20282 3\n\n"
+        assert parse_edge_list_text(text) == from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
+
 
 class TestDistances:
     @given(graphs)
