@@ -4,9 +4,9 @@ print one JSON report per line.
 
 Usage: run_sweeps.py [--max-n N] [--allow-large] [--timing]
 
-With --timing, stderr also gets one line with the worker count and the wall
-time of enumeration, records and rows.  The records phase covers all record
-work, taking the records and filling their fields, at every worker count.
+With --timing, stderr also gets one line with the worker count, the wall
+time of enumerating the levels below --max-n, and the wall time of the pass
+that checks every class, with each worker's item count and time.
 """
 
 import argparse
@@ -23,7 +23,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=7, dest="max_n")
     parser.add_argument("--allow-large", action="store_true", dest="allow_large",
-                        help="allow --max-n 9 (261,080 classes; about 31 s on 2 CPUs)")
+                        help="allow --max-n 9 (261,080 classes; about 25 s on 2 CPUs)")
     parser.add_argument("--timing", action="store_true",
                         help="include elapsed_ms and enumerate_ms, the one pass's timings, in every "
                              "report (breaks byte determinism), and print the worker count and the "
@@ -42,9 +42,9 @@ def main() -> int:
         print(report.summary_line(), file=sys.stderr)
     if args.timing:
         first = reports[0]
-        rows_ms = first.elapsed_ms - first.enumerate_ms - first.records_ms
+        shares = ", ".join(f"{items} items {ms:.1f} ms" for items, ms in first.shares)
         print(f"timing: {first.workers} workers, enumeration {first.enumerate_ms:.1f} ms, "
-              f"records {first.records_ms:.1f} ms, rows {rows_ms:.1f} ms", file=sys.stderr)
+              f"pass {first.elapsed_ms - first.enumerate_ms:.1f} ms ({shares})", file=sys.stderr)
     return 0 if all(report.passed for report in reports) else 1
 
 

@@ -35,13 +35,11 @@ parent, so a per-parent set of canonical codes drops the remaining repeats.
 labelling's code) and the walk that tests each deletion (``_connected_within``).
 
 Threads cannot share this pure-Python work, so it is split over forked
-processes, one per CPU (``_fork_map``), in two places: the parents of a
-level, whose children are disjoint and sorted afterwards, and the sweep
-records, a batch at a time, each of which depends on its class alone.  A
-worker fills its share of records one field at a time across the share,
-which runs about a quarter faster than finishing each record in turn; one
-worker fills the batch the same way.  The rows then run in the parent, so
-no output depends on the worker count.
+processes, one per CPU (``_fork_map``): an enumeration level by parent, and
+a sweep in one pass whose workers check the classes below n_max and the
+children of their (n_max - 1)-classes, a chunk of records at a time, one
+field at a time across the chunk.  They send back only counts, failures and
+maxima, so no output depends on the worker count or the deal.
 """
 
 from __future__ import annotations
@@ -172,11 +170,11 @@ def _orbit(autos: list[dict[int, int]], v: int) -> int:
     return orbit
 
 
-# Fewer items than this stay in-process.  A fork, its pipe and the reaping
-# cost about 1.1 ms in a 17 MiB process, the work of about fourteen sweep
-# records (about 80 us each, filled field by field) or four enumeration
-# parents on 2 CPUs, so a smaller split saves a millisecond or less.
-_FORK_MIN = 32
+# Fewer items than this stay in-process.  On 2 CPUs a sweep to n_max = 6 (29
+# items) takes 13 ms forked and 19 ms in one process, one to n_max = 5 (8
+# items) 4.4 ms forked and 4.1 ms in one process; forking the level-6
+# enumeration (21 parents) saves about 2 ms of a sweep to n_max = 7.
+_FORK_MIN = 16
 # The worker count the tests force; None: one per CPU this process may use.
 _WORKERS: Optional[int] = None
 
@@ -194,20 +192,27 @@ def _workers(count: int) -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _fork_map(fn: Callable[[Sequence], list], items: Sequence) -> list:
-    """``fn(items)``, where fn maps a share of the items to a list of one
-    result per item, in order, with the items dealt into one interleaved
-    share per worker.  Share 0 runs here and every other share in a forked
-    child, which passes its share to fn whole, writes the marshalled results
-    to its pipe and leaves through os._exit.  The parent reads every pipe to
-    its end and then reaps every child, on failure too; a child that raised
-    or died makes it raise GraphError.  fn's results must marshal."""
+def _deal(items: Sequence, workers: int) -> list[list]:
+    """One share per worker, dealt snake-wise (workers 0..w-1, then w-1..0,
+    and so on), so that items sorted heaviest first split evenly."""
+    cycle = 2 * workers
+    return [[*items[share::cycle], *items[cycle - 1 - share::cycle]] for share in range(workers)]
+
+
+def _fork_map(fn: Callable[[Sequence], object], items: Sequence) -> list:
+    """``[fn(share) for share in _deal(items, workers)]``.  Share 0 runs here
+    and every other share in a forked child, which writes its marshalled
+    result to its pipe and leaves through os._exit.  The parent reads every
+    pipe to its end and then reaps every child, on failure too; a child that
+    raised or died makes it raise GraphError.  fn's results must marshal and
+    be no str, which carries a child's failure."""
     workers = _workers(len(items))
     if workers == 1:
-        return fn(items)
-    children, shares = [], []  # (pid, read end) per child; results per share
+        return [fn(items)]
+    shares = _deal(items, workers)
+    children, results = [], []  # (pid, read end) per child; results per share
     try:
-        for share in range(1, workers):
+        for share in shares[1:]:
             r, w = os.pipe()
             pid = os.fork()
             if pid == 0:
@@ -215,7 +220,7 @@ def _fork_map(fn: Callable[[Sequence], list], items: Sequence) -> list:
                 try:
                     os.close(r)
                     try:
-                        out = fn(items[share::workers])
+                        out = fn(share)
                     except Exception as exc:
                         out = f"{type(exc).__name__}: {exc}"
                     with open(w, "wb") as pipe:
@@ -225,22 +230,20 @@ def _fork_map(fn: Callable[[Sequence], list], items: Sequence) -> list:
                     os._exit(code)
             os.close(w)  # a later child would hold it open, and the pipe would never end
             children.append((pid, r))
-        shares.append(fn(items[::workers]))
+        results.append(fn(shares[0]))
         for _, r in children:
             with open(r, "rb", closefd=False) as pipe:
-                shares.append(pipe.read())
+                results.append(pipe.read())
     finally:
         statuses = []
         for pid, r in children:
             os.close(r)
             statuses.append(os.waitpid(pid, 0)[1])
-    results = [None] * len(items)
-    results[::workers] = shares[0]
-    for share, (pid, _), status in zip(range(1, workers), children, statuses):
-        out = marshal.loads(shares[share]) if status == 0 else f"exit status {os.waitstatus_to_exitcode(status)}"
+    for i, (pid, _), status in zip(range(1, workers), children, statuses):
+        out = marshal.loads(results[i]) if status == 0 else f"exit status {os.waitstatus_to_exitcode(status)}"
         if isinstance(out, str):
             raise GraphError(f"worker process {pid} failed: {out}")
-        results[share::workers] = out
+        results[i] = out
     return results
 
 
@@ -251,8 +254,8 @@ def _connected_classes(n: int) -> tuple[str, ...]:
     since each class is kept under exactly one parent."""
     if n == 1:
         return ("@",)  # K1
-    kids = _fork_map(lambda parents: [_children(g6) for g6 in parents], _connected_classes(n - 1))
-    return tuple(sorted(chain.from_iterable(kids)))
+    shares = _fork_map(lambda parents: [kid for g6 in parents for kid in _children(g6)], _connected_classes(n - 1))
+    return tuple(sorted(chain.from_iterable(shares)))
 
 
 def _children(parent_g6: str) -> list[str]:
@@ -335,48 +338,21 @@ def enumerate_connected(n: int, allow_large: bool = False) -> list[Graph]:
 # ---------------------------------------------------------------------------
 
 
-# One record per (class, budget).  Callers that sweep one id at a time (the
-# benchmark's sweep workload, the tests) revisit the classes once per id, all
-# at n <= 7, whose 994 classes fit: only the first sweep solves.  sweep_all
-# takes the records a batch of _RECORD_CACHE classes at a time and fills the
-# ones not filled yet (``_fill``); at n >= 8 the bound keeps the last 1,024
-# records.
-_RECORD_CACHE = 1024
-
-
-@lru_cache(maxsize=_RECORD_CACHE)
-def _record(g6: str, budget: Optional[int]) -> GraphRecord:
-    return GraphRecord(graph6_decode(g6), budget)
-
-
 # Every lazy record field a registered row reads, in the order the fill computes them.
 _FIELDS = ("diameter", "dim_value", "edim_value", "max_degree", "degeneracy", "clique", "chromatic",
            "char_n1", "char_ge_n2", "tuple_lemma")
 
 
-def _fill_share(records: Sequence[GraphRecord]) -> list[list]:
-    """Per record, the values of the _FIELDS its budget allows: all, or the
-    first three once a dimension's budget ran out.  Each field is computed
-    across the records before the next (every diameter, then every
-    dim_value, ...), about a quarter faster than record by record."""
-    values = [[] for _ in records]
-    live = list(zip(records, values))
+def _fill_share(records: Sequence[GraphRecord]) -> None:
+    """Compute the _FIELDS each record's budget allows: all, or the first
+    three once a dimension's budget ran out.  Each field is computed across
+    the records before the next (every diameter, then every dim_value, ...),
+    about a quarter faster than record by record."""
     for i, name in enumerate(_FIELDS):
         if i == 3:
-            live = [(r, v) for r, v in live if not r.budget_exhausted]
-        for r, v in live:
-            v.append(getattr(r, name))
-    return values
-
-
-def _fill(records: list[GraphRecord]) -> int:
-    """Fill the records not filled yet through ``_fill_share``, split over the
-    forked workers or in-process, and return the worker count.  A filled
-    record, exhausted or not, carries ``_filled``, so none is filled twice."""
-    todo = [r for r in records if "_filled" not in r.__dict__]
-    for r, values in zip(todo, _fork_map(_fill_share, todo)):
-        r.__dict__.update(zip(_FIELDS, values), _filled=True)
-    return _workers(len(todo))
+            records = [r for r in records if not r.budget_exhausted]
+        for r in records:
+            getattr(r, name)
 
 
 # Characterization rows read the record's verdicts; only a failing row reruns its predicate.
@@ -452,6 +428,7 @@ THEOREM_CHECKS: dict[str, tuple[str, ...]] = {
 }
 
 SWEEP_N_MIN = 3
+_CHUNK = 256  # records a worker builds, fills and checks at a time
 
 
 @dataclass(frozen=True)
@@ -466,10 +443,13 @@ class SweepReport:
     failures: tuple[tuple[str, str], ...]  # (canonical graph6, detail)
     solver_budget_exhaustions: int
     elapsed_ms: float
-    enumerate_ms: float  # part of elapsed_ms spent building the class lists
+    enumerate_ms: float  # part of elapsed_ms spent building the class lists below n_max
     data: dict = field(default_factory=dict)
-    records_ms: float = 0.0  # part of elapsed_ms spent taking and filling records
-    workers: int = 1  # processes the record fill was split over; not in the JSON
+    shares: tuple[tuple[int, float], ...] = ()  # (items, ms) per worker of the pass; not in the JSON
+
+    @property
+    def workers(self) -> int:
+        return len(self.shares)
 
     @property
     def passed(self) -> bool:
@@ -496,20 +476,82 @@ class SweepReport:
         exhausted = self.solver_budget_exhaustions
         extra = f", {exhausted} budget exhaustions" if exhausted else ""
         verdict = "PASS" if self.passed else f"FAIL ({len(self.failures)} failures{extra})"
-        return (
-            f"{self.theorem_id}: {self.graphs_checked} graphs, "
-            f"n={self.n_min}..{self.n_max}, {verdict}"
-        )
+        return f"{self.theorem_id}: {self.graphs_checked} graphs, n={self.n_min}..{self.n_max}, {verdict}"
+
+
+def _check_share(items: Sequence[str], n_max: int, budget: Optional[int]) -> tuple:
+    """Run every id's rows on each item from SWEEP_N_MIN vertices on and on
+    the children of each item with n_max - 1 vertices, building, filling
+    and checking the records _CHUNK at a time: (count by n, (graph6, detail)
+    failures by id, exhaustions, largest clique by edim, items, seconds)."""
+    started = time.perf_counter()
+    checks = [(t, [_ROWS[name] for name in names]) for t, names in THEOREM_CHECKS.items() if names]
+    counts, failures, exhausted, cliques = {}, {}, 0, {}
+
+    def classes():
+        for g6 in items:
+            n = ord(g6[0]) - 63
+            if n >= SWEEP_N_MIN:
+                yield g6
+            if n == n_max - 1:
+                yield from _children(g6)
+
+    stream = classes()
+    while chunk := list(islice(stream, _CHUNK)):
+        records = [GraphRecord(graph6_decode(g6), budget) for g6 in chunk]
+        _fill_share(records)
+        for g6, r in zip(chunk, records):
+            counts[r.n] = counts.get(r.n, 0) + 1
+            if r.budget_exhausted:
+                exhausted += 1
+                continue
+            for theorem_id, rows in checks:
+                for row in rows:
+                    detail = row(r)
+                    if detail is not None:
+                        failures.setdefault(theorem_id, []).append((g6, detail))
+                        break
+            k = max(r.edim_value, 1)
+            cliques[k] = max(cliques.get(k, 0), r.clique)
+    return counts, failures, exhausted, cliques, len(items), time.perf_counter() - started
+
+
+@lru_cache(maxsize=16)
+def _sweep_pass(n_max: int, budget: Optional[int]) -> tuple[dict, dict, dict, dict]:
+    """One pass over every class with SWEEP_N_MIN <= n <= n_max that checks
+    every registered id: (counts by n, largest clique by edim, sorted
+    failures per id, the SweepReport fields all ids share).  The levels
+    below n_max are enumerated here.  Their classes are the items
+    ``_fork_map`` deals to ``_check_share``: level n_max - 1 first, fewest
+    edges first (sparse parents have the most children), then the rest.
+    Counts are summed, failures sorted and maxima taken, so nothing depends
+    on the worker count or the deal.  Cached per (n_max, budget), so that a
+    caller that sweeps one id at a time solves each class once."""
+    started = time.perf_counter()
+    levels = [_connected_classes(n) for n in range(min(SWEEP_N_MIN, n_max - 1), n_max)]
+    # the edge count of a graph6 string: its set bits past the size byte
+    items = sorted(levels[-1], key=lambda g6: sum([(ord(c) - 63).bit_count() for c in g6[1:]]))
+    items += [g6 for level in levels[:-1] for g6 in level]
+    enumerated = time.perf_counter()
+    shares = _fork_map(lambda share: _check_share(share, n_max, budget), items)
+    counts = {n: sum(s[0].get(n, 0) for s in shares) for n in range(SWEEP_N_MIN, n_max + 1)}
+    failures = {t: tuple(sorted(f for s in shares for f in s[1].get(t, ()))) for t in THEOREM_CHECKS}
+    cliques = {str(k): max(s[3].get(k, 0) for s in shares) for k in sorted(set().union(*(s[3] for s in shares)))}
+    common = dict(n_min=SWEEP_N_MIN, n_max=n_max, graphs_checked=sum(counts.values()),
+                  solver_budget_exhaustions=sum(s[2] for s in shares),
+                  elapsed_ms=(time.perf_counter() - started) * 1000.0,
+                  enumerate_ms=(enumerated - started) * 1000.0,
+                  shares=tuple((s[4], s[5] * 1000.0) for s in shares))
+    return counts, cliques, failures, common
 
 
 def sweep_all(theorem_ids, n_max: int, budget: Optional[int] = None,
               allow_large: bool = False) -> list[SweepReport]:
-    """Check the given theorem ids in one pass over every connected graph
-    with SWEEP_N_MIN <= n <= n_max, taking one record per class, a batch of
-    _RECORD_CACHE classes at a time: ``_fill`` fills the batch's records and
-    the rows then run here.  One report per id, in the given order, with the
-    pass's timings; failures are (canonical graph6, detail) pairs, sorted
-    for run-to-run determinism."""
+    """Check the given theorem ids over every connected graph with
+    SWEEP_N_MIN <= n <= n_max.  One report per id, in the given order, read
+    from the one cached pass that checks every id (``_sweep_pass``), with
+    that pass's timings; failures are (canonical graph6, detail) pairs,
+    sorted for run-to-run determinism."""
     theorem_ids = tuple(theorem_ids)
     for theorem_id in theorem_ids:
         if theorem_id not in THEOREM_CHECKS:
@@ -519,61 +561,19 @@ def sweep_all(theorem_ids, n_max: int, budget: Optional[int] = None,
     if n_max < SWEEP_N_MIN:
         raise GraphInputError(f"sweep range n_max={n_max} is below the smallest swept size {SWEEP_N_MIN}")
     _require_enumerable(n_max, allow_large, "sweep range n_max={n} exceeds enumeration limit {limit}")
-    started = time.perf_counter()
-    counts = {n: len(_connected_classes(n)) for n in range(SWEEP_N_MIN, n_max + 1)}
-    enumerated = time.perf_counter()
-    checks = [([_ROWS[name] for name in THEOREM_CHECKS[t]], []) for t in theorem_ids]  # rows, failures
-    explore = "clique-vs-edim-explore" in theorem_ids
-    clique_by_edim: dict[int, int] = {}
-    exhausted, workers = 0, 1
-    records_s = 0.0
-    classes = chain.from_iterable(map(_connected_classes, counts))
-    while batch := list(islice(classes, _RECORD_CACHE)):
-        taken = time.perf_counter()
-        records = [_record(g6, budget) for g6 in batch]
-        workers = max(workers, _fill(records))
-        records_s += time.perf_counter() - taken
-        for g6, r in zip(batch, records):
-            if r.budget_exhausted:
-                exhausted += 1
-                continue
-            for rows, failures in checks:
-                for row in rows:
-                    detail = row(r)
-                    if detail is not None:
-                        failures.append((g6, detail))
-                        break
-            if explore:
-                k = max(r.edim_value, 1)
-                clique_by_edim[k] = max(clique_by_edim.get(k, 0), r.clique)
-
-    data = {"max_clique_by_edim": {str(k): v for k, v in sorted(clique_by_edim.items())}}
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return [
-        SweepReport(
-            theorem_id=theorem_id,
-            n_min=SWEEP_N_MIN,
-            n_max=n_max,
-            graphs_checked=sum(counts.values()),
-            counts_by_n=dict(counts),
-            failures=tuple(sorted(failures)),
-            solver_budget_exhaustions=exhausted,
-            elapsed_ms=elapsed_ms,
-            enumerate_ms=(enumerated - started) * 1000.0,
-            data=data if theorem_id == "clique-vs-edim-explore" else {},
-            records_ms=records_s * 1000.0,
-            workers=workers,
-        )
-        for theorem_id, (_, failures) in zip(theorem_ids, checks)
-    ]
+    counts, cliques, failures, common = _sweep_pass(n_max, budget)
+    return [SweepReport(theorem_id=theorem_id, counts_by_n=dict(counts), failures=failures[theorem_id],
+                        data={"max_clique_by_edim": dict(cliques)} if theorem_id == "clique-vs-edim-explore" else {},
+                        **common)
+            for theorem_id in theorem_ids]
 
 
 def sweep(theorem_id: str, n_max: int, threads: int = 1, budget: Optional[int] = None,
           allow_large: bool = False) -> SweepReport:
-    """``sweep_all((theorem_id,), ...)[0]``.  The records are filled by one
-    forked worker per CPU (see ``_fork_map``), whatever threads says: it is
-    checked (at least 1) and otherwise unused, and stays because the
-    benchmark workloads pass it."""
+    """``sweep_all((theorem_id,), ...)[0]``: a lookup once any sweep at this
+    (n_max, budget) ran.  The pass runs on one forked worker per CPU (see
+    ``_fork_map``), whatever threads says: it is checked (at least 1) and
+    otherwise unused, and stays because the benchmark workloads pass it."""
     if threads < 1:
         raise GraphInputError(f"sweep needs at least one thread, got threads={threads}")
     return sweep_all((theorem_id,), n_max, budget, allow_large)[0]

@@ -247,8 +247,8 @@ def test_criterion_09_solver_soundness():
 
 
 def test_criterion_10_thread_determinism(monkeypatch):
-    # one worker fills the records in-process, two fill them the same way in
-    # forked workers; each run takes fresh records
+    # one worker runs the pass in-process, two run it the same way in
+    # forked workers; each run is a fresh pass
     start = time.monotonic()
     failures = []
     sweep_ids = ("char1-equiv", "char2-equiv", "eq-n2-equiv",
@@ -257,10 +257,10 @@ def test_criterion_10_thread_determinism(monkeypatch):
         reports = {}
         for workers in (1, 2):
             monkeypatch.setattr(enumerator, "_WORKERS", workers)
-            enumerator._record.cache_clear()
+            enumerator._sweep_pass.cache_clear()
             reports[workers] = sweep(theorem_id, 7)
         if reports[2].workers != 2:
-            failures.append(f"{theorem_id}: the records were not filled by 2 workers")
+            failures.append(f"{theorem_id}: the pass was not split over 2 workers")
         if reports[1].to_json() != reports[2].to_json():
             failures.append(f"{theorem_id}: reports differ across worker counts")
     report(10, failures, time.monotonic() - start, 600,

@@ -229,9 +229,10 @@ class TestAudit:
     def test_audit_is_the_sweep_record(self, monkeypatch):
         # the audit returns the sweeps' record, whose checks are the table's
         # verdicts on that record, and it solves each dimension once
+        assert enumerator.GraphRecord is GraphRecord
         for n in range(1, 7):
             for g6 in enumerator._connected_classes(n):
-                r = enumerator._record(g6, None)
+                r = GraphRecord(graph6_decode(g6))
                 expected = {name: row(r) is None for name, (needs, row) in INEQUALITIES.items()
                             if r.diameter >= 1 or "diameter" not in needs}
                 rec = audit_graph(graph6_decode(g6))
@@ -289,10 +290,11 @@ class TestFormulaCache:
             with pytest.raises(GraphInputError):
                 bounds._bound(formula, k, D)
 
-    def test_one_entry_per_formula_and_arguments_after_a_sweep(self):
+    def test_one_entry_per_formula_and_arguments_after_a_sweep(self, in_process):
         bounds._bound.cache_clear()
+        enumerator._sweep_pass.cache_clear()
         sweep_all(sorted(THEOREM_CHECKS), 7)
-        records = [enumerator._record(g6, None) for n in range(enumerator.SWEEP_N_MIN, 8)
+        records = [GraphRecord(graph6_decode(g6)) for n in range(enumerator.SWEEP_N_MIN, 8)
                    for g6 in enumerator._connected_classes(n)]
         keys = {(formula, max(getattr(r, dim), 1), r.diameter) for r in records for formula, dim in (
             (vertex_bound_hernando, "dim_value"), (subgraph_vertex_bound, "dim_value"), (edge_bound_new, "edim_value"),

@@ -16,6 +16,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from metricdim import bounds, characterizations, enumerator
+from metricdim.bounds import audit_graph
 from metricdim.cli import main
 from metricdim.enumerator import (
     CANONICAL_LIMIT,
@@ -347,7 +348,7 @@ class TestSweeps:
                 "8db8be5710b059d5de7ffe3c6cb2122016185a176bd67620ea4e6a1aa99c9b4b")
 
     def test_one_bfs_per_class(self, bfs_calls, in_process):
-        enumerator._record.cache_clear()
+        enumerator._sweep_pass.cache_clear()
         for theorem_id in sorted(THEOREM_CHECKS):
             sweep(theorem_id, 5)
         assert len(THEOREM_CHECKS) == 15
@@ -368,7 +369,7 @@ class TestSweeps:
             for module_name, module in list(sys.modules.items()):
                 if module_name.startswith("metricdim") and getattr(module, name, None) is real:
                     monkeypatch.setattr(module, name, counted)
-        enumerator._record.cache_clear()
+        enumerator._sweep_pass.cache_clear()
         for theorem_id in sorted(THEOREM_CHECKS):
             sweep(theorem_id, 5)
         # _within_two: once per graph, shared by char_edim_ge_n2 and tuple_lemma_check
@@ -379,10 +380,17 @@ class TestSweeps:
         calls = []
         real = bounds.max_clique
         monkeypatch.setattr(bounds, "max_clique", lambda G: calls.append(G) or real(G))
-        enumerator._record.cache_clear()
+        enumerator._sweep_pass.cache_clear()
         for theorem_id in sorted(THEOREM_CHECKS):
             sweep(theorem_id, 5)
         assert len(calls) == 29
+
+    def test_per_id_sweeps_build_each_record_once(self, monkeypatch, in_process):
+        built = record_spy(monkeypatch)
+        enumerator._sweep_pass.cache_clear()
+        for theorem_id in sorted(THEOREM_CHECKS):
+            sweep(theorem_id, 6)
+        assert len(built) == len({graph6_encode(r.graph) for r in built}) == 141
 
     def test_explore_data(self):
         rep = sweep("clique-vs-edim-explore", 6)
@@ -434,6 +442,18 @@ class TestSweeps:
             assert solo == quad
 
 
+def record_spy(monkeypatch):
+    """The sweep records built from now on, in build order.  In-process only."""
+    built, real = [], enumerator.GraphRecord
+
+    def spy(G, budget):
+        built.append(real(G, budget))
+        return built[-1]
+
+    monkeypatch.setattr(enumerator, "GraphRecord", spy)
+    return built
+
+
 # record values forged onto every graph, as functions of n
 FORGED = {
     "zero": lambda n: {"dim_value": 0, "edim_value": 0},
@@ -445,15 +465,17 @@ FORGED = {
 
 def forge_records(monkeypatch, forged):
     """Make every sweep record carry the FORGED[forged] values."""
-    real = enumerator._record.__wrapped__  # uncached, so the forgery stays local
+    real = enumerator.GraphRecord
 
-    def forged_record(g6, budget):
-        r = real(g6, budget)
+    def forged_record(G, budget):
+        r = real(G, budget)
         for name, value in FORGED[forged](r.n).items():
             setattr(r, name, value)
         return r
 
-    monkeypatch.setattr(enumerator, "_record", forged_record)
+    monkeypatch.setattr(enumerator, "GraphRecord", forged_record)
+    # uncached, so the forged passes stay local
+    monkeypatch.setattr(enumerator, "_sweep_pass", enumerator._sweep_pass.__wrapped__)
 
 
 class TestFailureDetails:
@@ -534,24 +556,32 @@ class TestSweepAll:
     def test_unknown_id_raises_before_any_solve(self, position):
         ids = ["char1-equiv", "tuple-lemma"]
         ids.insert(position, "no-such-theorem")
-        enumerator._record.cache_clear()
+        enumerator._sweep_pass.cache_clear()
         with pytest.raises(KeyError, match="unknown theorem id 'no-such-theorem'"):
             sweep_all(ids, 5)
-        assert enumerator._record.cache_info().misses == 0
+        assert enumerator._sweep_pass.cache_info().misses == 0
 
-    def test_one_pass_solves_each_class_once(self):
-        # the per-id sweeps that follow find every n <= 7 class in the cache
-        enumerator._record.cache_clear()
+    def test_one_pass_solves_each_class_once(self, monkeypatch, in_process):
+        # the per-id sweeps that follow read the pass: no record is built again
+        built = record_spy(monkeypatch)
+        enumerator._sweep_pass.cache_clear()
         sweep_all(sorted(THEOREM_CHECKS), 7)
-        info = enumerator._record.cache_info()
-        assert (info.misses, info.hits) == (994, 0)
+        assert len(built) == len({graph6_encode(r.graph) for r in built}) == 994
         for theorem_id in sorted(THEOREM_CHECKS):
             sweep(theorem_id, 7)
-        assert enumerator._record.cache_info().misses == 994
+        assert len(built) == 994
 
     def test_cache_holds_the_classes_per_id_callers_revisit(self):
-        revisited = sum(EXPECTED_COUNTS[n] for n in range(SWEEP_N_MIN, 8))
-        assert enumerator._record.cache_info().maxsize >= revisited
+        # fifteen (n_max, budget) passes stay cached while each is revisited
+        keys = [(n_max, budget) for n_max in range(SWEEP_N_MIN, 8) for budget in (None, 0, 1)]
+        enumerator._sweep_pass.cache_clear()
+        for n_max, budget in keys:
+            sweep("char1-equiv", n_max, budget=budget)
+        for n_max, budget in keys:
+            for theorem_id in sorted(THEOREM_CHECKS):
+                sweep(theorem_id, n_max, budget=budget)
+        info = enumerator._sweep_pass.cache_info()
+        assert (info.misses, info.hits) == (len(keys), len(keys) * len(THEOREM_CHECKS))
 
 
 SWEEPS_N7_SHA = "8db8be5710b059d5de7ffe3c6cb2122016185a176bd67620ea4e6a1aa99c9b4b"
@@ -575,7 +605,8 @@ from metricdim.enumerator import THEOREM_CHECKS, sweep_all
 enumerator._WORKERS = 3
 # each child's share is about 100 kB, more than a pipe holds, so a child
 # that kept an earlier child's write end open would block that pipe's end
-wide = enumerator._fork_map(lambda share: ["x" * 1000 + str(x) for x in share], list(range(300)))
+wide = [x for share in enumerator._fork_map(lambda share: ["x" * 1000 + str(x) for x in share], list(range(300)))
+        for x in share]
 reports = sweep_all(sorted(THEOREM_CHECKS), 7)
 try:
     os.waitpid(-1, os.WNOHANG)
@@ -583,7 +614,7 @@ try:
 except ChildProcessError:
     left = False
 print(json.dumps({
-    "wide": wide == ["x" * 1000 + str(x) for x in range(300)],
+    "wide": sorted(wide) == sorted("x" * 1000 + str(x) for x in range(300)),
     "stdout": hashlib.sha256("".join(r.to_json() + "\\n" for r in reports).encode()).hexdigest(),
     "classes8": hashlib.sha256("\\n".join(enumerator._connected_classes(8)).encode()).hexdigest(),
     "left": left,
@@ -592,7 +623,7 @@ print(json.dumps({
 
 
 class TestForkedWorkers:
-    """_fork_map splits the top enumeration level and the sweep records over
+    """_fork_map splits each enumeration level and the sweep pass over
     forked workers; no output depends on how many there are."""
 
     @pytest.fixture
@@ -601,7 +632,7 @@ class TestForkedWorkers:
         def force(count):
             monkeypatch.setattr(enumerator, "_WORKERS", count)
             _connected_classes.cache_clear()
-            enumerator._record.cache_clear()
+            enumerator._sweep_pass.cache_clear()
         return force
 
     def test_class_tuples_at_one_and_two_workers(self, workers):
@@ -626,21 +657,42 @@ class TestForkedWorkers:
     @pytest.mark.parametrize("count", [1, 2])
     def test_sweeps_n8_bytes(self, workers, count):
         workers(count)
-        assert stdout_sha(sweep_all(sorted(THEOREM_CHECKS), 8)) == SWEEPS_N8_SHA
+        ids = sorted(THEOREM_CHECKS)
+        assert stdout_sha(sweep_all(ids, 8)) == SWEEPS_N8_SHA
+        assert stdout_sha([sweep(theorem_id, 8) for theorem_id in ids]) == SWEEPS_N8_SHA
         no_child_left()
 
-    def test_forked_fill_leaves_every_field_for_the_per_id_sweeps(self, workers):
+    @pytest.mark.parametrize("deal", ["reversed", "shuffled"])
+    def test_any_deal_gives_the_same_bytes(self, workers, monkeypatch, deal):
         workers(2)
-        reports = sweep_all(("char1-equiv",), 6)
+        real = enumerator._deal
+        if deal == "reversed":
+            monkeypatch.setattr(enumerator, "_deal", lambda items, count: [
+                share[::-1] for share in real(items[::-1], count)[::-1]])
+        else:
+            rng = random.Random(36)
+            monkeypatch.setattr(enumerator, "_deal", lambda items, count: real(
+                rng.sample(items, len(items)), count))
+        reports = sweep_all(sorted(THEOREM_CHECKS), 7)
         assert reports[0].workers == 2
-        for g6 in (g6 for n in range(SWEEP_N_MIN, 7) for g6 in _connected_classes(n)):
-            assert set(enumerator._FIELDS) <= set(vars(enumerator._record(g6, None))), g6
-        assert sweep("tuple-lemma", 6).workers == 1  # nothing left to fill
+        assert stdout_sha(reports) == SWEEPS_N7_SHA
+        no_child_left()
+
+    def test_second_per_id_sweep_does_no_work(self, workers, monkeypatch):
+        workers(2)
+        first = sweep("char1-equiv", 6)
+        assert first.workers == 2
+        monkeypatch.setattr(enumerator, "_fork_map", None)  # a second pass would fail
+        monkeypatch.setattr(enumerator, "_connected_classes", None)
+        second = sweep("tuple-lemma", 6)
+        assert second.passed and second.graphs_checked == first.graphs_checked == 141
+        assert (second.elapsed_ms, second.workers) == (first.elapsed_ms, 2)
+        assert enumerator._sweep_pass.cache_info().hits == 1
 
     def test_share_fills_one_field_at_a_time(self, monkeypatch):
-        # _fill in-process, at _WORKERS = 1 and below _FORK_MIN: every field a
-        # record's budget allows, one field at a time across the batch, once;
-        # every fourth record has budget 0, runs out and gets the first three only
+        # every field a record's budget allows, one field at a time across
+        # the share, once; every fourth record has budget 0, runs out and
+        # gets the first three only
         calls = []
 
         def spy(name):
@@ -657,52 +709,49 @@ class TestForkedWorkers:
             return [(name, id(r)) for f, name in enumerate(enumerator._FIELDS)
                     for r in records if f < 3 or r.budget is None]
 
-        expected = {n_max: [[getattr(r, name) for name in enumerator._FIELDS[:None if i % 4 else 3]]
-                            for i, r in enumerate(batch(n_max))] for n_max in (5, 6)}
+        expected = [[getattr(r, name) for name in enumerator._FIELDS[:None if i % 4 else 3]]
+                    for i, r in enumerate(batch(6))]
         for name in enumerator._FIELDS:
             monkeypatch.setattr(bounds.GraphRecord, name, spy(name))
-        for n_max, count in ((6, 1), (5, 2)):
-            assert (len(expected[n_max]) < enumerator._FORK_MIN) == (n_max == 5)
-            monkeypatch.setattr(enumerator, "_WORKERS", count)
-            records = batch(n_max)
-            assert enumerator._fill_share(records) == expected[n_max]
-            assert calls == field_order(records)
-            calls.clear()
-            records = batch(n_max)
-            assert enumerator._fill(records) == 1
-            assert calls == field_order(records)
-            for i, r in enumerate(records):
-                filled = [name for name in enumerator._FIELDS if name in vars(r)]
-                assert filled == list(enumerator._FIELDS if i % 4 else enumerator._FIELDS[:3])
-                assert [vars(r)[name] for name in filled] == expected[n_max][i]
-                assert r.budget_exhausted == (i % 4 == 0)
-            calls.clear()
-            assert enumerator._fill(records) == 1 and calls == []  # exhausted records too
-        # a sweep fills its records before any row reads them: no field is computed later
+        records = batch(6)
+        enumerator._fill_share(records)
+        assert calls == field_order(records)
+        for i, r in enumerate(records):
+            filled = [name for name in enumerator._FIELDS if name in vars(r)]
+            assert filled == list(enumerator._FIELDS if i % 4 else enumerator._FIELDS[:3])
+            assert [vars(r)[name] for name in filled] == expected[i]
+            assert r.budget_exhausted == (i % 4 == 0)
+        calls.clear()
+        enumerator._fill_share(records)
+        assert calls == []  # exhausted records too
+        # a sweep fills each chunk before any row reads it: no field is computed later
         monkeypatch.setattr(enumerator, "_WORKERS", 1)
-        enumerator._record.cache_clear()
+        monkeypatch.setattr(enumerator, "_CHUNK", 50)
+        built = record_spy(monkeypatch)
+        enumerator._sweep_pass.cache_clear()
         sweep_all(sorted(THEOREM_CHECKS), 6)
-        assert calls == field_order([enumerator._record(g6, None) for n in range(SWEEP_N_MIN, 7)
-                                     for g6 in _connected_classes(n)])
+        assert len(built) == 141
+        assert calls == [call for i in range(0, 141, 50) for call in field_order(built[i:i + 50])]
 
     def test_exhausted_records_are_filled_once(self, workers):
         workers(2)
         reports = [sweep("char1-equiv", 7, budget=0) for _ in range(3)]
         assert reports[0].solver_budget_exhaustions == 994
-        assert [rep.workers for rep in reports] == [2, 1, 1]
+        assert [rep.workers for rep in reports] == [2, 2, 2]
         assert len({rep.to_json() for rep in reports}) == 1
+        info = enumerator._sweep_pass.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
         no_child_left()
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_records_read_before_the_sweep(self, workers, count):
-        # records the audit path read lazily are filled like fresh ones and give the same reports
+        # audits run before the sweep (which fill the formula cache the
+        # workers inherit) leave the reports unchanged
         workers(count)
         classes = [g6 for n in range(SWEEP_N_MIN, 8) for g6 in _connected_classes(n)]
         for g6 in classes[::3]:
-            enumerator._record(g6, None).checks
+            audit_graph(graph6_decode(g6)).checks
         assert stdout_sha(sweep_all(sorted(THEOREM_CHECKS), 7)) == SWEEPS_N7_SHA
-        for g6 in classes:
-            assert set(enumerator._FIELDS) | {"_filled"} <= set(vars(enumerator._record(g6, None))), g6
         no_child_left()
 
     def test_three_workers_under_a_timeout(self):
@@ -717,12 +766,13 @@ class TestForkedWorkers:
             "left": False,
         }
 
-    def test_results_in_input_order(self, workers):
+    def test_one_result_per_share(self, workers):
         workers(3)
-        items = list(range(100))  # shares of 34, 33 and 33
+        items = list(range(100))  # dealt snake-wise: shares of 34, 33 and 33
         results = enumerator._fork_map(lambda share: [(x, os.getpid()) for x in share], items)
-        assert [x for x, _ in results] == items
-        pids = [{pid for x, pid in results if x % 3 == share} for share in range(3)]
+        assert [sorted(x for x, _ in share) for share in results] == [
+            [x for x in items if x % 6 in (share, 5 - share)] for share in range(3)]
+        pids = [{pid for _, pid in share} for share in results]
         assert pids[0] == {os.getpid()}
         assert all(len(p) == 1 for p in pids) and len(set.union(*pids)) == 3
         no_child_left()
@@ -744,7 +794,7 @@ class TestForkedWorkers:
             waiter = threading.Thread(target=release.wait)
             waiter.start()
         try:
-            assert enumerator._fork_map(lambda share: [os.getpid() for _ in share], items) == [os.getpid()] * len(items)
+            assert enumerator._fork_map(lambda share: [os.getpid() for _ in share], items) == [[os.getpid()] * len(items)]
         finally:
             if why == "threads":
                 release.set()

@@ -63,8 +63,10 @@ class TestRunSweeps:
         assert {"elapsed_ms", "enumerate_ms"} <= set(reports[0])
         *summaries, timing = proc.stderr.splitlines()
         assert len(summaries) == 15
-        assert re.fullmatch(r"timing: \d+ workers, enumeration \d+\.\d ms, records \d+\.\d ms, "
-                            r"rows -?\d+\.\d ms", timing), timing
+        match = re.fullmatch(r"timing: (\d+) workers, enumeration \d+\.\d ms, pass \d+\.\d ms "
+                             r"\((\d+ items \d+\.\d ms(, )?)+\)", timing)
+        assert match, timing
+        assert timing.count(" items ") == int(match[1])
 
     @pytest.mark.slow
     def test_n8_stdout_bytes(self):
