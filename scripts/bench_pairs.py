@@ -16,6 +16,12 @@ interquartile range is wider than the bound and the change's runs do not
 all beat the parent's.  A gain needs at least nine tenths of the pairs
 won, the medians further apart than the parent's interquartile range,
 every run correct and no more failed operations than the parent.
+
+Cached bytecode moves ``setup_s`` and ``peak_rss_mb`` by more than their
+bounds, so the script exits 2 when either side's ``src/`` holds a
+``__pycache__``, and runs every child with PYTHONDONTWRITEBYTECODE=1, so
+that none is written.  The JSON also records each side's ``src/`` size in
+lines and bytes, since ``setup_s`` compiles all of it on every spawn.
 """
 
 from __future__ import annotations
@@ -41,6 +47,14 @@ def src_lines(root: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in sorted((root / "src").rglob("*.py")))
 
 
+def src_bytes(root: Path) -> int:
+    return sum(p.stat().st_size for p in (root / "src").rglob("*.py"))
+
+
+def bytecode_caches(root: Path) -> list[Path]:
+    return sorted((root / "src").rglob("__pycache__"))
+
+
 def commit(root: Path) -> str | None:
     """``git describe --always --dirty`` of the checkout, None outside git."""
     try:
@@ -55,7 +69,8 @@ def bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One perfbench run of the checkout at ``root``; its result object."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds)]
-    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
+                         env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
     if out.returncode != 0:
         raise SystemExit(f"error: {' '.join(cmd)} in {root} exited {out.returncode}:\n{out.stderr}")
     result = json.loads(out.stdout.strip().splitlines()[-1])
@@ -120,6 +135,12 @@ def main(argv=None) -> int:
     seconds = declared["run_seconds"]
 
     roots = {"parent": parent, "change": ROOT}
+    caches = [cache for root in roots.values() for cache in bytecode_caches(root)]
+    for cache in caches:
+        print(f"error: {cache} holds cached bytecode, which skews setup_s and peak_rss_mb; "
+              f"remove it and run again", file=sys.stderr)
+    if caches:
+        return 2
     workloads = {}
     for workload in args.workloads:
         pairs = []
@@ -146,6 +167,7 @@ def main(argv=None) -> int:
         "seeds": args.seeds,
         "commits": {side: commit(root) for side, root in roots.items()},
         "src_lines": {side: src_lines(root) for side, root in roots.items()},
+        "src_bytes": {side: src_bytes(root) for side, root in roots.items()},
         "workloads": workloads,
     }
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")

@@ -21,7 +21,7 @@ the layers the per-class record pays for: RECORD_LAYERS below, each timed
 over all classes on its own.  ``record_fill_us`` times the record phase as a
 sweep worker runs it, in microseconds per class: a fresh record per class
 string, filled field by field ``enumerator._CHUNK`` records at a time
-(``enumerator._fill_share``), both solves included.
+(``GraphRecord.fill``), both solves included.
 Each graph's distances, both solved bases and each instance's columns are
 computed once before timing, so the layers that only read them do not pay
 for them.
@@ -100,7 +100,7 @@ def pool_graphs(pool) -> list:
 
 def record_fill(strings) -> None:
     for i in range(0, len(strings), enumerator._CHUNK):
-        enumerator._fill_share([GraphRecord(graph_core.graph6_decode(s)) for s in strings[i:i + enumerator._CHUNK]])
+        GraphRecord.fill([GraphRecord(graph_core.graph6_decode(s)) for s in strings[i:i + enumerator._CHUNK]])
 
 
 def cold_classes(n: int) -> None:

@@ -12,8 +12,8 @@ equivalence suite against the solver is the arbiter either way.
 
 Both distance conditions (condition 2 of char_edim_ge_n2, and the
 (k+1)-tuple lemma) are about which vertices lie within distance 2, so the
-predicates build per-vertex radius-2 bitmasks straight from adjacency
-(``_within_two``: N(v) together with N(N(v)), less v), once per graph, and
+predicates read the graph's radius-2 bitmasks (``Graph.within_two``: N(v)
+together with N(N(v)), less v, built from adjacency once per graph) and
 test them with mask algebra; no distance matrix is needed.
 
 tuple_lemma_check tests the (k+1)-tuple lemma on one graph; the diameter
@@ -37,25 +37,6 @@ from .graph_core import (
     SizeLimitError,
     bits,
 )
-
-
-def _within_two(G: Graph) -> list[int]:
-    """Per vertex v, the mask of the other vertices at distance at most 2:
-    its neighbours and their neighbours, less v itself."""
-    near = list(G.adj)
-    for row in G.adj:
-        for v in bits(row):
-            near[v] |= row  # row is the neighbourhood of a neighbour of v
-    return [mask & ~(1 << v) for v, mask in enumerate(near)]
-
-
-def _near(G: Graph) -> list[int]:
-    """``_within_two(G)``, built on the first call and kept on G beside its
-    distance matrix, so both predicates that read it share one copy."""
-    near = G.__dict__.get("within_two")
-    if near is None:
-        near = G.__dict__["within_two"] = _within_two(G)
-    return near
 
 
 def _require_small_ok(G: Graph):
@@ -101,7 +82,7 @@ def char_edim_ge_n2(G: Graph) -> Char2Result:
     mask is computed once, on first use."""
     _require_small_ok(G)
     adj = G.adj
-    near = _near(G)
+    near = G.within_two
     n = G.n
     full = (1 << n) - 1
     masks: dict[int, int] = {}
@@ -158,7 +139,7 @@ def tuple_lemma_check(G: Graph, k: int) -> TupleLemmaResult:
         raise GraphInputError(f"tuple lemma needs k >= 1, got {k}")
     if G.n < k + 1:
         return TupleLemmaResult(True, True, None)
-    close = _near(G)
+    close = G.within_two
     need = k + 1
     chosen: list[int] = []
     cands = [(1 << G.n) - 1]  # cands[d]: vertices that may extend chosen[:d]

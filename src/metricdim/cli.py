@@ -234,7 +234,7 @@ def cmd_check(args) -> int:
         allow_large=args.allow_large,
     )
     if args.output == "json":
-        print(report.to_json(include_timing=False))
+        print(report.to_json())
     elif args.output == "csv":
         rows = [{"graph6": g, "detail": d} for g, d in report.failures]
         writer = csv.DictWriter(sys.stdout, fieldnames=["graph6", "detail"], lineterminator="\n")

@@ -31,15 +31,18 @@ maps need not generate the whole group, so otherwise C - m is labelled and
 compared with P's string.  Each n-class is thus kept under exactly one
 parent, so a per-parent set of canonical codes drops the remaining repeats.
 
-``graph_core`` owns the graph6 byte layout (``_graph6_text`` packs the
-labelling's code) and the walk that tests each deletion (``_connected_within``).
+``graph_core`` owns the graph6 codec (``_graph6_text`` packs the
+labelling's code) and the walk that tests each deletion
+(``_connected_within``); the sweep reads a graph6 string's vertex count off
+its size byte and its edge count as the set bits of its payload.
 
 Threads cannot share this pure-Python work, so it is split over forked
 processes, one per CPU (``_fork_map``): an enumeration level by parent, and
 a sweep in one pass whose workers check the classes below n_max and the
-children of their (n_max - 1)-classes, a chunk of records at a time, one
-field at a time across the chunk.  They send back only counts, failures and
-maxima, so no output depends on the worker count or the deal.
+children of their (n_max - 1)-classes, a chunk of records at a time
+(``GraphRecord.fill``), against the rows each id holds in THEOREM_CHECKS.
+They send back only counts, failures and maxima, so no output depends on
+the worker count or the deal.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from functools import lru_cache, reduce
 from itertools import chain, groupby, islice
 from typing import Callable, Optional, Sequence
 
+from . import bounds
 from .bounds import INEQUALITIES, GraphRecord
 from .characterizations import char_edim_ge_n2, char_edim_n1
 from .graph_core import (
@@ -338,23 +342,6 @@ def enumerate_connected(n: int, allow_large: bool = False) -> list[Graph]:
 # ---------------------------------------------------------------------------
 
 
-# Every lazy record field a registered row reads, in the order the fill computes them.
-_FIELDS = ("diameter", "dim_value", "edim_value", "max_degree", "degeneracy", "clique", "chromatic",
-           "char_n1", "char_ge_n2", "tuple_lemma")
-
-
-def _fill_share(records: Sequence[GraphRecord]) -> None:
-    """Compute the _FIELDS each record's budget allows: all, or the first
-    three once a dimension's budget ran out.  Each field is computed across
-    the records before the next (every diameter, then every dim_value, ...),
-    about a quarter faster than record by record."""
-    for i, name in enumerate(_FIELDS):
-        if i == 3:
-            records = [r for r in records if not r.budget_exhausted]
-        for r in records:
-            getattr(r, name)
-
-
 # Characterization rows read the record's verdicts; only a failing row reruns its predicate.
 def _char1_equiv(r: GraphRecord) -> Optional[str]:
     if r.char_n1 != (r.edim_value == r.n - 1):
@@ -394,36 +381,25 @@ def _diam_le_3k_1(r: GraphRecord) -> Optional[str]:
     return None
 
 
-# The one table the sweeps evaluate: the six characterization rows beside
-# bounds.INEQUALITIES.  A row maps a GraphRecord whose dimensions are both
-# known to a failure detail, or None when it holds.
-_ROWS: dict[str, Callable[[GraphRecord], Optional[str]]] = {
-    "char1-equiv": _char1_equiv,
-    "char2-equiv": _char2_equiv,
-    "eq-n2-equiv": _eq_n2_equiv,
-    "tuple-lemma": _tuple_lemma,
-    "diam-le-5": _diam_le_5,
-    "diam-le-3k-1": _diam_le_3k_1,
-    **{name: row for name, (_, row) in INEQUALITIES.items()},
-}
-
-# theorem id -> the table rows it checks, in order; the first failing row's
-# detail is reported.  The explore sweep checks nothing and collects data.
-THEOREM_CHECKS: dict[str, tuple[str, ...]] = {
-    "char1-equiv": ("char1-equiv",),
-    "char2-equiv": ("char2-equiv",),
-    "eq-n2-equiv": ("eq-n2-equiv",),
-    "tuple-lemma": ("tuple-lemma",),
-    "diam-le-5": ("diam-le-5",),
-    "diam-le-3k-1": ("diam-le-3k-1",),
-    "edge-bound-new": ("edge-bound-new",),
-    "edge-bound-zubrilina": ("edge-bound-zubrilina",),
-    "vertex-bound-hernando": ("vertex-bound-hernando",),
-    "subgraph-bounds-self": ("subgraph-vertex-self", "subgraph-edge-self"),
-    "corollary-edges-md": ("corollary-edges-md",),
-    "corollary-edges-emd": ("corollary-edges-emd",),
-    "corollary-chromatic": ("corollary-chromatic",),
-    "corollary-degeneracy": ("corollary-degeneracy-md", "corollary-degeneracy-emd"),
+# theorem id -> its rows, in order: the six above or rows of INEQUALITIES.  A
+# row maps a GraphRecord whose dimensions are both known to a failure detail,
+# or None when it holds; the first failing row's detail is reported.  The
+# explore sweep checks nothing and collects data.
+THEOREM_CHECKS: dict[str, tuple[Callable[[GraphRecord], Optional[str]], ...]] = {
+    "char1-equiv": (_char1_equiv,),
+    "char2-equiv": (_char2_equiv,),
+    "eq-n2-equiv": (_eq_n2_equiv,),
+    "tuple-lemma": (_tuple_lemma,),
+    "diam-le-5": (_diam_le_5,),
+    "diam-le-3k-1": (_diam_le_3k_1,),
+    "edge-bound-new": (INEQUALITIES["edge-bound-new"][1],),
+    "edge-bound-zubrilina": (INEQUALITIES["edge-bound-zubrilina"][1],),
+    "vertex-bound-hernando": (INEQUALITIES["vertex-bound-hernando"][1],),
+    "subgraph-bounds-self": (INEQUALITIES["subgraph-vertex-self"][1], INEQUALITIES["subgraph-edge-self"][1]),
+    "corollary-edges-md": (INEQUALITIES["corollary-edges-md"][1],),
+    "corollary-edges-emd": (INEQUALITIES["corollary-edges-emd"][1],),
+    "corollary-chromatic": (INEQUALITIES["corollary-chromatic"][1],),
+    "corollary-degeneracy": (INEQUALITIES["corollary-degeneracy-md"][1], INEQUALITIES["corollary-degeneracy-emd"][1]),
     "clique-vs-edim-explore": (),
 }
 
@@ -455,8 +431,8 @@ class SweepReport:
     def passed(self) -> bool:
         return not self.failures and self.solver_budget_exhaustions == 0
 
-    def to_json(self, include_timing: bool = False) -> str:
-        payload = {
+    def to_json(self) -> str:
+        return json.dumps({
             "schema_version": SCHEMA_VERSION,
             "theorem_id": self.theorem_id,
             "n_min": self.n_min,
@@ -466,11 +442,7 @@ class SweepReport:
             "failures": [{"graph6": g, "detail": d} for g, d in self.failures],
             "solver_budget_exhaustions": self.solver_budget_exhaustions,
             "data": self.data,
-        }
-        if include_timing:
-            payload["elapsed_ms"] = self.elapsed_ms
-            payload["enumerate_ms"] = self.enumerate_ms
-        return json.dumps(payload, sort_keys=True)
+        }, sort_keys=True)
 
     def summary_line(self) -> str:
         exhausted = self.solver_budget_exhaustions
@@ -485,7 +457,6 @@ def _check_share(items: Sequence[str], n_max: int, budget: Optional[int]) -> tup
     and checking the records _CHUNK at a time: (count by n, (graph6, detail)
     failures by id, exhaustions, largest clique by edim, items, seconds)."""
     started = time.perf_counter()
-    checks = [(t, [_ROWS[name] for name in names]) for t, names in THEOREM_CHECKS.items() if names]
     counts, failures, exhausted, cliques = {}, {}, 0, {}
 
     def classes():
@@ -499,13 +470,13 @@ def _check_share(items: Sequence[str], n_max: int, budget: Optional[int]) -> tup
     stream = classes()
     while chunk := list(islice(stream, _CHUNK)):
         records = [GraphRecord(graph6_decode(g6), budget) for g6 in chunk]
-        _fill_share(records)
+        bounds.GraphRecord.fill(records)  # the module's GraphRecord is only the records' factory
         for g6, r in zip(chunk, records):
             counts[r.n] = counts.get(r.n, 0) + 1
             if r.budget_exhausted:
                 exhausted += 1
                 continue
-            for theorem_id, rows in checks:
+            for theorem_id, rows in THEOREM_CHECKS.items():
                 for row in rows:
                     detail = row(r)
                     if detail is not None:

@@ -124,6 +124,17 @@ class Graph:
         field, so equality and hashing still see only ``n`` and ``adj``."""
         return bfs_all_pairs(self)
 
+    @cached_property
+    def within_two(self) -> list[int]:
+        """Per vertex v, the mask of the other vertices at distance at most
+        2: its neighbours and their neighbours, less v itself.  Built from
+        adjacency alone on first read and kept, like ``distances``."""
+        near = list(self.adj)
+        for row in self.adj:
+            for v in bits(row):
+                near[v] |= row  # row is the neighbourhood of a neighbour of v
+        return [mask & ~(1 << v) for v, mask in enumerate(near)]
+
     @property
     def num_edges(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2

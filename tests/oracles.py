@@ -11,7 +11,7 @@ from collections import deque
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from metricdim.characterizations import Char2Result, TupleLemmaResult, _within_two
+from metricdim.characterizations import Char2Result, TupleLemmaResult
 from metricdim.enumerator import canonical_graph6
 from metricdim.graph_core import (
     Graph,
@@ -233,7 +233,7 @@ def reference_char_edim_ge_n2(G: Graph) -> Char2Result:
     order tries the three apex orderings, then each of its pairs with every
     common neighbour outside the triple."""
     adj = G.adj
-    near = _within_two(G)
+    near = G.within_two
     full = (1 << G.n) - 1
     for triple in combinations(range(G.n), 3):
         x, y, z = triple

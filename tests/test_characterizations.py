@@ -6,7 +6,6 @@ import pytest
 
 from metricdim.bounds import GraphRecord, audit_graph
 from metricdim.characterizations import (
-    _within_two,
     char_edim_eq_n2,
     char_edim_ge_n2,
     char_edim_n1,
@@ -213,7 +212,7 @@ class TestOneDistanceMatrix:
         for G in graphs:
             dist = naive_distances(G)
             expected = [sum(1 << x for x, d in dist[v].items() if 0 < d <= 2) for v in range(G.n)]
-            assert _within_two(G) == expected, graph6_encode(G)
+            assert G.within_two == expected, graph6_encode(G)
 
     def test_predicate_results_digest(self):
         # pins every verdict and failing triple over the 994 classes with

@@ -54,14 +54,15 @@ class TestRunSweeps:
             "8db8be5710b059d5de7ffe3c6cb2122016185a176bd67620ea4e6a1aa99c9b4b")
 
     def test_timing_phases_on_stderr(self):
-        # the reports keep their two timing fields; the phases go to stderr
+        # the timings go to stderr only: stdout is a plain run's, byte for byte
         proc = run_script("run_sweeps.py", "--max-n", "6", "--timing")
         assert proc.returncode == 0, proc.stderr
-        reports = [json.loads(line) for line in proc.stdout.splitlines()]
-        assert len(reports) == 15
-        assert all(sorted(rep) == sorted(reports[0]) for rep in reports)
-        assert {"elapsed_ms", "enumerate_ms"} <= set(reports[0])
+        plain = run_script("run_sweeps.py", "--max-n", "6")
+        assert plain.returncode == 0, plain.stderr
+        assert proc.stdout == plain.stdout
+        assert len(proc.stdout.splitlines()) == 15
         *summaries, timing = proc.stderr.splitlines()
+        assert summaries == plain.stderr.splitlines()
         assert len(summaries) == 15
         match = re.fullmatch(r"timing: (\d+) workers, enumeration \d+\.\d ms, pass \d+\.\d ms "
                              r"\((\d+ items \d+\.\d ms(, )?)+\)", timing)
@@ -183,3 +184,37 @@ class TestBenchPairs:
         # unless every change run beats every parent run
         row = bench.summarize(self.pairs(parent, [0.5, 0.6, 0.5, 0.6]), self.DECLARED)["wall_s"]
         assert row["bound"] == "within"
+
+    @staticmethod
+    def tree(root, source):
+        (root / "perfbench").mkdir(parents=True)
+        (root / "perfbench" / "run.py").write_text("")
+        (root / "src" / "pkg").mkdir(parents=True)
+        (root / "src" / "pkg" / "mod.py").write_text(source)
+        return root
+
+    def test_refuses_trees_that_hold_cached_bytecode(self, tmp_path, monkeypatch, capsys):
+        bench = _load_script("bench_pairs")
+        monkeypatch.setattr(bench, "bench", None)  # no run may start
+        parent = self.tree(tmp_path / "parent", "x = 1\n")
+        cache = parent / "src" / "pkg" / "__pycache__"
+        cache.mkdir()
+        out = tmp_path / "out.json"
+        assert bench.main(["--parent", str(parent), "--out", str(out)]) == 2
+        assert f"error: {cache} holds cached bytecode" in capsys.readouterr().err
+        assert cache.is_dir() and not out.exists()  # named, not deleted
+
+    def test_records_source_lines_and_bytes_per_side(self, tmp_path, monkeypatch):
+        bench = _load_script("bench_pairs")
+        parent = self.tree(tmp_path / "parent", "x = 1\ny = 2\n")
+        change = self.tree(tmp_path / "change", "x = 1\n")
+        (change / "BENCHMARK.json").write_text(json.dumps(
+            {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": self.DECLARED}))
+        monkeypatch.setattr(bench, "ROOT", change)
+        monkeypatch.setattr(bench, "bench", lambda root, workload, seed, seconds: {
+            "correct": True, "attempted": 1, "failed": 0, "metrics": {"wall_s": 1.0}})
+        out = tmp_path / "out.json"
+        assert bench.main(["--parent", str(parent), "--out", str(out), "--seeds", "1-2"]) == 0
+        report = json.loads(out.read_text())
+        assert report["src_lines"] == {"parent": 2, "change": 1}
+        assert report["src_bytes"] == {"parent": 12, "change": 6}
