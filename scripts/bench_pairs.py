@@ -2,7 +2,7 @@
 """Paired benchmark of a parent checkout against this working tree.
 
     python3 scripts/bench_pairs.py --parent DIR --out BENCH_N.json \
-        [--workloads W ...] [--seeds 21-30]
+        [--parent-commit ID] [--change-commit ID] [--workloads W ...] [--seeds 21-30]
 
 For every workload (by default those BENCHMARK.json declares) and seed it
 runs each side's own, unchanged ``perfbench/run.py --workload W --seed S
@@ -22,6 +22,12 @@ bounds, so the script exits 2 when either side's ``src/`` holds a
 ``__pycache__``, and runs every child with PYTHONDONTWRITEBYTECODE=1, so
 that none is written.  The JSON also records each side's ``src/`` size in
 lines and bytes, since ``setup_s`` compiles all of it on every spawn.
+
+Each side is recorded with its commit: ``git describe --always --dirty``
+of a checkout, or the id given by ``--parent-commit`` or
+``--change-commit``, which a tree that is not a checkout (a ``git
+archive`` export, say) needs.  Without one for either side the script
+exits 2 before any run.
 """
 
 from __future__ import annotations
@@ -127,6 +133,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", nargs="+",
                         default=[w["name"] for w in declared["workloads"]])
     parser.add_argument("--seeds", type=seeds_arg, default=seeds_arg("21-30"), help="N or LO-HI")
+    for side in SIDES:
+        parser.add_argument(f"--{side}-commit", help=f"commit id of the {side} tree, if it is not a git checkout")
     args = parser.parse_args(argv)
     parent = args.parent.resolve()
     if not (parent / "perfbench" / "run.py").is_file():
@@ -135,11 +143,16 @@ def main(argv=None) -> int:
     seconds = declared["run_seconds"]
 
     roots = {"parent": parent, "change": ROOT}
+    commits = {side: vars(args)[f"{side}_commit"] or commit(root) for side, root in roots.items()}
+    unnamed = [side for side, name in commits.items() if not name]
+    for side in unnamed:
+        print(f"error: {roots[side]} is not a git checkout; name the {side} side's commit "
+              f"with --{side}-commit", file=sys.stderr)
     caches = [cache for root in roots.values() for cache in bytecode_caches(root)]
     for cache in caches:
         print(f"error: {cache} holds cached bytecode, which skews setup_s and peak_rss_mb; "
               f"remove it and run again", file=sys.stderr)
-    if caches:
+    if unnamed or caches:
         return 2
     workloads = {}
     for workload in args.workloads:
@@ -165,7 +178,7 @@ def main(argv=None) -> int:
         "nproc": os.cpu_count(),
         "run_seconds": seconds,
         "seeds": args.seeds,
-        "commits": {side: commit(root) for side, root in roots.items()},
+        "commits": commits,
         "src_lines": {side: src_lines(root) for side, root in roots.items()},
         "src_bytes": {side: src_bytes(root) for side, root in roots.items()},
         "workloads": workloads,

@@ -112,12 +112,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.adj[u] >> v) & 1)
-
-    def neighbors(self, v: int):
-        return bits(self.adj[v])
-
     @cached_property
     def distances(self) -> DistanceMatrix:
         """All-pairs hop distances, computed on first read and kept; not a
@@ -177,29 +171,6 @@ def from_edge_list(n: int, edge_iter) -> Graph:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return _unchecked(Graph, n=n, adj=tuple(rows))
-
-
-def path_graph(n: int) -> Graph:
-    return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise GraphInputError("cycle needs at least 3 vertices")
-    return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete_graph(n: int) -> Graph:
-    return from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
-def star_graph(leaves: int) -> Graph:
-    """Star with center 0 and the given number of leaves."""
-    return from_edge_list(leaves + 1, [(0, i + 1) for i in range(leaves)])
-
-
-def complete_bipartite_graph(a: int, b: int) -> Graph:
-    return from_edge_list(a + b, [(u, a + v) for u in range(a) for v in range(b)])
 
 
 # ---------------------------------------------------------------------------

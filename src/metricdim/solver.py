@@ -17,21 +17,24 @@ families' int is filled a byte per family and packed when the families
 are at least one per _SPARSE subsets, else a bit per family.  An
 instance's families are checked once, when it is constructed (see
 ``DistinguisherInstance``), so no solver checks them again.  Past 16,
-the greedy bound and the reduction read each landmark's column, the families
-it is in as bits of one int, transposed from the masks in one place (see
-``_transpose``).  The reduction counts family sizes bit-sliced over the
-columns and, smallest first, drops the supersets of each kept family by the
-AND of its columns.  One decision search answers "is there a hitting set of
-at most k allowed vertices?": it prunes with a greedily built
-pairwise-disjoint-family lower bound whose packing drops the families that
-meet a chosen one by one lookup in a bounded per-solve cover table,
-branches on the disjoint family with the fewest allowed vertices, bars a
-refuted branch's vertex from its later siblings, and settles the children
-of a node with k <= 2 itself; all its family sets are non-negative ints.
-The value is the first k from the disjoint bound up that the search
-accepts, else the greedy max-coverage upper bound; the basis, the
-lexicographically smallest optimal set, is grown one vertex at a time with
-the same search, so results are stable across runs.
+the reduction reads each landmark's column, the families it is in as bits
+of one int, transposed from the masks in one place (see ``_transpose``):
+it counts family sizes bit-sliced over the columns and, smallest first,
+drops the supersets of each kept family by the AND of its columns.  One
+witness search finds a hitting set of at most k allowed vertices, or
+proves there is none: it prunes with a greedily built pairwise-disjoint-
+family lower bound whose packing drops the families that meet a chosen
+one by one lookup in a bounded per-solve cover table, branches on the
+disjoint family with the fewest allowed vertices, bars a refuted branch's
+vertex from its later siblings, and settles the children of a node with
+k <= 2 itself; all its family sets are non-negative ints.
+The value search starts from the greedy max-coverage set over the kept
+families and asks for a set one smaller than the best found until the
+search refutes one or the disjoint bound is met; a budget run out reports
+that bound below and the best set found above.  The basis, the
+lexicographically smallest optimal set, is grown one vertex at a time from
+an optimal set carried along: its next vertex is taken unsearched, each
+smaller one is tried by the same search, and a success replaces the set.
 """
 
 from __future__ import annotations
@@ -428,14 +431,14 @@ class _Search:
         self.cover[f] = left
         return left
 
-    def exists(self, rem: int, k: int, allow: int) -> bool:
-        """Whether the families in ``rem`` have a hitting set of at most k
-        vertices of ``allow``."""
+    def find(self, rem: int, k: int, allow: int) -> tuple[int, ...] | None:
+        """A hitting set of at most k vertices of ``allow`` for the families
+        in ``rem``, in the order the branches chose them, or None."""
         self.spent += 1
         if self.cap is not None and self.spent > self.cap:
             raise _BudgetSignal
         if not rem:
-            return True
+            return ()
         fams, clear, cover = self.fams, self.clear, self.cover
         # Greedy pairwise-disjoint families (of their allowed vertices), each
         # needing its own vertex; a family with no allowed vertex is never
@@ -445,7 +448,7 @@ class _Search:
             f = fams[(r ^ r - 1).bit_length() - 1] & allow
             count += 1
             if not f or count > k:
-                return False
+                return None
             size = f.bit_count()
             if not branch or size < least:
                 branch, least = f, size
@@ -455,27 +458,28 @@ class _Search:
             r &= left
         while branch:
             low = branch & -branch
-            rest = rem & clear[low.bit_length() - 1]
-            if k <= 2:  # the child, counted here as exists would count it
+            v = low.bit_length() - 1
+            rest = rem & clear[v]
+            if k <= 2:  # the child, counted here as find would count it
                 self.spent += 1
                 if self.cap is not None and self.spent > self.cap:
                     raise _BudgetSignal
                 if not rest:
-                    return True
+                    return (v,)
                 if k == 2 and (f := fams[(rest ^ rest - 1).bit_length() - 1] & allow):
                     left = cover.get(f)
                     if not rest & (self._fill(f) if left is None else left):
-                        for v in bits(f):  # its leaves
+                        for w in bits(f):  # its leaves
                             self.spent += 1
                             if self.cap is not None and self.spent > self.cap:
                                 raise _BudgetSignal
-                            if not rest & clear[v]:
-                                return True
-            elif self.exists(rest, k - 1, allow):
-                return True
+                            if not rest & clear[w]:
+                                return (v, w)
+            elif (found := self.find(rest, k - 1, allow)) is not None:
+                return (v, *found)
             allow &= ~low  # refuted: later siblings need not use this vertex
             branch ^= low
-        return False
+        return None
 
 
 def _require_budget(universe: int, budget: int | None):
@@ -505,31 +509,33 @@ def min_hitting_set(inst: DistinguisherInstance, budget: int | None = None) -> D
 
 
 def _branch_and_bound(inst: DistinguisherInstance, budget: int | None) -> DimensionCertificate:
-    """The value, then the basis, by the decision search, counting its nodes."""
-    ub_set = greedy_upper_bound(inst)
+    """The value, top down from the greedy set, then the basis, by the
+    witness search, counting its nodes."""
     fams, hits = _minimal_families(inst.masks, inst.columns)
+    # the kept families' instance, its columns the reduction's transpose
+    best = greedy_upper_bound(_unchecked(DistinguisherInstance, kind=inst.kind, universe=inst.universe,
+                                         masks=tuple(fams), columns=hits))
     search = _Search(fams, hits, budget)
     lower = _disjoint_lb(fams)
-    upper = len(ub_set)
     rem = (1 << len(fams)) - 1
     vertices = (1 << len(hits)) - 1
     try:
-        value = next((k for k in range(lower, upper) if search.exists(rem, k, vertices)), upper)
+        while len(best) > lower and (found := search.find(rem, len(best) - 1, vertices)) is not None:
+            best = tuple(sorted(found))
+        value, basis = len(best), best
         # lex-smallest basis: extend the prefix by the smallest vertex that
-        # still leaves a completion from larger vertices
-        basis = []
-        for v in range(len(hits)):
-            if len(basis) == value:
-                break
-            after = rem ^ (rem & hits[v])
-            if search.exists(after, value - len(basis) - 1, vertices & (-1 << (v + 1))):
-                basis.append(v)
-                rem = after
+        # still leaves a completion from larger vertices; the carried basis's
+        # own next vertex does, so only the vertices below it are searched
+        for i in range(value):
+            for v in range(basis[i - 1] + 1 if i else 0, basis[i]):
+                after = rem ^ (rem & hits[v])
+                if (found := search.find(after, value - i - 1, vertices & (-1 << (v + 1)))) is not None:
+                    basis = (*basis[:i], v, *sorted(found))
+                    break
+            rem ^= rem & hits[basis[i]]
     except _BudgetSignal:
-        raise BudgetExceededError(inst.kind, lower, upper, ub_set, search.spent) from None
-    if len(basis) != value:  # pragma: no cover - guarded by the value search
-        raise AssertionError("no extension below the certified optimum")
-    return DimensionCertificate(inst.kind, value, tuple(basis), True, search.spent)
+        raise BudgetExceededError(inst.kind, lower, len(best), best, search.spent) from None
+    return DimensionCertificate(inst.kind, value, basis, True, search.spent)
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,44 @@ from metricdim.characterizations import Char2Result, TupleLemmaResult
 from metricdim.enumerator import canonical_graph6
 from metricdim.graph_core import (
     Graph,
+    GraphInputError,
     bfs_all_pairs,
     bits,
-    complete_graph,
     from_edge_list,
     graph6_decode,
     graph6_encode,
 )
+
+
+def path_graph(n: int) -> Graph:
+    return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def cycle_graph(n: int) -> Graph:
+    if n < 3:
+        raise GraphInputError("cycle needs at least 3 vertices")
+    return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def complete_graph(n: int) -> Graph:
+    return from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def star_graph(leaves: int) -> Graph:
+    """Star with center 0 and the given number of leaves."""
+    return from_edge_list(leaves + 1, [(0, i + 1) for i in range(leaves)])
+
+
+def complete_bipartite_graph(a: int, b: int) -> Graph:
+    return from_edge_list(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+def has_edge(G: Graph, u: int, v: int) -> bool:
+    return bool(G.adj[u] >> v & 1)
+
+
+def neighbors(G: Graph, v: int):
+    return bits(G.adj[v])
 
 
 def naive_distances(G: Graph) -> dict[int, dict[int, int]]:
@@ -156,10 +187,12 @@ class _Exhausted(Exception):
     pass
 
 
-def reference_search(fams, rem: int, k: int, allow: int, cap=None) -> tuple[bool | None, int]:
+def reference_search(fams, rem: int, k: int, allow: int, cap=None) -> tuple[bool | None, tuple | None, int]:
     """Whether the families ``fams[i]`` with bit i set in ``rem`` have a
-    hitting set of at most k vertices of ``allow``, by plain recursion, and
-    the nodes it visited; (None, cap + 1) once the nodes pass ``cap``.
+    hitting set of at most k vertices of ``allow``, by plain recursion; the
+    first such set it finds, its vertices in the order the branches chose
+    them, else None; and the nodes it visited.  (None, None, cap + 1) once
+    the nodes pass ``cap``.
 
     Each call is one node.  It packs the families left, in index order, that
     meet no packed family in an allowed vertex, and fails when a packed
@@ -181,22 +214,24 @@ def reference_search(fams, rem: int, k: int, allow: int, cap=None) -> tuple[bool
             if any(f & g for g in packed):
                 continue
             if not f or len(packed) == k:
-                return False
+                return None
             packed.append(f)
         if not packed:
-            return True
+            return ()
         branch = min(packed, key=int.bit_count)
         for v in reference_bits(branch):
             rest = sum(1 << i for i in left if not fams[i] >> v & 1)
-            if search(rest, k - 1, allow):
-                return True
+            found = search(rest, k - 1, allow)
+            if found is not None:
+                return (v, *found)
             allow &= ~(1 << v)
-        return False
+        return None
 
     try:
-        return search(rem, k, allow), spent
+        found = search(rem, k, allow)
     except _Exhausted:
-        return None, spent
+        return None, None, spent
+    return found is not None, found, spent
 
 
 def naive_is_vertex_resolving(G: Graph, S) -> bool:

@@ -27,14 +27,16 @@ from metricdim.graph_core import (
     DisconnectedGraphError,
     Graph,
     GraphInputError,
+    graph6_decode,
+)
+from oracles import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
-    graph6_decode,
     path_graph,
+    random_connected_graph,
     star_graph,
 )
-from oracles import random_connected_graph
 
 
 class TestHandValues:

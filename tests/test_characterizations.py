@@ -15,17 +15,22 @@ from metricdim.enumerator import _diam_le_3k_1, _diam_le_5, _tuple_lemma, enumer
 from metricdim.graph_core import (
     GraphError,
     SizeLimitError,
-    complete_bipartite_graph,
-    complete_graph,
-    cycle_graph,
     from_edge_list,
     graph6_encode,
-    path_graph,
-    star_graph,
 )
 from metricdim.solver import edge_metric_dimension
 
-from oracles import brute_tuple_lemma, naive_distances, random_connected_graph, reference_char_edim_ge_n2
+from oracles import (
+    brute_tuple_lemma,
+    complete_bipartite_graph,
+    complete_graph,
+    cycle_graph,
+    naive_distances,
+    path_graph,
+    random_connected_graph,
+    reference_char_edim_ge_n2,
+    star_graph,
+)
 
 
 class TestTopCharacterization:

@@ -11,14 +11,10 @@ from pathlib import Path
 import pytest
 
 from metricdim.cli import BOUNDS_MAX_ROWS, BOUNDS_MAX_VALUE, main
-from metricdim.graph_core import (
-    Graph,
-    cycle_graph,
-    graph6_encode,
-    path_graph,
-    star_graph,
-)
+from metricdim.graph_core import Graph, graph6_encode
 from metricdim.metric import ResolutionWitness
+
+from oracles import cycle_graph, path_graph, star_graph
 
 
 @pytest.fixture

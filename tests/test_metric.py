@@ -9,21 +9,21 @@ from metricdim.enumerator import enumerate_connected
 from metricdim.graph_core import (
     DisconnectedGraphError,
     GraphInputError,
-    complete_graph,
-    cycle_graph,
     from_edge_list,
-    path_graph,
-    star_graph,
 )
 from metricdim.metric import is_edge_resolving, is_vertex_resolving, landmark_tuple
 
 from oracles import (
     _edge_vectors,
     _vertex_vectors,
+    complete_graph,
+    cycle_graph,
     naive_distances,
     naive_is_edge_resolving,
     naive_is_vertex_resolving,
+    path_graph,
     random_connected_graph,
+    star_graph,
 )
 
 

@@ -101,13 +101,14 @@ class TestLayerTimes:
         assert sorted(report["pool_us_per_instance"]) == ["_minimal_families", "greedy_upper_bound",
                                                           "min_hitting_set"]
         assert all(us > 0 for us in report["pool_us_per_instance"].values())
+        assert report["pool_nodes_explored"] == 9066  # deterministic: the pool's search nodes
         # the lattice solve, on the fixed pool of 10 to 16 vertices
         assert report["lattice_instances"] == 28
         assert list(report["lattice_us_per_instance"]) == ["min_hitting_set"]
         assert report["lattice_us_per_instance"]["min_hitting_set"] > 0
         assert sorted(report) == ["classes", "lattice_instances", "lattice_us_per_instance", "n", "pool_instances",
-                                  "pool_us_per_instance", "record_fill_us", "record_layers", "repeats",
-                                  "us_per_class"]
+                                  "pool_nodes_explored", "pool_us_per_instance", "record_fill_us", "record_layers",
+                                  "repeats", "us_per_class"]
 
     def test_size_without_classes_is_a_usage_error(self):
         proc = run_script("layer_times.py", "--n", "9")
@@ -204,6 +205,22 @@ class TestBenchPairs:
         assert f"error: {cache} holds cached bytecode" in capsys.readouterr().err
         assert cache.is_dir() and not out.exists()  # named, not deleted
 
+    def test_refuses_a_side_without_a_commit(self, tmp_path, monkeypatch, capsys):
+        # trees exported from git are not checkouts: each needs its commit named
+        bench = _load_script("bench_pairs")
+        monkeypatch.setattr(bench, "bench", None)  # no run may start
+        parent, change = self.tree(tmp_path / "parent", "x = 1\n"), self.tree(tmp_path / "change", "x = 1\n")
+        (change / "BENCHMARK.json").write_text(json.dumps(
+            {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": self.DECLARED}))
+        monkeypatch.setattr(bench, "ROOT", change)
+        out = tmp_path / "out.json"
+        for named, missing in (([], ["parent", "change"]), (["--parent-commit", "abc1234"], ["change"]),
+                               (["--change-commit", "def5678"], ["parent"])):
+            assert bench.main(["--parent", str(parent), "--out", str(out), *named]) == 2
+            err = capsys.readouterr().err
+            assert [side for side in ("parent", "change") if f"with --{side}-commit" in err] == missing
+            assert not out.exists()
+
     def test_records_source_lines_and_bytes_per_side(self, tmp_path, monkeypatch):
         bench = _load_script("bench_pairs")
         parent = self.tree(tmp_path / "parent", "x = 1\ny = 2\n")
@@ -214,7 +231,9 @@ class TestBenchPairs:
         monkeypatch.setattr(bench, "bench", lambda root, workload, seed, seconds: {
             "correct": True, "attempted": 1, "failed": 0, "metrics": {"wall_s": 1.0}})
         out = tmp_path / "out.json"
-        assert bench.main(["--parent", str(parent), "--out", str(out), "--seeds", "1-2"]) == 0
+        assert bench.main(["--parent", str(parent), "--out", str(out), "--seeds", "1-2",
+                           "--parent-commit", "abc1234", "--change-commit", "def5678"]) == 0
         report = json.loads(out.read_text())
+        assert report["commits"] == {"parent": "abc1234", "change": "def5678"}
         assert report["src_lines"] == {"parent": 2, "change": 1}
         assert report["src_bytes"] == {"parent": 12, "change": 6}

@@ -13,13 +13,8 @@ from metricdim.graph_core import (
     DisconnectedGraphError,
     GraphInputError,
     SizeLimitError,
-    complete_bipartite_graph,
-    complete_graph,
-    cycle_graph,
     from_edge_list,
     graph6_encode,
-    path_graph,
-    star_graph,
 )
 from metricdim.metric import is_edge_resolving, is_vertex_resolving
 from metricdim.solver import (
@@ -36,14 +31,19 @@ from metricdim.solver import (
 from metricdim.solver import _transpose
 
 from oracles import (
+    complete_bipartite_graph,
+    complete_graph,
+    cycle_graph,
     naive_edge_metric_dimension,
     naive_hitting_set,
     naive_metric_dimension,
+    path_graph,
     random_connected_graph,
     reference_columns,
     reference_edge_instance,
     reference_search,
     reference_vertex_instance,
+    star_graph,
 )
 
 
@@ -666,7 +666,7 @@ class TestLatticeScan:
                     assert err.best_known == greedy_upper_bound(inst)
                     assert err.upper_bound == len(err.best_known)
                     checked += 1
-        assert checked == 6557  # the branch-and-bound search took 3594 nodes on these
+        assert checked == 6557  # the branch-and-bound search takes 1603 nodes on these
 
     def test_fill_grains_match_the_all_subsets_scan(self):
         # hand-built instances on both sides of the fill's grain crossover
@@ -723,7 +723,7 @@ class TestSearchTree:
     the same nodes in the same order: the digest pins every certificate and
     budget-error field of both kinds at budgets None, 1, 7 and 50."""
 
-    DIGEST = "371cb6a8f55db0e698a7e13203eed83380f9bbc0a03afac81f583bc39303fc9e"
+    DIGEST = "269e15a9ec788b5158ce0e0483dd48c347b37a7ebbc3b27d565c32d76e71a9b1"
 
     def test_outcomes_are_pinned(self):
         graphs = _search_graphs()
@@ -747,19 +747,21 @@ class TestSearchTree:
                         min_hitting_set(inst, budget)
                     assert exc_info.value.nodes_explored == budget + 1, (graph6_encode(G), budget)
                     checked += 1
-        assert checked == 1926
+        assert checked == 1689
 
     def test_matches_the_reference_search(self):
         # the nodes a k <= 2 node counts and settles for its children are
-        # the reference's, node for node, and a budget runs out on each
+        # the reference's, node for node, a budget runs out on each, and the
+        # witness is the first hitting set the reference's recursion finds
         from metricdim.solver import _BudgetSignal, _minimal_families, _Search
 
         def search(fams, hits, rem, k, allow, cap=None):
             tree = _Search(fams, hits, cap)
             try:
-                return tree.exists(rem, k, allow), tree.spent
+                found = tree.find(rem, k, allow)
             except _BudgetSignal:
-                return None, tree.spent
+                return None, None, tree.spent
+            return found is not None, found, tree.spent
 
         rng, outcomes, checked = random.Random(6), set(), 0
         for G in _search_graphs()[::3]:  # four dense, three sparse
@@ -772,7 +774,7 @@ class TestSearchTree:
                         rem &= full ^ hits[v]
                     allow = (1 << G.n) - 1 ^ sum(1 << v for v in rng.sample(range(G.n), rng.randint(0, 3)))
                     for k in range(1, 5):
-                        result, nodes = reference_search(fams, rem, k, allow)
+                        result, _, nodes = reference_search(fams, rem, k, allow)
                         outcomes.add((k, result, nodes > 20))
                         for cap in [None, *range(nodes + 1)]:
                             expected = reference_search(fams, rem, k, allow, cap)
@@ -781,6 +783,42 @@ class TestSearchTree:
         assert {(k, result) for k, result, _ in outcomes} == {(k, r) for k in range(1, 5) for r in (True, False)}
         assert {(k, True) for k in (2, 3, 4)} <= {(k, big) for k, _, big in outcomes}  # trees of over 20 nodes
         assert checked > 1000
+
+    def test_exhaustion_reports_stay_sound(self):
+        # the upper side of a budget error is the best set the value search
+        # holds, the greedy set or a smaller witness: it resolves, and the
+        # value lies between the two sides
+        graphs = _search_graphs()
+        sides, checked = Counter(), 0
+        for index, G in enumerate(graphs):
+            for solve, resolves in ((metric_dimension, is_vertex_resolving), (edge_metric_dimension, is_edge_resolving)):
+                cert = solve(G)
+                budgets = set(range(cert.nodes_explored)) if index in (5, 13) else {1, 7, 50}
+                for budget in sorted(b for b in budgets if b < cert.nodes_explored):
+                    with pytest.raises(BudgetExceededError) as exc_info:
+                        solve(G, budget)
+                    err = exc_info.value
+                    assert resolves(G, err.best_known)[0], (graph6_encode(G), budget)
+                    assert err.upper_bound == len(err.best_known)
+                    assert err.lower_bound <= cert.value <= err.upper_bound
+                    sides[err.upper_bound == cert.value] += 1
+                    checked += 1
+        assert checked == 1485
+        assert sides[True] and sides[False]  # a witness below the greedy set is reported too
+
+    @given(st.lists(st.integers(1, (1 << 12) - 1), min_size=1, max_size=40), st.integers(0, 5),
+           st.integers(0, (1 << 12) - 1), st.data())
+    def test_every_witness_hits_with_at_most_k_allowed_vertices(self, fams, k, allow, data):
+        from metricdim.solver import _Search
+
+        rem = data.draw(st.integers(0, (1 << len(fams)) - 1))
+        found = _Search(fams, reference_columns(fams, 12), None).find(rem, k, allow)
+        if found is None:
+            assert reference_search(fams, rem, k, allow)[0] is False
+        else:
+            chosen = sum(1 << v for v in found)
+            assert len(found) == chosen.bit_count() <= k and not chosen & ~allow
+            assert all(fams[i] & chosen for i in range(len(fams)) if rem >> i & 1)
 
     def test_search_works_on_non_negative_ints(self, monkeypatch):
         # a revert to ~hits[v] gives the same answers, but CPython's & with a
@@ -833,7 +871,7 @@ class TestSearchTree:
         rem, vertices = (1 << len(fams)) - 1, (1 << len(hits)) - 1
         with pytest.raises(_BudgetSignal):
             for k in range(_disjoint_lb(fams), len(greedy_upper_bound(inst))):
-                assert not search.exists(rem, k, vertices)
+                assert search.find(rem, k, vertices) is None
         assert search.spent == 100_001
         assert _COVER_BITS == 1 << 23
         assert table.clears >= 2
