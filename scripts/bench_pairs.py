@@ -26,8 +26,12 @@ lines and bytes, since ``setup_s`` compiles all of it on every spawn.
 Each side is recorded with its commit: ``git describe --always --dirty``
 of a checkout, or the id given by ``--parent-commit`` or
 ``--change-commit``, which a tree that is not a checkout (a ``git
-archive`` export, say) needs.  Without one for either side the script
-exits 2 before any run.
+archive`` export, say) needs.  The script exits 2 before any run when
+either side has no commit, or is a checkout with uncommitted edits to
+tracked files (``-dirty``), since no commit rebuilds that tree.  It also
+exits 2 when the sides' ``BENCHMARK.json`` or ``perfbench/*.py`` differ:
+each side runs its own ``perfbench/run.py``, so differing benchmark code
+would measure two different programs.
 """
 
 from __future__ import annotations
@@ -69,6 +73,12 @@ def commit(root: Path) -> str | None:
     except (OSError, subprocess.CalledProcessError):
         return None
     return out.stdout.strip()
+
+
+def benchmark_code(root: Path) -> dict[str, bytes]:
+    """The contents of BENCHMARK.json and perfbench/*.py, by path under root."""
+    paths = [root / "BENCHMARK.json", *sorted((root / "perfbench").glob("*.py"))]
+    return {path.relative_to(root).as_posix(): path.read_bytes() for path in paths if path.is_file()}
 
 
 def bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -143,16 +153,26 @@ def main(argv=None) -> int:
     seconds = declared["run_seconds"]
 
     roots = {"parent": parent, "change": ROOT}
-    commits = {side: vars(args)[f"{side}_commit"] or commit(root) for side, root in roots.items()}
+    described = {side: commit(root) for side, root in roots.items()}
+    commits = {side: vars(args)[f"{side}_commit"] or described[side] for side in SIDES}
     unnamed = [side for side, name in commits.items() if not name]
     for side in unnamed:
         print(f"error: {roots[side]} is not a git checkout; name the {side} side's commit "
               f"with --{side}-commit", file=sys.stderr)
+    dirty = [side for side, name in described.items() if name and name.endswith("-dirty")]
+    for side in dirty:
+        print(f"error: the {side} side, {roots[side]}, has uncommitted edits ({described[side]}), "
+              f"so no commit rebuilds it; commit them and run again", file=sys.stderr)
+    code = [benchmark_code(root) for root in roots.values()]
+    differ = sorted(name for name in code[0].keys() | code[1].keys() if code[0].get(name) != code[1].get(name))
+    if differ:
+        print(f"error: the sides' benchmark code differs in {', '.join(differ)}; each side runs its own "
+              f"perfbench/run.py, so they would measure two different programs", file=sys.stderr)
     caches = [cache for root in roots.values() for cache in bytecode_caches(root)]
     for cache in caches:
         print(f"error: {cache} holds cached bytecode, which skews setup_s and peak_rss_mb; "
               f"remove it and run again", file=sys.stderr)
-    if unnamed or caches:
+    if unnamed or dirty or differ or caches:
         return 2
     workloads = {}
     for workload in args.workloads:

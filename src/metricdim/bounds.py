@@ -1,9 +1,9 @@
-"""Closed-form bound evaluators and the per-graph inequality audit.
-
-All formulas are evaluated in exact integer arithmetic.  The two upper
-bounds stated with non-integer values (half of a power of three, and a
-power of three to a half-integer exponent) are reported as floors together
-with a flag saying whether the floor is the exact value.
+"""Closed-form bound evaluators, the per-graph record and every check row:
+the inequalities ``audit_graph`` runs, and each sweep id's rows
+(THEOREM_CHECKS).  All formulas are evaluated in exact integer arithmetic;
+the two upper bounds stated with non-integer values (half of a power of
+three, and a power of three to a half-integer exponent) are reported as
+floors together with a flag saying whether the floor is the exact value.
 """
 
 from __future__ import annotations
@@ -315,3 +315,65 @@ def audit_graph(G: Graph, budget: Optional[int] = None) -> GraphRecord:
     r = GraphRecord(G, budget)
     r.checks  # the audit runs the solves and the rows here, not on first read
     return r
+
+
+# Characterization rows read the record's verdicts; only a failing row reruns its predicate.
+def _char1_equiv(r: GraphRecord) -> Optional[str]:
+    if r.char_n1 != (r.edim_value == r.n - 1):
+        _, pair = char_edim_n1(r.graph)
+        return f"predicate={r.char_n1} edim={r.edim_value} n={r.n} pair={pair}"
+    return None
+
+
+def _char2_equiv(r: GraphRecord) -> Optional[str]:
+    if r.char_ge_n2 != (r.edim_value >= r.n - 2):
+        triple = char_edim_ge_n2(r.graph).failing_triple
+        return f"predicate={r.char_ge_n2} edim={r.edim_value} n={r.n} triple={triple}"
+    return None
+
+
+def _eq_n2_equiv(r: GraphRecord) -> Optional[str]:
+    holds = not r.char_n1 and r.char_ge_n2  # char_edim_eq_n2 on the verdicts
+    if holds != (r.edim_value == r.n - 2):
+        return f"predicate={holds} edim={r.edim_value} n={r.n}"
+    return None
+
+
+def _tuple_lemma(r: GraphRecord) -> Optional[str]:
+    return None if r.tuple_lemma is None else f"k={r.n - r.edim_value} violating={r.tuple_lemma}"
+
+
+def _diam_le_5(r: GraphRecord) -> Optional[str]:
+    if r.edim_value == r.n - 2 and r.diameter > 5:
+        return f"edim=n-2 but diameter={r.diameter}"
+    return None
+
+
+def _diam_le_3k_1(r: GraphRecord) -> Optional[str]:
+    k = r.n - r.edim_value
+    if r.diameter > 3 * k - 1:
+        return f"k={k} diameter={r.diameter} bound={3 * k - 1}"
+    return None
+
+
+# theorem id -> its rows, in order: the six above or rows of INEQUALITIES.  A
+# row maps a GraphRecord whose dimensions are both known to a failure detail,
+# or None when it holds; the first failing row's detail is reported.  The
+# explore sweep checks nothing and collects data.
+THEOREM_CHECKS: dict[str, tuple[Callable[[GraphRecord], Optional[str]], ...]] = {
+    "char1-equiv": (_char1_equiv,),
+    "char2-equiv": (_char2_equiv,),
+    "eq-n2-equiv": (_eq_n2_equiv,),
+    "tuple-lemma": (_tuple_lemma,),
+    "diam-le-5": (_diam_le_5,),
+    "diam-le-3k-1": (_diam_le_3k_1,),
+    "edge-bound-new": (INEQUALITIES["edge-bound-new"][1],),
+    "edge-bound-zubrilina": (INEQUALITIES["edge-bound-zubrilina"][1],),
+    "vertex-bound-hernando": (INEQUALITIES["vertex-bound-hernando"][1],),
+    "subgraph-bounds-self": (INEQUALITIES["subgraph-vertex-self"][1], INEQUALITIES["subgraph-edge-self"][1]),
+    "corollary-edges-md": (INEQUALITIES["corollary-edges-md"][1],),
+    "corollary-edges-emd": (INEQUALITIES["corollary-edges-emd"][1],),
+    "corollary-chromatic": (INEQUALITIES["corollary-chromatic"][1],),
+    "corollary-degeneracy": (INEQUALITIES["corollary-degeneracy-md"][1], INEQUALITIES["corollary-degeneracy-emd"][1]),
+    "clique-vs-edim-explore": (),
+}

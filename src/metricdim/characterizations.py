@@ -17,7 +17,7 @@ together with N(N(v)), less v, built from adjacency once per graph) and
 test them with mask algebra; no distance matrix is needed.
 
 tuple_lemma_check tests the (k+1)-tuple lemma on one graph; the diameter
-theorems are rows of the sweep table in ``enumerator``.  A violation is an
+theorems are rows of the sweep table in ``bounds``.  A violation is an
 independent (k+1)-set of the radius-2 graph, so the check is a depth-first
 search in ascending vertex order that drops a branch once fewer candidates
 remain than are still needed.  Its witness is the lexicographically first

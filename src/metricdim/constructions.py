@@ -21,7 +21,6 @@ landmark set does not resolve the returned graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
 
 from .graph_core import (
     GRAPH6_MAX_N,
@@ -238,9 +237,10 @@ def grid(dims) -> Graph:
     each side at least 2.  Vertex index is mixed radix with the first axis
     most significant."""
     dims = _grid_dims(dims)
-    total = prod(dims)
-    if total > GRAPH6_MAX_N:
-        raise SizeLimitError(f"grid would have {total} vertices, supported max is {GRAPH6_MAX_N}")
+    total = 1
+    for side in dims:  # no huge product is built
+        if (total := total * side) > GRAPH6_MAX_N:
+            raise SizeLimitError(f"grid supports at most {GRAPH6_MAX_N} vertices")
     strides = _grid_strides(dims)
     edges = [(v, v + stride) for v in range(total)
              for side, stride in zip(dims, strides) if v // stride % side < side - 1]

@@ -28,7 +28,7 @@ scores highest alone it is m and the child is kept.  On a tie, m is found
 by walking the labelling's order; if the child's found automorphisms map x
 to m, then C - m is isomorphic to C - x = P and the child is kept.  Those
 maps need not generate the whole group, so otherwise C - m is labelled and
-compared with P's string.  Each n-class is thus kept under exactly one
+its code compared with P's.  Each n-class is thus kept under exactly one
 parent, so a per-parent set of canonical codes drops the remaining repeats.
 
 ``graph_core`` owns the graph6 codec (``_graph6_text`` packs the
@@ -39,10 +39,10 @@ its size byte and its edge count as the set bits of its payload.
 Threads cannot share this pure-Python work, so it is split over forked
 processes, one per CPU (``_fork_map``): an enumeration level by parent, and
 a sweep in one pass whose workers check the classes below n_max and the
-children of their (n_max - 1)-classes, a chunk of records at a time
-(``GraphRecord.fill``), against the rows each id holds in THEOREM_CHECKS.
-They send back only counts, failures and maxima, so no output depends on
-the worker count or the deal.
+children of their (n_max - 1)-classes, a chunk of records at a time, against
+the rows each id holds in THEOREM_CHECKS; ``bounds`` owns those rows and the
+records.  Workers send back only counts, failures and maxima, so no output
+depends on the worker count or the deal.
 """
 
 from __future__ import annotations
@@ -57,9 +57,7 @@ from functools import lru_cache, reduce
 from itertools import chain, groupby, islice
 from typing import Callable, Optional, Sequence
 
-from . import bounds
-from .bounds import INEQUALITIES, GraphRecord
-from .characterizations import char_edim_ge_n2, char_edim_n1
+from .bounds import THEOREM_CHECKS, GraphRecord
 from .graph_core import (
     Graph,
     GraphError,
@@ -69,7 +67,6 @@ from .graph_core import (
     graph6_decode,
     _connected_within,
     _graph6_text,
-    _unchecked,
 )
 
 CANONICAL_LIMIT = 10
@@ -273,7 +270,7 @@ def _children(parent_g6: str) -> list[str]:
     on C.  C is labelled once.  Its canonical deletion vertex m is the first
     top-scoring non-cut vertex in the canonical order; C is kept if m is x,
     or if the labelling's automorphisms map x to m (then C - m is C - x =
-    P), or else if C - m labels to P's string: the found maps need not
+    P), or else if C - m labels to P's code: the found maps need not
     generate the whole group."""
     parent_adj = graph6_decode(parent_g6).adj
     x = len(parent_adj)
@@ -281,7 +278,8 @@ def _children(parent_g6: str) -> list[str]:
     others = [((1 << n) - 1) ^ 1 << v for v in range(n)]  # all vertices but v
     parent_scores = _scores(parent_adj)
     # per automorphism the labelling of P found: the image of every subset
-    perms = {tuple(moved.get(v, v) for v in range(x)) for moved in _label(parent_adj)[2]}
+    _, parent_code, parent_autos = _label(parent_adj)
+    perms = {tuple(moved.get(v, v) for v in range(x)) for moved in parent_autos}
     images = [reduce(lambda table, w: table + [t | 1 << w for t in table], perm, [0]) for perm in perms]
     noncut = sum([1 << v for v in range(x) if _connected_within(parent_adj, others[v] ^ 1 << x)])
     best = max([parent_scores[v] for v in _BITS[noncut]], default=-1)  # scores only grow in C
@@ -317,8 +315,7 @@ def _children(parent_g6: str) -> list[str]:
             continue
         low = (1 << m) - 1  # vertices below m keep their bits, the others move down
         rest = tuple(row & low | row >> 1 & ~low for v, row in enumerate(adj) if v != m)
-        kept[code] = (sorted(_scores(rest)) == sorted(parent_scores)
-                      and canonical_graph6(_unchecked(Graph, n=x, adj=rest)) == parent_g6)
+        kept[code] = sorted(_scores(rest)) == sorted(parent_scores) and _label(rest)[1] == parent_code
     return [_graph6_text(n, code) for code, accepted in kept.items() if accepted]
 
 
@@ -338,70 +335,9 @@ def enumerate_connected(n: int, allow_large: bool = False) -> list[Graph]:
 
 
 # ---------------------------------------------------------------------------
-# sweep registry
+# theorem sweeps
 # ---------------------------------------------------------------------------
 
-
-# Characterization rows read the record's verdicts; only a failing row reruns its predicate.
-def _char1_equiv(r: GraphRecord) -> Optional[str]:
-    if r.char_n1 != (r.edim_value == r.n - 1):
-        _, pair = char_edim_n1(r.graph)
-        return f"predicate={r.char_n1} edim={r.edim_value} n={r.n} pair={pair}"
-    return None
-
-
-def _char2_equiv(r: GraphRecord) -> Optional[str]:
-    if r.char_ge_n2 != (r.edim_value >= r.n - 2):
-        triple = char_edim_ge_n2(r.graph).failing_triple
-        return f"predicate={r.char_ge_n2} edim={r.edim_value} n={r.n} triple={triple}"
-    return None
-
-
-def _eq_n2_equiv(r: GraphRecord) -> Optional[str]:
-    holds = not r.char_n1 and r.char_ge_n2  # char_edim_eq_n2 on the verdicts
-    if holds != (r.edim_value == r.n - 2):
-        return f"predicate={holds} edim={r.edim_value} n={r.n}"
-    return None
-
-
-def _tuple_lemma(r: GraphRecord) -> Optional[str]:
-    return None if r.tuple_lemma is None else f"k={r.n - r.edim_value} violating={r.tuple_lemma}"
-
-
-def _diam_le_5(r: GraphRecord) -> Optional[str]:
-    if r.edim_value == r.n - 2 and r.diameter > 5:
-        return f"edim=n-2 but diameter={r.diameter}"
-    return None
-
-
-def _diam_le_3k_1(r: GraphRecord) -> Optional[str]:
-    k = r.n - r.edim_value
-    if r.diameter > 3 * k - 1:
-        return f"k={k} diameter={r.diameter} bound={3 * k - 1}"
-    return None
-
-
-# theorem id -> its rows, in order: the six above or rows of INEQUALITIES.  A
-# row maps a GraphRecord whose dimensions are both known to a failure detail,
-# or None when it holds; the first failing row's detail is reported.  The
-# explore sweep checks nothing and collects data.
-THEOREM_CHECKS: dict[str, tuple[Callable[[GraphRecord], Optional[str]], ...]] = {
-    "char1-equiv": (_char1_equiv,),
-    "char2-equiv": (_char2_equiv,),
-    "eq-n2-equiv": (_eq_n2_equiv,),
-    "tuple-lemma": (_tuple_lemma,),
-    "diam-le-5": (_diam_le_5,),
-    "diam-le-3k-1": (_diam_le_3k_1,),
-    "edge-bound-new": (INEQUALITIES["edge-bound-new"][1],),
-    "edge-bound-zubrilina": (INEQUALITIES["edge-bound-zubrilina"][1],),
-    "vertex-bound-hernando": (INEQUALITIES["vertex-bound-hernando"][1],),
-    "subgraph-bounds-self": (INEQUALITIES["subgraph-vertex-self"][1], INEQUALITIES["subgraph-edge-self"][1]),
-    "corollary-edges-md": (INEQUALITIES["corollary-edges-md"][1],),
-    "corollary-edges-emd": (INEQUALITIES["corollary-edges-emd"][1],),
-    "corollary-chromatic": (INEQUALITIES["corollary-chromatic"][1],),
-    "corollary-degeneracy": (INEQUALITIES["corollary-degeneracy-md"][1], INEQUALITIES["corollary-degeneracy-emd"][1]),
-    "clique-vs-edim-explore": (),
-}
 
 SWEEP_N_MIN = 3
 _CHUNK = 256  # records a worker builds, fills and checks at a time
@@ -470,7 +406,7 @@ def _check_share(items: Sequence[str], n_max: int, budget: Optional[int]) -> tup
     stream = classes()
     while chunk := list(islice(stream, _CHUNK)):
         records = [GraphRecord(graph6_decode(g6), budget) for g6 in chunk]
-        bounds.GraphRecord.fill(records)  # the module's GraphRecord is only the records' factory
+        GraphRecord.fill(records)
         for g6, r in zip(chunk, records):
             counts[r.n] = counts.get(r.n, 0) + 1
             if r.budget_exhausted:

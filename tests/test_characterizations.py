@@ -4,14 +4,14 @@ import random
 
 import pytest
 
-from metricdim.bounds import GraphRecord, audit_graph
+from metricdim.bounds import GraphRecord, _diam_le_3k_1, _diam_le_5, _tuple_lemma, audit_graph
 from metricdim.characterizations import (
     char_edim_eq_n2,
     char_edim_ge_n2,
     char_edim_n1,
     tuple_lemma_check,
 )
-from metricdim.enumerator import _diam_le_3k_1, _diam_le_5, _tuple_lemma, enumerate_connected
+from metricdim.enumerator import enumerate_connected
 from metricdim.graph_core import (
     GraphError,
     SizeLimitError,

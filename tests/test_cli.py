@@ -33,6 +33,20 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def run_capped(argv):
+    """The CLI on argv in a child process under a 1 GiB address-space cap, so
+    that hostile input cannot take the machine's memory before a limit check
+    refuses it; the finished process and its wall time in seconds."""
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "metricdim.cli", *argv], capture_output=True, text=True,
+                          env=env, timeout=60, preexec_fn=cap_memory)
+    return proc, time.perf_counter() - started
+
+
 class TestDimEdim:
     def test_dim_json(self, capsys, g6_file):
         code, out, _ = run(capsys, ["dim", g6_file(path_graph(4))])
@@ -162,6 +176,21 @@ class TestConstruct:
         assert payload["landmarks"] == [0, 8, 12]
         assert payload["check_ok"] is True
 
+    @pytest.mark.parametrize("dims, code", [
+        (",".join(["2"] * 20000), 3),
+        (",".join(["9" * 3000] * 2), 3),
+        (",".join(["2"] * 6), 3),
+        (",".join(["2"] * 20000 + ["1"]), 2),
+    ], ids=["20000-sides", "two-3000-digit-sides", "64-vertices", "a-side-of-1"])
+    def test_hostile_grid_exits_promptly(self, dims, code):
+        # the vertex count is refused before the product of all sides, which
+        # has thousands of digits, is built or printed
+        proc, seconds = run_capped(["construct", "grid", "--dims", dims])
+        assert seconds < 10
+        assert (proc.returncode, proc.stdout) == (code, "")
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: grid ")
+        assert "Traceback" not in proc.stderr
+
     def test_param_errors(self, capsys):
         assert run(capsys, ["construct", "grid"])[0] == 2  # --dims required
         assert run(capsys, ["construct", "md-complete"])[0] == 2  # --k required
@@ -216,7 +245,7 @@ CONSTRUCT_SHA256 = {
     "md-star": "a44736d8e450dfb96e4cc87931a4acd59c83756ae4e3b00ee61032440d41955f",
     "md-biclique": "57f23937670b6f13403e5a4cf9ee7e397276e477f2b662557d8c70143e22c6b9",
     "edim-biclique": "234a683df8cd26acfd0dd5ef21e51fa1174bdeff951094f6b616599b86df1370",
-    "grid": "4aa03b207dbf6756ad998dc4a284b9dfae5616bf4bcff87b6232164f916b6955",
+    "grid": "388c054c4fc86663200825f2c79c6b9fc394aaf129a9aee819ea8097c8e367bf",
 }
 
 
@@ -342,19 +371,10 @@ class TestBounds:
     @pytest.mark.parametrize("k,d", [("1..1000000000", "1"), ("6000", "6000")],
                              ids=["billion-rows", "k-and-D-6000"])
     def test_hostile_tables_exit_3_promptly(self, k, d):
-        # a child process under a 1 GiB address-space cap, so that a build of
-        # the table (a billion rows, or one costly big-int row) cannot take
-        # the machine's memory before the limit check refuses it
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-        started = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "metricdim.cli", "bounds", "--k", k, "--d", d],
-            capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap_memory,
-        )
-        assert time.perf_counter() - started < 10
+        # a build of the table (a billion rows, or one costly big-int row)
+        # would take the memory the cap allows before the limit check
+        proc, seconds = run_capped(["bounds", "--k", k, "--d", d])
+        assert seconds < 10
         assert (proc.returncode, proc.stdout) == (3, "")
         assert proc.stderr.startswith("error: bounds tables allow")
 

@@ -208,19 +208,19 @@ class TestEnumeration:
         # automorphisms, one per child that passes the score refusals.  The
         # orbit rule labels one attachment subset per orbit of the parent's
         # automorphisms (without it n <= 7 takes 2,198 labellings), and the
-        # child's own automorphisms settle every score tie at n <= 7, so the
-        # fallback labelling of C - m (through canonical_graph6) never runs.
-        labels, fallbacks = [], []
-        real_label, real_graph6 = enumerator._label, enumerator.canonical_graph6
+        # child's own automorphisms or the scores of C - m settle every score
+        # tie at n <= 7, so the fallback labelling of C - m (also through
+        # _label) never runs.
+        labels = []
+        real_label = enumerator._label
         monkeypatch.setattr(enumerator, "_label", lambda adj: labels.append(len(adj)) or real_label(adj))
-        monkeypatch.setattr(enumerator, "canonical_graph6", lambda G: fallbacks.append(G.n) or real_graph6(G))
         _connected_classes.cache_clear()
         try:
             for n in range(1, 8):
                 assert len(_connected_classes(n)) == EXPECTED_COUNTS[n]
         finally:
             _connected_classes.cache_clear()
-        assert (len(labels), len(fallbacks)) == (1192, 0)
+        assert len(labels) == 1192
 
     def test_n8_classes_are_pinned(self):
         # sha256 recorded with the enumerator that labelled C - m on every
@@ -440,19 +440,21 @@ class TestSweeps:
     def test_thread_count_does_not_change_output(self):
         for theorem_id in ("char2-equiv", "edge-bound-new", "clique-vs-edim-explore"):
             solo = sweep(theorem_id, 6, threads=1).to_json()
+            enumerator._sweep_pass.cache_clear()  # a second pass, not a cache hit
             quad = sweep(theorem_id, 6, threads=4).to_json()
             assert solo == quad
 
 
 def record_spy(monkeypatch):
     """The sweep records built from now on, in build order.  In-process only."""
-    built, real = [], enumerator.GraphRecord
+    built = []
 
-    def spy(G, budget):
-        built.append(real(G, budget))
-        return built[-1]
+    class Spy(bounds.GraphRecord):
+        def __init__(self, G, budget=None):
+            super().__init__(G, budget)
+            built.append(self)
 
-    monkeypatch.setattr(enumerator, "GraphRecord", spy)
+    monkeypatch.setattr(enumerator, "GraphRecord", Spy)
     return built
 
 
@@ -467,15 +469,14 @@ FORGED = {
 
 def forge_records(monkeypatch, forged):
     """Make every sweep record carry the FORGED[forged] values."""
-    real = enumerator.GraphRecord
 
-    def forged_record(G, budget):
-        r = real(G, budget)
-        for name, value in FORGED[forged](r.n).items():
-            setattr(r, name, value)
-        return r
+    class Forged(bounds.GraphRecord):
+        def __init__(self, G, budget=None):
+            super().__init__(G, budget)
+            for name, value in FORGED[forged](self.n).items():
+                setattr(self, name, value)
 
-    monkeypatch.setattr(enumerator, "GraphRecord", forged_record)
+    monkeypatch.setattr(enumerator, "GraphRecord", Forged)
     # uncached, so the forged passes stay local
     monkeypatch.setattr(enumerator, "_sweep_pass", enumerator._sweep_pass.__wrapped__)
 

@@ -1,4 +1,7 @@
+import ast
 import hashlib
+import importlib
+import inspect
 import json
 import os
 import re
@@ -130,6 +133,20 @@ class TestConstructionsGallery:
             "e87c5c3414373b81c5185f350582a9a9171c23bee864cb478afa71bb42be9274")
 
 
+def test_traced_names_resolve():
+    # perfbench/tracer.py wraps these names from outside; one that moves or
+    # goes breaks `perfbench/run.py --trace 1` and perfbench/selftest.py.
+    # TRACED is read from the source, so nothing under perfbench/ runs.
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    traced = next(ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                  and [getattr(target, "id", None) for target in node.targets] == ["TRACED"])
+    assert traced
+    for module, name, _ in traced:
+        assert callable(getattr(importlib.import_module(f"metricdim.{module}"), name, None)), (module, name)
+    # the sweep-n7 workload passes threads=
+    inspect.signature(importlib.import_module("metricdim.enumerator").sweep).bind("char1-equiv", 3, threads=2)
+
+
 def _load_script(name):
     import importlib.util
 
@@ -225,8 +242,9 @@ class TestBenchPairs:
         bench = _load_script("bench_pairs")
         parent = self.tree(tmp_path / "parent", "x = 1\ny = 2\n")
         change = self.tree(tmp_path / "change", "x = 1\n")
-        (change / "BENCHMARK.json").write_text(json.dumps(
-            {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": self.DECLARED}))
+        for root in (parent, change):  # like for like: the same benchmark on both sides
+            (root / "BENCHMARK.json").write_text(json.dumps(
+                {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": self.DECLARED}))
         monkeypatch.setattr(bench, "ROOT", change)
         monkeypatch.setattr(bench, "bench", lambda root, workload, seed, seconds: {
             "correct": True, "attempted": 1, "failed": 0, "metrics": {"wall_s": 1.0}})
@@ -237,3 +255,42 @@ class TestBenchPairs:
         assert report["commits"] == {"parent": "abc1234", "change": "def5678"}
         assert report["src_lines"] == {"parent": 2, "change": 1}
         assert report["src_bytes"] == {"parent": 12, "change": 6}
+
+    def test_refuses_a_checkout_with_uncommitted_edits(self, tmp_path, monkeypatch, capsys):
+        # "<id>-dirty" names no tree that a commit rebuilds
+        bench = _load_script("bench_pairs")
+        monkeypatch.setattr(bench, "bench", None)  # no run may start
+        parent, change = self.tree(tmp_path / "parent", "x = 1\n"), self.tree(tmp_path / "change", "x = 1\n")
+        for root in (parent, change):
+            (root / "BENCHMARK.json").write_text(json.dumps(
+                {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": self.DECLARED}))
+            git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com"]
+            for cmd in (["init", "-q"], ["add", "-A"], ["commit", "-qm", "tree"]):
+                subprocess.run([*git, *cmd], cwd=root, check=True, capture_output=True)
+        monkeypatch.setattr(bench, "ROOT", change)
+        out = tmp_path / "out.json"
+        (change / "src" / "pkg" / "mod.py").write_text("x = 2\n")
+        assert bench.main(["--parent", str(parent), "--out", str(out), "--change-commit", "def5678"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: the change side, {change}, has uncommitted edits" in err
+        assert "the parent side" not in err and not out.exists()
+
+    def test_refuses_sides_whose_benchmark_code_differs(self, tmp_path, monkeypatch, capsys):
+        # each side runs its own perfbench/run.py: different code measures a different program
+        bench = _load_script("bench_pairs")
+        monkeypatch.setattr(bench, "bench", None)  # no run may start
+        parent, change = self.tree(tmp_path / "parent", "x = 1\n"), self.tree(tmp_path / "change", "x = 1\n")
+        declared = {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": self.DECLARED}
+        (parent / "BENCHMARK.json").write_text(json.dumps({**declared, "run_seconds": 2}))
+        (change / "BENCHMARK.json").write_text(json.dumps(declared))
+        (change / "perfbench" / "run.py").write_text("print()\n")
+        (change / "perfbench" / "extra.py").write_text("")
+        (parent / "perfbench" / "notes.txt").write_text("not code")
+        monkeypatch.setattr(bench, "ROOT", change)
+        out = tmp_path / "out.json"
+        commits = ["--parent-commit", "abc1234", "--change-commit", "def5678"]
+        assert bench.main(["--parent", str(parent), "--out", str(out), *commits]) == 2
+        err = capsys.readouterr().err
+        assert ("error: the sides' benchmark code differs in "
+                "BENCHMARK.json, perfbench/extra.py, perfbench/run.py;") in err
+        assert not out.exists()
