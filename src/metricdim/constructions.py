@@ -221,7 +221,7 @@ def _grid_dims(dims) -> list[int]:
     if not dims:
         raise ConstructionError("grid requires at least one dimension")
     if any(r < 2 for r in dims):
-        raise ConstructionError(f"grid sides must be at least 2, got {dims}")
+        raise ConstructionError(f"grid sides must be at least 2, got {min(dims)}")
     return dims
 
 

@@ -189,6 +189,7 @@ class TestConstruct:
         assert seconds < 10
         assert (proc.returncode, proc.stdout) == (code, "")
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: grid ")
+        assert len(proc.stderr) < 200  # no side list or product is echoed
         assert "Traceback" not in proc.stderr
 
     def test_param_errors(self, capsys):
@@ -245,7 +246,7 @@ CONSTRUCT_SHA256 = {
     "md-star": "a44736d8e450dfb96e4cc87931a4acd59c83756ae4e3b00ee61032440d41955f",
     "md-biclique": "57f23937670b6f13403e5a4cf9ee7e397276e477f2b662557d8c70143e22c6b9",
     "edim-biclique": "234a683df8cd26acfd0dd5ef21e51fa1174bdeff951094f6b616599b86df1370",
-    "grid": "388c054c4fc86663200825f2c79c6b9fc394aaf129a9aee819ea8097c8e367bf",
+    "grid": "25daaebf4dbe5c05c4cf431b9979037e3aef65246e930b0a4a7b4bee525cca00",
 }
 
 

@@ -209,18 +209,21 @@ class TestEnumeration:
         # orbit rule labels one attachment subset per orbit of the parent's
         # automorphisms (without it n <= 7 takes 2,198 labellings), and the
         # child's own automorphisms or the scores of C - m settle every score
-        # tie at n <= 7, so the fallback labelling of C - m (also through
-        # _label) never runs.
-        labels = []
+        # tie at n <= 7, so the fallback labelling of C - m never runs:
+        # building level n labels exactly one (n-1)-vertex graph per parent.
+        sizes, total = [], 0
         real_label = enumerator._label
-        monkeypatch.setattr(enumerator, "_label", lambda adj: labels.append(len(adj)) or real_label(adj))
+        monkeypatch.setattr(enumerator, "_label", lambda adj: sizes.append(len(adj)) or real_label(adj))
         _connected_classes.cache_clear()
         try:
             for n in range(1, 8):
+                sizes.clear()
                 assert len(_connected_classes(n)) == EXPECTED_COUNTS[n]
+                assert sizes.count(n - 1) == EXPECTED_COUNTS.get(n - 1, 0)
+                total += len(sizes)
         finally:
             _connected_classes.cache_clear()
-        assert len(labels) == 1192
+        assert total == 1192
 
     def test_n8_classes_are_pinned(self):
         # sha256 recorded with the enumerator that labelled C - m on every
