@@ -10,8 +10,8 @@ landing between them.  The layers are a cold build of the class lists of
 sizes 1..n (the enumerator's cache cleared first; per class of size n),
 the graph6 decoder over the class strings, the canonical labelling into
 graph6, the all-pairs BFS, the two instance builders, and on both
-instances of every class the column transpose, the greedy upper bound, the
-superset reduction and the whole hitting-set solve; then the two front
+instances of every class the greedy upper bound, the superset reduction
+and the whole hitting-set solve; then the two front
 ends, build and solve together; then the record layers a sweep pays per
 class: the two characterization predicates, the
 tuple lemma at k = n - edim, the largest clique, the chromatic number and
@@ -30,7 +30,8 @@ n = 8, is 11,117 classes; standard library only.
 
 The classes all take the subset lattice (at most 16 vertices), so
 ``pool_us_per_instance`` times the branch-and-bound layers past it as the
-search runs them: the superset reduction, the greedy upper bound over the
+search runs them: the column transpose of the instance's masks (the lattice
+reads no columns), the superset reduction, the greedy upper bound over the
 families the reduction keeps and the whole hitting-set solve on both
 instances of each graph of POOL, a fixed set of seeded random connected
 graphs with 17 to 20 vertices, in microseconds per instance;
@@ -136,6 +137,7 @@ def main() -> int:
     lemma_args = [(G, G.n - len(basis)) for G, basis in edge_checks]
     strings = [graph_core.graph6_encode(G) for G in graphs]
     pool_layers = {
+        "_transpose": (lambda inst: solver._transpose(inst.masks, inst.universe), pool),
         "_minimal_families": (reduction, pool),
         "greedy_upper_bound": (solver.greedy_upper_bound, reduced),
         "min_hitting_set": (solver.min_hitting_set, pool),
@@ -147,7 +149,6 @@ def main() -> int:
         "bfs": (graph_core.bfs_all_pairs, graphs),
         "build_vertex_instance": (solver.build_vertex_instance, graphs),
         "build_edge_instance": (solver.build_edge_instance, graphs),
-        "_transpose": (lambda inst: solver._transpose(inst.masks, inst.universe), instances),
         "greedy_upper_bound": (solver.greedy_upper_bound, instances),
         "_minimal_families": (reduction, instances),
         "min_hitting_set": (solver.min_hitting_set, instances),

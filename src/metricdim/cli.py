@@ -89,7 +89,7 @@ def _read_graph(path: str, fmt: str) -> Graph:
     except (OSError, UnicodeDecodeError) as exc:
         raise GraphInputError(f"cannot read graph input: {exc}")
     if fmt == "graph6":
-        lines = _nonblank_lines(text)
+        lines = _nonblank_lines(text.removeprefix(">>graph6<<"))  # the optional file header
         first = next(lines, None)
         count = (first is not None) + sum(1 for _ in lines)  # the others are counted, not kept
         if count != 1:

@@ -18,9 +18,11 @@ are at least one per _SPARSE subsets, else a bit per family.  An
 instance's families are checked once, when it is constructed (see
 ``DistinguisherInstance``), so no solver checks them again.  Past 16,
 the reduction reads each landmark's column, the families it is in as bits
-of one int, transposed from the masks in one place (see ``_transpose``):
-it counts family sizes bit-sliced over the columns and, smallest first,
-drops the supersets of each kept family by the AND of its columns.  One
+of one int, transposed from the masks in one place by 8x8 bit-block swaps
+(see ``_transpose``): it counts family sizes in a bit-sliced binary counter
+over the columns and, smallest first, drops the supersets of each kept
+family by the AND of its columns; it lists the kept families largest first,
+so the first family left in a set of them is its top bit.  One
 witness search finds a hitting set of at most k allowed vertices, or
 proves there is none: it prunes with a greedily built pairwise-disjoint-
 family lower bound whose packing drops the families that meet a chosen
@@ -45,7 +47,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain
-from math import comb
+from math import comb, inf
 
 from .graph_core import (
     Graph,
@@ -174,6 +176,8 @@ _BLOCK_BITS = 1 << 16
 _BIT_DIGITS = [bytes(b"01"[v >> s & 1] for v in range(256)) for s in range(8)]
 # struct format and array typecode of an unsigned int of each size in bytes, smallest first
 _CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+# _transpose's delta swaps: (shift, a block's little-endian mask of the lower bit of each pair)
+_SWAPS = ((7, b"\xaa\0" * 4), (14, b"\xcc\xcc\0\0" * 2), (28, b"\xf0" * 4 + b"\0" * 4))
 
 
 def _packed(rows) -> tuple[bytes, int, int]:
@@ -263,40 +267,54 @@ def _disjoint_lb(sorted_masks) -> int:
 
 def _transpose(masks, width: int) -> list[int]:
     """``hits[v]``: the bitmask of the indices i with v in ``masks[i]``, all
-    below 2**width, less the zero columns past the last nonzero one.  One
-    array packs the masks in native byte order into the smallest 1, 2, 4 or
-    8-byte fields that hold ``width`` bits (past 64, whole bytes).  From
-    ``lanes[j]``, the last field's byte of bits 8j.., one stride slice runs
-    back over every field; its bit s, one translate and parse: column 8j + s."""
+    below 2**width, less the zero columns past the last nonzero one.  The
+    masks, and zeros up to a multiple of 8, are packed into the smallest 1, 2,
+    4 or 8-byte fields that hold ``width`` bits (past 64, whole bytes); lane
+    j, byte j (bits 8j..) of every field, in mask order.  The lanes, end to
+    end, are one int; three delta swaps transpose each of its 8x8 bit blocks
+    (Warren, Hacker's Delight, 7-3), so byte s of a lane's block b holds bit
+    s of masks 8b..8b + 7, and a stride slice of bytes s, s + 8.. of lane j
+    is column 8j + s."""
     step = next((size for size in _CODES if width <= 8 * size), -(-width // 8))
-    data = (memoryview(array(_CODES[step], masks)).cast("B") if step in _CODES  # not copied
-            else b"".join([m.to_bytes(step, sys.byteorder) for m in masks]))  # fields past 64 bits
-    lanes = [len(data) - (step - j if sys.byteorder == "little" else 1 + j) for j in range(-(-width // 8))]
-    hits = [int(lane.translate(digits) or b"0", 2) for j, at in enumerate(lanes)
-            for lane in [bytes(data[at :: -step])] for digits in _BIT_DIGITS[: width - 8 * j]]
+    count = -(-len(masks) // 8) * 8
+    data = (array(_CODES[step], masks).tobytes() if step in _CODES
+            else b"".join([m.to_bytes(step, sys.byteorder) for m in masks])) + bytes((count - len(masks)) * step)
+    lanes = b"".join([data[j if sys.byteorder == "little" else step - 1 - j :: step] for j in range(-(-width // 8))])
+    x = int.from_bytes(lanes, "little")
+    for shift, pattern in _SWAPS:
+        t = (x ^ x >> shift) & int.from_bytes(pattern * (len(lanes) // 8), "little")
+        x ^= t ^ t << shift
+    lanes = x.to_bytes(len(lanes), "little")
+    hits = [int.from_bytes(lanes[at + s : at + count : 8], "little")
+            for at in range(0, len(lanes), count or 1) for s in range(8)]
     while hits and not hits[-1]:
         hits.pop()
     return hits
 
 
 def _minimal_families(masks, cols) -> tuple[list[int], list[int]]:
-    """Distinct families with every superset of another dropped, sorted by
-    (cardinality, mask), and their transpose (see ``_transpose``); ``cols``
-    is the transpose of ``masks``."""
-    # bit-sliced counts: ge[k] holds the families with at least k members
-    ge = [(1 << len(masks)) - 1] + [0] * (len(cols) + 1)
-    for j, c in enumerate(cols):
-        for k in range(j + 1, 0, -1):
-            ge[k] |= ge[k - 1] & c
-    kept = []
-    alive = ge[1]
-    for above in ge[2:]:
+    """Distinct families with every superset of another dropped, largest
+    first: in descending (cardinality, mask) order, so that the first in
+    ascending order is the top bit of a set of them; and their transpose
+    (see ``_transpose``).  ``cols`` is the transpose of ``masks``."""
+    # bit-sliced binary counts: digits[i] holds the families whose size has bit i
+    digits = [0] * len(cols).bit_length()
+    for c in cols:
+        i = 0
+        while c:  # one ripple add of the families in column c
+            digits[i], c = digits[i] ^ c, digits[i] & c
+            i += 1
+    kept, alive, size = [], (1 << len(masks)) - 1, 0
+    while alive:
+        size += 1
         # every smaller family is kept or contains a kept one, so an alive
         # family of the smallest alive size is minimal; it and its
         # supersets (duplicates included) leave
-        level, start = alive ^ (alive & above), len(kept)
+        level, start = alive, len(kept)
+        for i, d in enumerate(digits):
+            level = level & d if size >> i & 1 else level ^ (level & d)
         while level:
-            f = masks[(level ^ level - 1).bit_length() - 1]
+            f = masks[level.bit_length() - 1]
             kept.append(f)
             supersets = alive
             for v in bits(f):
@@ -304,6 +322,7 @@ def _minimal_families(masks, cols) -> tuple[list[int], list[int]]:
             alive ^= supersets
             level ^= level & supersets
         kept[start:] = sorted(kept[start:])  # one size a level: (cardinality, mask) order
+    kept.reverse()
     return kept, _transpose(kept, len(cols))
 
 
@@ -417,7 +436,7 @@ class _Search:
         self.fams = fams
         self.full = (1 << len(fams)) - 1
         self.clear = [self.full ^ h for h in hits]
-        self.cap = cap
+        self.cap = inf if cap is None else cap
         self.spent = 0
         self.cover: dict[int, int] = {}
 
@@ -435,7 +454,7 @@ class _Search:
         """A hitting set of at most k vertices of ``allow`` for the families
         in ``rem``, in the order the branches chose them, or None."""
         self.spent += 1
-        if self.cap is not None and self.spent > self.cap:
+        if self.spent > self.cap:
             raise _BudgetSignal
         if not rem:
             return ()
@@ -445,40 +464,52 @@ class _Search:
         # cleared, so it is reached unless the bound already exceeds k.
         r, count, branch, least = rem, 0, 0, 0
         while r:
-            f = fams[(r ^ r - 1).bit_length() - 1] & allow
+            f = fams[r.bit_length() - 1] & allow
             count += 1
             if not f or count > k:
                 return None
             size = f.bit_count()
             if not branch or size < least:
                 branch, least = f, size
-            left = cover.get(f)
-            if left is None:
-                left = self._fill(f)
-            r &= left
-        while branch:
-            low = branch & -branch
-            v = low.bit_length() - 1
-            rest = rem & clear[v]
-            if k <= 2:  # the child, counted here as find would count it
-                self.spent += 1
-                if self.cap is not None and self.spent > self.cap:
+            try:
+                r &= cover[f]
+            except KeyError:
+                r &= self._fill(f)
+        if k > 2:
+            while branch:
+                low = branch & -branch
+                if (found := self.find(rem & clear[low.bit_length() - 1], k - 1, allow)) is not None:
+                    return (low.bit_length() - 1, *found)
+                allow &= ~low  # refuted: later siblings need not use this vertex
+                branch ^= low
+            return None
+        spent, cap = self.spent, self.cap  # the children, counted here as find would count them
+        try:
+            while branch:
+                low = branch & -branch
+                v = low.bit_length() - 1
+                rest = rem & clear[v]
+                spent += 1
+                if spent > cap:
                     raise _BudgetSignal
                 if not rest:
                     return (v,)
-                if k == 2 and (f := fams[(rest ^ rest - 1).bit_length() - 1] & allow):
-                    left = cover.get(f)
-                    if not rest & (self._fill(f) if left is None else left):
+                if k == 2 and (f := fams[rest.bit_length() - 1] & allow):
+                    try:
+                        left = cover[f]
+                    except KeyError:
+                        left = self._fill(f)
+                    if not rest & left:
                         for w in bits(f):  # its leaves
-                            self.spent += 1
-                            if self.cap is not None and self.spent > self.cap:
+                            spent += 1
+                            if spent > cap:
                                 raise _BudgetSignal
                             if not rest & clear[w]:
                                 return (v, w)
-            elif (found := self.find(rest, k - 1, allow)) is not None:
-                return (v, *found)
-            allow &= ~low  # refuted: later siblings need not use this vertex
-            branch ^= low
+                allow &= ~low
+                branch ^= low
+        finally:
+            self.spent = spent
         return None
 
 
@@ -516,7 +547,7 @@ def _branch_and_bound(inst: DistinguisherInstance, budget: int | None) -> Dimens
     best = greedy_upper_bound(_unchecked(DistinguisherInstance, kind=inst.kind, universe=inst.universe,
                                          masks=tuple(fams), columns=hits))
     search = _Search(fams, hits, budget)
-    lower = _disjoint_lb(fams)
+    lower = _disjoint_lb(reversed(fams))  # smallest first
     rem = (1 << len(fams)) - 1
     vertices = (1 << len(hits)) - 1
     try:

@@ -76,6 +76,31 @@ class TestDimEdim:
         assert code == 0
         assert json.loads(out)["value"] == 2
 
+    @pytest.mark.parametrize("command", [["dim"], ["edim"], ["verify", "--landmarks", "0,1"]],
+                             ids=["dim", "edim", "verify"])
+    def test_networkx_file_header_is_read(self, capsys, tmp_path, command):
+        # networkx writes the optional ">>graph6<<" header by default
+        import networkx as nx
+
+        path = tmp_path / "nx.g6"
+        nx.write_graph6(nx.cycle_graph(5), str(path))
+        assert path.read_bytes() == b">>graph6<<Dhc\n"
+        bare = tmp_path / "bare.g6"
+        bare.write_text("Dhc\n")
+        results = [run(capsys, [command[0], str(p), *command[1:]]) for p in (path, bare)]
+        assert results[0] == results[1] and results[0][0] == 0
+
+    @pytest.mark.parametrize("text, message", [
+        (">>graph6<<\n", "expected exactly one graph6 line, got 0"),
+        ("Dhc\n>>graph6<<Dhc\n", "expected exactly one graph6 line, got 2"),
+        (" >>graph6<<Dhc\n", "malformed graph6 header byte: '>'"),
+        ("\n>>graph6<<Dhc\n", "malformed graph6 header byte: '>'"),
+    ], ids=["header-only", "header-on-line-2", "space-first", "blank-line-first"])
+    def test_graph6_header_only_at_the_start(self, capsys, tmp_path, text, message):
+        path = tmp_path / "graph.g6"
+        path.write_text(text)
+        assert run(capsys, ["dim", str(path)]) == (2, "", f"error: {message}\n")
+
     def test_edgelist_format(self, capsys, tmp_path):
         path = tmp_path / "tri.edges"
         path.write_text("3 3\n0 1\n1 2\n0 2\n")

@@ -89,7 +89,7 @@ class TestLayerTimes:
         report = json.loads(line)
         assert (report["n"], report["classes"], report["repeats"]) == (5, 21, 5)
         assert sorted(report["us_per_class"]) == sorted([
-            "enumerate", "graph6_decode", "canonical_graph6", "bfs", "build_vertex_instance", "build_edge_instance", "_transpose", "greedy_upper_bound",
+            "enumerate", "graph6_decode", "canonical_graph6", "bfs", "build_vertex_instance", "build_edge_instance", "greedy_upper_bound",
             "_minimal_families", "min_hitting_set", "metric_dimension", "edge_metric_dimension",
             "char_edim_n1", "char_edim_ge_n2", "tuple_lemma_check", "max_clique", "chromatic_number",
             "degeneracy", "is_vertex_resolving", "is_edge_resolving"])
@@ -101,7 +101,7 @@ class TestLayerTimes:
         assert report["record_fill_us"] > 0
         # the branch-and-bound layers, on the fixed pool past the lattice
         assert report["pool_instances"] == 16
-        assert sorted(report["pool_us_per_instance"]) == ["_minimal_families", "greedy_upper_bound",
+        assert sorted(report["pool_us_per_instance"]) == ["_minimal_families", "_transpose", "greedy_upper_bound",
                                                           "min_hitting_set"]
         assert all(us > 0 for us in report["pool_us_per_instance"].values())
         assert report["pool_nodes_explored"] == 9066  # deterministic: the pool's search nodes

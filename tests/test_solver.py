@@ -210,13 +210,17 @@ class TestPackedBuilds:
                 inst = build(G)
                 assert DistinguisherInstance(inst.kind, inst.universe, inst.masks) == inst, (inst.kind, G.adj)
 
-    @pytest.mark.parametrize("width", [0, 1, 8, 9, 16, 17, 24, 32, 33, 64, 65, 200])
+    @pytest.mark.parametrize("width", [0, 1, 8, 9, 16, 17, 24, 32, 33, 56, 62, 64, 65, 200])
     def test_transpose_matches_definition(self, width):
         rng = random.Random(width)
         masks = [rng.getrandbits(width) for _ in range(40)] + [(1 << width) >> 1]
         hits = _transpose(masks, width)
         assert len(hits) == width
         assert hits == reference_columns(masks, width)
+        # every count of masks modulo 8, and 4,657: more than the 7x8 grid's edges
+        for count in [*range(18), 4657]:
+            masks = [rng.getrandbits(width) for _ in range(count)]
+            assert _transpose(masks, width) == reference_columns(masks, width), count
         # masks narrower than width: the zero columns above them are dropped
         for narrow in range(width):
             masks = [rng.getrandbits(narrow) for _ in range(rng.randrange(1, 40))]
@@ -540,7 +544,7 @@ class TestReduction:
         from metricdim.solver import _minimal_families
 
         kept, hits = _minimal_families(masks, reference_columns(masks, max(masks, default=0).bit_length()))
-        assert kept == _superset_filter(masks)
+        assert kept == _superset_filter(masks)[::-1]  # largest first
         for v, column in enumerate(hits):
             assert column == sum(1 << i for i, m in enumerate(kept) if m >> v & 1)
         assert len(hits) == max(kept, default=0).bit_length()
@@ -700,6 +704,32 @@ class TestLatticeScan:
         # from u = 7 on (2**u > _SPARSE) each universe takes both grains
         assert all(grains[u, True] and grains[u, False] for u in range(7, LATTICE_LIMIT + 1))
 
+    def test_runs_no_search_layer(self, monkeypatch):
+        # the sweeps' classes and the audits' graphs of 10 to 16 vertices take
+        # the lattice alone: no column transpose, reduction or witness search
+        from metricdim import solver
+        from metricdim.bounds import audit_graph
+
+        calls = Counter()
+
+        def spy(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        for owner, name in ((solver, "_transpose"), (solver, "_minimal_families"), (solver._Search, "find")):
+            monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
+        for G in _classes_to_n7():
+            metric_dimension(G)
+            edge_metric_dimension(G)
+        rng = random.Random(13)
+        records = [audit_graph(random_connected_graph(rng, rng.randint(10, 16))) for _ in range(30)]
+        assert all(r.dim_value is not None and r.edim_value is not None for r in records)
+        assert not calls
+        metric_dimension(_search_graphs()[0])  # past LATTICE_LIMIT, the spies count
+        assert set(calls) == {"_transpose", "_minimal_families", "find"}
+
     def test_tables(self):
         from metricdim.solver import _lattice
 
@@ -718,12 +748,28 @@ def _search_graphs():
     return dense + [_sparse_random_graph(seed, 17 + seed % 4) for seed in range(10)]
 
 
+def _tail_graphs():
+    """Seeded graphs with 21 to 26 vertices, half dense, half sparse as in
+    ``_search_graphs``, and the construction members past LATTICE_LIMIT that
+    the solve-large benchmark solves, up to the 56-vertex 7x8 grid."""
+    from metricdim.constructions import edim_biclique, edim_star, grid, md_biclique, md_complete, md_star
+
+    rng = random.Random(21)
+    dense = [random_connected_graph(rng, rng.randint(21, 26)) for _ in range(12)]
+    members = [make(k).graph for make, k in ((md_complete, 5), (edim_star, 5), (md_star, 3),
+                                             (md_biclique, 7), (edim_biclique, 7))]
+    return (dense + [_sparse_random_graph(seed, 21 + seed % 6) for seed in range(12)]
+            + members + [grid(dims) for dims in ([7, 8], [5, 5], [2, 3, 4])])
+
+
 class TestSearchTree:
     """The branch-and-bound search, on universes past LATTICE_LIMIT, visits
     the same nodes in the same order: the digest pins every certificate and
     budget-error field of both kinds at budgets None, 1, 7 and 50."""
 
     DIGEST = "269e15a9ec788b5158ce0e0483dd48c347b37a7ebbc3b27d565c32d76e71a9b1"
+    # _tail_graphs' outcomes at budgets None and 50
+    TAIL_DIGEST = "e8594b16fdd3f66a77180f72e12d218187a7272c17aea434fcf716d29ee05ac2"
 
     def test_outcomes_are_pinned(self):
         graphs = _search_graphs()
@@ -731,6 +777,24 @@ class TestSearchTree:
         kinds, digest = _outcomes_digest(graphs)
         assert kinds["exhausted"] > 20 and kinds["solved"] > 20
         assert digest == self.DIGEST
+
+    def test_outcomes_past_20_vertices_are_pinned(self):
+        # up to 56 vertices: the 64-bit fields of the transpose, and masks
+        # past 32 bits; no budget past FREE_SEARCH_LIMIT is the search's own
+        from metricdim.solver import _branch_and_bound
+
+        graphs = _tail_graphs()
+        assert min(G.n for G in graphs) > LATTICE_LIMIT and max(G.n for G in graphs) == 56
+        digest, kinds = hashlib.sha256(), Counter()
+        for G in graphs:
+            for build in (build_vertex_instance, build_edge_instance):
+                inst = build(G)
+                for budget in (None, 50):
+                    kind, fields = _outcome(lambda _, b: _branch_and_bound(inst, b), G, budget)
+                    kinds[kind] += 1
+                    digest.update(repr((kind, fields)).encode())
+        assert kinds["exhausted"] > 10 and kinds["solved"] > 50
+        assert digest.hexdigest() == self.TAIL_DIGEST
 
     def test_budget_boundary_is_exact(self):
         # a budget of exactly the nodes a solve takes suffices, one less runs
@@ -768,16 +832,19 @@ class TestSearchTree:
             for inst in (build_vertex_instance(G), build_edge_instance(G)):
                 fams, hits = _minimal_families(inst.masks, inst.columns)
                 full = (1 << len(fams)) - 1
+                # the reference takes the families smallest first: index i there is len(fams) - 1 - i here
+                ascending = fams[::-1]
                 for _ in range(4):
                     rem = full  # less the families a few chosen vertices hit
                     for v in rng.sample(range(len(hits)), rng.randint(0, len(hits) // 2)):
                         rem &= full ^ hits[v]
+                    flipped = int(format(rem, f"0{len(fams)}b")[::-1], 2)
                     allow = (1 << G.n) - 1 ^ sum(1 << v for v in rng.sample(range(G.n), rng.randint(0, 3)))
                     for k in range(1, 5):
-                        result, _, nodes = reference_search(fams, rem, k, allow)
+                        result, _, nodes = reference_search(ascending, flipped, k, allow)
                         outcomes.add((k, result, nodes > 20))
                         for cap in [None, *range(nodes + 1)]:
-                            expected = reference_search(fams, rem, k, allow, cap)
+                            expected = reference_search(ascending, flipped, k, allow, cap)
                             assert search(fams, hits, rem, k, allow, cap) == expected, (graph6_encode(G), k, cap)
                             checked += 1
         assert {(k, result) for k, result, _ in outcomes} == {(k, r) for k in range(1, 5) for r in (True, False)}
