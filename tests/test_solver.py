@@ -217,7 +217,8 @@ class TestPackedBuilds:
         hits = _transpose(masks, width)
         assert len(hits) == width
         assert hits == reference_columns(masks, width)
-        # every count of masks modulo 8, and 4,657: more than the 7x8 grid's edges
+        # every count of masks modulo 8 (a partial last 8x8 block), and one more
+        # than the 4,656 edge pairs of the 7x8 grid
         for count in [*range(18), 4657]:
             masks = [rng.getrandbits(width) for _ in range(count)]
             assert _transpose(masks, width) == reference_columns(masks, width), count
@@ -780,7 +781,8 @@ class TestSearchTree:
 
     def test_outcomes_past_20_vertices_are_pinned(self):
         # up to 56 vertices: the 64-bit fields of the transpose, and masks
-        # past 32 bits; no budget past FREE_SEARCH_LIMIT is the search's own
+        # past 32 bits; the search is called directly, since min_hitting_set
+        # refuses to run past FREE_SEARCH_LIMIT with no budget
         from metricdim.solver import _branch_and_bound
 
         graphs = _tail_graphs()
