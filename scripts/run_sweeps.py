@@ -7,7 +7,8 @@ Usage: run_sweeps.py [--max-n N] [--allow-large] [--timing]
 With --timing, stderr also gets one line with the worker count, the wall
 time of enumerating the levels below --max-n, and the wall time of the pass
 that checks every class, with each worker's item count and time; stdout is
-the same as without it.
+the same as without it.  An item is a class below --max-n, checked itself,
+or a class with --max-n - 1 vertices, standing for its children.
 """
 
 import argparse

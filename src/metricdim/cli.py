@@ -45,10 +45,9 @@ from .graph_core import (
     GraphError,
     GraphInputError,
     SizeLimitError,
-    graph6_decode,
     graph6_encode,
     parse_edge_list_text,
-    _nonblank_lines,
+    parse_graph6_text,
 )
 from .metric import is_edge_resolving, is_vertex_resolving, landmark_tuple
 from .enumerator import SCHEMA_VERSION, THEOREM_CHECKS, sweep
@@ -88,14 +87,7 @@ def _read_graph(path: str, fmt: str) -> Graph:
                 text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise GraphInputError(f"cannot read graph input: {exc}")
-    if fmt == "graph6":
-        lines = _nonblank_lines(text.removeprefix(">>graph6<<"))  # the optional file header
-        first = next(lines, None)
-        count = (first is not None) + sum(1 for _ in lines)  # the others are counted, not kept
-        if count != 1:
-            raise GraphInputError(f"expected exactly one graph6 line, got {count}")
-        return graph6_decode(first)
-    return parse_edge_list_text(text)
+    return parse_graph6_text(text) if fmt == "graph6" else parse_edge_list_text(text)
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:

@@ -33,16 +33,16 @@ parent, so a per-parent set of canonical codes drops the remaining repeats.
 
 ``graph_core`` owns the graph6 codec (``_graph6_text`` packs the
 labelling's code) and the walk that tests each deletion
-(``_connected_within``); the sweep reads a graph6 string's vertex count off
-its size byte and its edge count as the set bits of its payload.
+(``_connected_within``).
 
 Threads cannot share this pure-Python work, so it is split over forked
 processes, one per CPU (``_fork_map``): an enumeration level by parent, and
-a sweep in one pass whose workers check the classes below n_max and the
-children of their (n_max - 1)-classes, a chunk of records at a time, against
-the rows each id holds in THEOREM_CHECKS; ``bounds`` owns those rows and the
-records.  Workers send back only counts, failures and maxima, so no output
-depends on the worker count or the deal.
+a sweep in one pass whose items are the classes below n_max and, as
+parents of their children, the (n_max - 1)-classes.  Workers check them a
+chunk of records at a time against the rows each id holds in
+THEOREM_CHECKS (``bounds`` owns those rows and the records) and send
+back only counts, failures and maxima, so no output depends on the worker
+count or the deal.
 """
 
 from __future__ import annotations
@@ -387,23 +387,14 @@ class SweepReport:
         return f"{self.theorem_id}: {self.graphs_checked} graphs, n={self.n_min}..{self.n_max}, {verdict}"
 
 
-def _check_share(items: Sequence[str], n_max: int, budget: Optional[int]) -> tuple:
-    """Run every id's rows on each item from SWEEP_N_MIN vertices on and on
-    the children of each item with n_max - 1 vertices, building, filling
-    and checking the records _CHUNK at a time: (count by n, (graph6, detail)
+def _check_share(items: Sequence[tuple[str, bool]], budget: Optional[int]) -> tuple:
+    """Run every id's rows on each (graph6, parent) item's classes: the
+    children of a parent, the class itself otherwise, building, filling and
+    checking the records _CHUNK at a time: (count by n, (graph6, detail)
     failures by id, exhaustions, largest clique by edim, items, seconds)."""
     started = time.perf_counter()
     counts, failures, exhausted, cliques = {}, {}, 0, {}
-
-    def classes():
-        for g6 in items:
-            n = ord(g6[0]) - 63
-            if n >= SWEEP_N_MIN:
-                yield g6
-            if n == n_max - 1:
-                yield from _children(g6)
-
-    stream = classes()
+    stream = chain.from_iterable(_children(g6) if parent else (g6,) for g6, parent in items)
     while chunk := list(islice(stream, _CHUNK)):
         records = [GraphRecord(graph6_decode(g6), budget) for g6 in chunk]
         GraphRecord.fill(records)
@@ -428,19 +419,19 @@ def _sweep_pass(n_max: int, budget: Optional[int]) -> tuple[dict, dict, dict, di
     """One pass over every class with SWEEP_N_MIN <= n <= n_max that checks
     every registered id: (counts by n, largest clique by edim, sorted
     failures per id, the SweepReport fields all ids share).  The levels
-    below n_max are enumerated here.  Their classes are the items
-    ``_fork_map`` deals to ``_check_share``: level n_max - 1 first, fewest
-    edges first (sparse parents have the most children), then the rest.
-    Counts are summed, failures sorted and maxima taken, so nothing depends
-    on the worker count or the deal.  Cached per (n_max, budget), so that a
-    caller that sweeps one id at a time solves each class once."""
+    below n_max are enumerated here.  ``_fork_map`` deals (graph6, parent)
+    items to ``_check_share``: each (n_max - 1)-class once as a parent,
+    fewest edges first (sparse parents have the most children), then each
+    class below n_max from SWEEP_N_MIN vertices on once as itself.  Counts
+    are summed, failures sorted and maxima taken, so nothing depends on the
+    worker count or the deal.  Cached per (n_max, budget), so that a caller
+    that sweeps one id at a time solves each class once."""
     started = time.perf_counter()
-    levels = [_connected_classes(n) for n in range(min(SWEEP_N_MIN, n_max - 1), n_max)]
-    # the edge count of a graph6 string: its set bits past the size byte
-    items = sorted(levels[-1], key=lambda g6: sum([(ord(c) - 63).bit_count() for c in g6[1:]]))
-    items += [g6 for level in levels[:-1] for g6 in level]
+    parents = sorted(_connected_classes(n_max - 1), key=lambda g6: graph6_decode(g6).num_edges)
+    items = [(g6, True) for g6 in parents]
+    items += [(g6, False) for n in range(SWEEP_N_MIN, n_max) for g6 in _connected_classes(n)]
     enumerated = time.perf_counter()
-    shares = _fork_map(lambda share: _check_share(share, n_max, budget), items)
+    shares = _fork_map(lambda share: _check_share(share, budget), items)
     counts = {n: sum(s[0].get(n, 0) for s in shares) for n in range(SWEEP_N_MIN, n_max + 1)}
     failures = {t: tuple(sorted(f for s in shares for f in s[1].get(t, ()))) for t in THEOREM_CHECKS}
     cliques = {str(k): max(s[3].get(k, 0) for s in shares) for k in sorted(set().union(*(s[3] for s in shares)))}

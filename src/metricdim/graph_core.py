@@ -11,7 +11,8 @@ and kept on it; every layer that needs them all reads that one matrix.
 checks, and ``bfs_all_pairs`` is its every-source case.
 
 Interchange formats: graph6 (short form, n <= 62) and a plain edge-list
-text format (header line "n m", then one "u v" line per edge).
+text format (header line "n m", then one "u v" line per edge); the two
+``parse_*_text`` readers hold the file rules of each.
 ``_graph6_text`` is the one graph6 packer, for ``graph6_encode`` and the
 enumerator's ``canonical_graph6``.  ``graph6_decode`` and ``from_edge_list``
 validate their own input and skip the table rescan of ``Graph(n, adj)``
@@ -234,7 +235,7 @@ def graph6_decode(text: str) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# edge-list text format
+# file text: graph6 and edge lists
 # ---------------------------------------------------------------------------
 
 
@@ -246,6 +247,17 @@ def _nonblank_lines(text: str) -> Iterator[str]:
     """The stripped nonblank lines of ``text`` as str.splitlines splits it,
     one at a time, so that no list of every line is built."""
     return filter(None, (match.group().strip() for match in _LINE.finditer(text)))
+
+
+def parse_graph6_text(text: str) -> Graph:
+    """Parse a graph6 file: the optional ">>graph6<<" header, then exactly
+    one nonblank line.  The other lines are counted, not kept."""
+    lines = _nonblank_lines(text.removeprefix(">>graph6<<"))
+    first = next(lines, None)
+    count = (first is not None) + sum(1 for _ in lines)
+    if count != 1:
+        raise GraphInputError(f"expected exactly one graph6 line, got {count}")
+    return graph6_decode(first)
 
 
 def parse_edge_list_text(text: str) -> Graph:

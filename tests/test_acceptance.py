@@ -27,7 +27,7 @@ from metricdim.constructions import (
     md_complete,
     md_star,
 )
-from metricdim.enumerator import enumerate_connected, sweep
+from metricdim.enumerator import THEOREM_CHECKS, enumerate_connected, sweep, sweep_all
 from metricdim.graph_core import (
     DisconnectedGraphError,
     max_balanced_biclique,
@@ -248,20 +248,20 @@ def test_criterion_09_solver_soundness():
 
 def test_criterion_10_thread_determinism(monkeypatch):
     # one worker runs the pass in-process, two run it the same way in
-    # forked workers; each run is a fresh pass
+    # forked workers; each worker count runs one fresh pass of every id
     start = time.monotonic()
     failures = []
-    sweep_ids = ("char1-equiv", "char2-equiv", "eq-n2-equiv",
-                 "diam-le-5", "diam-le-3k-1", "tuple-lemma") + AUDIT_SWEEPS
-    for theorem_id in sweep_ids:
-        reports = {}
-        for workers in (1, 2):
-            monkeypatch.setattr(enumerator, "_WORKERS", workers)
-            enumerator._sweep_pass.cache_clear()
-            reports[workers] = sweep(theorem_id, 7)
-        if reports[2].workers != 2:
-            failures.append(f"{theorem_id}: the pass was not split over 2 workers")
-        if reports[1].to_json() != reports[2].to_json():
-            failures.append(f"{theorem_id}: reports differ across worker counts")
+    reports = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(enumerator, "_WORKERS", workers)
+        enumerator._sweep_pass.cache_clear()
+        reports[workers] = sweep_all(sorted(THEOREM_CHECKS), 7)
+    data = {r.theorem_id: r.data for r in reports[1]}
+    assert len(data) == 15 and data["clique-vs-edim-explore"]  # its table is compared too
+    for one, two in zip(reports[1], reports[2]):
+        if two.workers != 2:
+            failures.append(f"{one.theorem_id}: the pass was not split over 2 workers")
+        if one.to_json() != two.to_json():
+            failures.append(f"{one.theorem_id}: reports differ across worker counts")
     report(10, failures, time.monotonic() - start, 600,
-           f"{len(sweep_ids)} sweep reports byte-identical at 1 and 2 forked workers")
+           f"{len(reports[1])} sweep reports byte-identical at 1 and 2 forked workers")

@@ -567,6 +567,12 @@ class TestSweepAll:
             sweep_all(ids, 5)
         assert enumerator._sweep_pass.cache_info().misses == 0
 
+    def test_share_items_say_what_they_stand_for(self):
+        # a parent item stands for its children, not itself; a class item for itself once
+        assert enumerator._check_share([("A_", True)], None)[0] == {3: 2}
+        counts, failures, _, _, items, _ = enumerator._check_share([("Bw", False), ("A_", True)], None)
+        assert (counts, failures, items) == ({3: 3}, {}, 2)
+
     def test_one_pass_solves_each_class_once(self, monkeypatch, in_process):
         # the per-id sweeps that follow read the pass: no record is built again
         built = record_spy(monkeypatch)

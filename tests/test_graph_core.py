@@ -31,6 +31,7 @@ from metricdim.graph_core import (
     max_clique,
     max_star,
     parse_edge_list_text,
+    parse_graph6_text,
     _connected_within,
 )
 from oracles import (
@@ -215,6 +216,25 @@ class TestGraph6EverySize:
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err == f"error: {info.value}\n"
+
+
+class TestGraph6Text:
+    @pytest.mark.parametrize("text, message", [
+        (">>graph6<<\n", "expected exactly one graph6 line, got 0"),
+        ("Dhc\n>>graph6<<Dhc\n", "expected exactly one graph6 line, got 2"),
+        (" >>graph6<<Dhc\n", "malformed graph6 header byte: '>'"),
+        ("\n>>graph6<<Dhc\n", "malformed graph6 header byte: '>'"),
+    ], ids=["header-only", "header-on-line-2", "space-first", "blank-line-first"])
+    def test_header_only_at_the_start(self, text, message):
+        with pytest.raises(GraphInputError) as info:
+            parse_graph6_text(text)
+        assert str(info.value) == message
+
+    def test_one_line_among_blank_lines(self):
+        C5 = graph6_decode("Dhc")
+        assert parse_graph6_text(">>graph6<<Dhc\n") == C5
+        assert parse_graph6_text("\n \r\n  Dhc \n\n\x0c\n") == C5
+        assert parse_graph6_text(">>graph6<<\n\nDhc\n") == C5
 
 
 class TestEdgeListText:

@@ -71,6 +71,8 @@ class TestRunSweeps:
                              r"\((\d+ items \d+\.\d ms(, )?)+\)", timing)
         assert match, timing
         assert timing.count(" items ") == int(match[1])
+        # the 21 five-vertex classes as parents, then the 2 + 6 + 21 classes with 3-5 vertices
+        assert sum(map(int, re.findall(r"(\d+) items", timing))) == 50
 
     @pytest.mark.slow
     def test_n8_stdout_bytes(self):

@@ -939,8 +939,11 @@ class TestSearchTree:
         search = _Search(fams, hits, 100_000)
         search.cover = table = Table()
         rem, vertices = (1 << len(fams)) - 1, (1 << len(hits)) - 1
+        # k starts at the bound _branch_and_bound packs smallest first (1 largest first)
+        lower = _disjoint_lb(reversed(fams))
+        assert lower == 4
         with pytest.raises(_BudgetSignal):
-            for k in range(_disjoint_lb(fams), len(greedy_upper_bound(inst))):
+            for k in range(lower, len(greedy_upper_bound(inst))):
                 assert search.find(rem, k, vertices) is None
         assert search.spent == 100_001
         assert _COVER_BITS == 1 << 23
