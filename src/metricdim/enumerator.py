@@ -171,8 +171,8 @@ def _orbit(autos: list[dict[int, int]], v: int) -> int:
     return orbit
 
 
-# Fewer items than this stay in-process.  On 2 CPUs a sweep to n_max = 6 (29
-# items) takes 13 ms forked and 19 ms in one process, one to n_max = 5 (8
+# Fewer items than this stay in-process.  On 2 CPUs a sweep to n_max = 6 (50
+# items) takes 13 ms forked and 19 ms in one process, one to n_max = 5 (14
 # items) 4.4 ms forked and 4.1 ms in one process; forking the level-6
 # enumeration (21 parents) saves about 2 ms of a sweep to n_max = 7.
 _FORK_MIN = 16
