@@ -41,19 +41,32 @@ is deterministic.
 instances of each graph of LATTICE_POOL, seeded random connected graphs
 with 10 to 16 vertices: the lattice at the universes no class reaches.
 Both pools run in the same repeats as the class layers.
+
+The cold start is measured apart, in IMPORT_SPAWNS fresh interpreters, each
+run with PYTHONDONTWRITEBYTECODE=1 as the benchmark's children are:
+``import_ms`` is the median time of ``import metricdim, metricdim.cli`` in
+milliseconds, and ``import_peak_rss_mb`` the median of each child's peak
+RSS (``ru_maxrss``) just after it.  Cached bytecode under ``src/`` makes
+both read low, so ``import_bytecode_cached`` says whether ``src/`` held a
+``__pycache__``; this script writes none itself.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
+import statistics
+import subprocess
 import sys
 from itertools import combinations
 from pathlib import Path
 from time import perf_counter
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+sys.dont_write_bytecode = True  # the cold-start children must find no cache this process left
 
 from metricdim import characterizations, enumerator, graph_core, metric, solver  # noqa: E402
 from metricdim.bounds import GraphRecord  # noqa: E402
@@ -65,6 +78,11 @@ REPEATS = 5
 # from random.Random(i): G(n, p) until connected
 POOL = [(17 + i % 4, 0.15 if i % 2 else 0.45) for i in range(8)]
 LATTICE_POOL = [(10 + i % 7, 0.25 if i % 2 else 0.6) for i in range(14)]
+IMPORT_SPAWNS = 9
+# argv[1]: the src directory; prints the import's milliseconds and the peak RSS in KiB after it
+IMPORT_PROBE = ("import resource, sys, time; sys.path.insert(0, sys.argv[1]); start = time.perf_counter(); "
+                "import metricdim, metricdim.cli; "
+                "print((time.perf_counter() - start) * 1e3, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
 RECORD_LAYERS = ("graph6_decode", "bfs", "char_edim_n1", "char_edim_ge_n2", "tuple_lemma_check",
                  "max_clique", "chromatic_number", "degeneracy")
 
@@ -105,6 +123,16 @@ def pool_graphs(pool) -> list:
 def record_fill(strings) -> None:
     for i in range(0, len(strings), enumerator._CHUNK):
         GraphRecord.fill([GraphRecord(graph_core.graph6_decode(s)) for s in strings[i:i + enumerator._CHUNK]])
+
+
+def cold_import() -> dict:
+    """The median import time and peak RSS over IMPORT_SPAWNS fresh children."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    samples = [subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(SRC)], env=env, capture_output=True,
+                              text=True, check=True, timeout=60).stdout.split() for _ in range(IMPORT_SPAWNS)]
+    return {"import_ms": round(statistics.median(float(ms) for ms, _ in samples), 2),
+            "import_peak_rss_mb": round(statistics.median(int(kib) / 1024 for _, kib in samples), 2),
+            "import_bytecode_cached": any(SRC.rglob("__pycache__"))}
 
 
 def cold_classes(n: int) -> None:
@@ -174,7 +202,8 @@ def main() -> int:
                       "record_layers": record, "record_fill_us": round(best["record fill"] / len(graphs) * 1e6, 2),
                       "pool_instances": len(pool), "pool_us_per_instance": pool_us,
                       "pool_nodes_explored": sum(solver.min_hitting_set(inst).nodes_explored for inst in pool),
-                      "lattice_instances": len(lattice), "lattice_us_per_instance": lattice_us},
+                      "lattice_instances": len(lattice), "lattice_us_per_instance": lattice_us,
+                      **cold_import()},
                      sort_keys=True))
     return 0
 

@@ -8,7 +8,6 @@ floors together with a flag saying whether the floor is the exact value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import isqrt
 from typing import Callable, Optional, Sequence
@@ -18,6 +17,7 @@ from .graph_core import (
     DisconnectedGraphError,
     Graph,
     GraphInputError,
+    _Record,
     chromatic_number,
     degeneracy,
     greedy_coloring,
@@ -33,21 +33,17 @@ from .solver import (
 )
 
 
-@dataclass(frozen=True)
-class BoundParams:
+class BoundParams(_Record):
     """Validated (k, D, c) argument bundle for the bound formulas."""
 
-    k: int
-    D: int
-    c: Optional[int] = None
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise GraphInputError(f"bound dimension k must be >= 1, got {self.k}")
-        if self.D < 1:
-            raise GraphInputError(f"bound diameter D must be >= 1, got {self.D}")
-        if self.c is not None and not 0 <= self.c <= self.D:
-            raise GraphInputError(f"free parameter c must lie in [0, {self.D}], got {self.c}")
+    def __init__(self, k: int, D: int, c: Optional[int] = None):
+        self.__dict__.update(k=k, D=D, c=c)
+        if k < 1:
+            raise GraphInputError(f"bound dimension k must be >= 1, got {k}")
+        if D < 1:
+            raise GraphInputError(f"bound diameter D must be >= 1, got {D}")
+        if c is not None and not 0 <= c <= D:
+            raise GraphInputError(f"free parameter c must lie in [0, {D}], got {c}")
 
 
 def edge_bound_general_c(k: int, D: int, c: int) -> int:
@@ -97,8 +93,7 @@ def subgraph_vertex_bound(k: int, D: int) -> int:
 subgraph_edge_bound = subgraph_vertex_bound
 
 
-@dataclass(frozen=True)
-class PatternBounds:
+class PatternBounds(_Record):
     """Extremal sizes of the forbidden patterns at dimension k.
 
     max_clique_md and max_star_emd are exact; the other four are
@@ -106,17 +101,15 @@ class PatternBounds:
     exact only when the matching flag is set.
     """
 
-    k: int
-    max_clique_md: int
-    max_star_emd: int
-    star_md_lower: int
-    star_md_upper: int
-    biclique_md_lower: int
-    biclique_md_upper_floor: int
-    biclique_md_upper_exact: bool
-    biclique_emd_lower: int
-    biclique_emd_upper_floor: int
-    biclique_emd_upper_exact: bool
+    def __init__(self, k: int, max_clique_md: int, max_star_emd: int, star_md_lower: int, star_md_upper: int,
+                 biclique_md_lower: int, biclique_md_upper_floor: int, biclique_md_upper_exact: bool,
+                 biclique_emd_lower: int, biclique_emd_upper_floor: int, biclique_emd_upper_exact: bool):
+        self.__dict__.update(
+            k=k, max_clique_md=max_clique_md, max_star_emd=max_star_emd, star_md_lower=star_md_lower,
+            star_md_upper=star_md_upper, biclique_md_lower=biclique_md_lower,
+            biclique_md_upper_floor=biclique_md_upper_floor, biclique_md_upper_exact=biclique_md_upper_exact,
+            biclique_emd_lower=biclique_emd_lower, biclique_emd_upper_floor=biclique_emd_upper_floor,
+            biclique_emd_upper_exact=biclique_emd_upper_exact)
 
 
 def pattern_bounds(k: int) -> PatternBounds:

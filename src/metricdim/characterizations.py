@@ -27,7 +27,6 @@ violating subset, and it never reaches more leaves than walking every
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
@@ -35,6 +34,7 @@ from .graph_core import (
     Graph,
     GraphInputError,
     SizeLimitError,
+    _Record,
     bits,
 )
 
@@ -62,10 +62,9 @@ def char_edim_n1(G: Graph) -> tuple[bool, Optional[tuple[int, int]]]:
     return True, None
 
 
-@dataclass(frozen=True)
-class Char2Result:
-    holds: bool
-    failing_triple: Optional[tuple[int, int, int]]
+class Char2Result(_Record):
+    def __init__(self, holds: bool, failing_triple: Optional[tuple[int, int, int]]):
+        self.__dict__.update(holds=holds, failing_triple=failing_triple)
 
 
 def char_edim_ge_n2(G: Graph) -> Char2Result:
@@ -120,11 +119,9 @@ def char_edim_eq_n2(G: Graph) -> bool:
     return not holds_n1 and char_edim_ge_n2(G).holds
 
 
-@dataclass(frozen=True)
-class TupleLemmaResult:
-    holds: bool
-    vacuous: bool
-    violating: Optional[tuple[int, ...]]
+class TupleLemmaResult(_Record):
+    def __init__(self, holds: bool, vacuous: bool, violating: Optional[tuple[int, ...]]):
+        self.__dict__.update(holds=holds, vacuous=vacuous, violating=violating)
 
 
 def tuple_lemma_check(G: Graph, k: int) -> TupleLemmaResult:

@@ -20,13 +20,12 @@ landmark set does not resolve the returned graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .graph_core import (
     GRAPH6_MAX_N,
     Graph,
     GraphError,
     SizeLimitError,
+    _Record,
     from_edge_list,
     induced_subgraph,
 )
@@ -37,20 +36,19 @@ class ConstructionError(GraphError, ValueError):
     """Construction parameter out of range, or a gadget invariant failed."""
 
 
-@dataclass(frozen=True)
-class ConstructionOutput:
+class ConstructionOutput(_Record):
     """A generated graph with its landmark certificate and bookkeeping.
 
     ``roles`` tags every vertex (clique/leaf/center/left/right or an indexed
     landmark tag like u_2); ``labels`` maps labeled vertices to their digit
     strings; ``deleted`` lists removed vertices as (role, label) pairs.
+    ``roles`` and ``labels`` default to a new empty dict each.
     """
 
-    graph: Graph
-    landmarks: tuple[int, ...]
-    roles: dict[int, str] = field(default_factory=dict)
-    labels: dict[int, str] = field(default_factory=dict)
-    deleted: tuple[tuple[str, str], ...] = ()
+    def __init__(self, graph: Graph, landmarks: tuple[int, ...], roles: dict[int, str] | None = None,
+                 labels: dict[int, str] | None = None, deleted: tuple[tuple[str, str], ...] = ()):
+        self.__dict__.update(graph=graph, landmarks=landmarks, roles={} if roles is None else roles,
+                             labels={} if labels is None else labels, deleted=deleted)
 
 
 def _delete(base: ConstructionOutput, doomed: list[int]):

@@ -52,7 +52,6 @@ import marshal
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import chain, groupby, islice
 from typing import Callable, Optional, Sequence
@@ -63,6 +62,7 @@ from .graph_core import (
     GraphError,
     GraphInputError,
     SizeLimitError,
+    _Record,
     bits,
     graph6_decode,
     _connected_within,
@@ -343,21 +343,19 @@ SWEEP_N_MIN = 3
 _CHUNK = 256  # records a worker builds, fills and checks at a time
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(_Record):
     """Outcome of one theorem sweep over all small connected graphs."""
 
-    theorem_id: str
-    n_min: int
-    n_max: int
-    graphs_checked: int
-    counts_by_n: dict[int, int]
-    failures: tuple[tuple[str, str], ...]  # (canonical graph6, detail)
-    solver_budget_exhaustions: int
-    elapsed_ms: float
-    enumerate_ms: float  # part of elapsed_ms spent building the class lists below n_max
-    data: dict = field(default_factory=dict)
-    shares: tuple[tuple[int, float], ...] = ()  # (items, ms) per worker of the pass; not in the JSON
+    def __init__(self, theorem_id: str, n_min: int, n_max: int, graphs_checked: int, counts_by_n: dict[int, int],
+                 failures: tuple[tuple[str, str], ...],  # (canonical graph6, detail)
+                 solver_budget_exhaustions: int, elapsed_ms: float,
+                 enumerate_ms: float,  # part of elapsed_ms spent building the class lists below n_max
+                 data: dict | None = None,  # None: a new empty dict
+                 shares: tuple[tuple[int, float], ...] = ()):  # (items, ms) per worker of the pass; not in the JSON
+        self.__dict__.update(
+            theorem_id=theorem_id, n_min=n_min, n_max=n_max, graphs_checked=graphs_checked, counts_by_n=counts_by_n,
+            failures=failures, solver_budget_exhaustions=solver_budget_exhaustions, elapsed_ms=elapsed_ms,
+            enumerate_ms=enumerate_ms, data={} if data is None else data, shares=shares)
 
     @property
     def workers(self) -> int:

@@ -19,12 +19,13 @@ validate their own input and skip the table rescan of ``Graph(n, adj)``
 through ``_unchecked``; the solver's instance builder skips the family
 check of ``DistinguisherInstance`` the same way.
 ``_connected_within`` is the one connectivity walk, over any vertex mask.
+``_Record`` is the base of the package's frozen records, this module's
+``Graph`` and ``DistanceMatrix`` among them.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from typing import Iterator
@@ -87,27 +88,55 @@ def _wide_bits(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Record:
+    """Base of the frozen records.  A record's fields are the parameters of
+    its ``__init__``, in order, which stores them in the instance
+    ``__dict__``.  Equality (same class, equal fields), hashing and the
+    ``Name(field=value, ...)`` repr read the fields alone, so values that a
+    ``cached_property`` keeps in the same ``__dict__`` take no part; every
+    assignment and deletion raises AttributeError."""
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = cls.__match_args__ = code.co_varnames[1:code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(_Record):
     """Simple undirected graph with one adjacency bitmask per vertex."""
 
-    n: int
-    adj: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, adj: tuple[int, ...]):
+        self.__dict__.update(n=n, adj=adj)
+        if n < 0:
             raise GraphInputError("vertex count must be nonnegative")
-        if len(self.adj) != self.n:
+        if len(adj) != n:
             raise GraphInputError("adjacency table length differs from vertex count")
-        full = (1 << self.n) - 1
-        for u, row in enumerate(self.adj):
+        full = (1 << n) - 1
+        for u, row in enumerate(adj):
             if row & ~full:
-                raise GraphInputError(f"adjacency row {u} references a vertex >= {self.n}")
+                raise GraphInputError(f"adjacency row {u} references a vertex >= {n}")
             if (row >> u) & 1:
                 raise GraphInputError(f"self-loop at vertex {u}")
-        for u, row in enumerate(self.adj):
+        for u, row in enumerate(adj):
             for v in bits(row):
-                if not (self.adj[v] >> u) & 1:
+                if not (adj[v] >> u) & 1:
                     raise GraphInputError(f"asymmetric adjacency between {u} and {v}")
 
     def degree(self, v: int) -> int:
@@ -150,8 +179,8 @@ class Graph:
 
 
 def _unchecked(cls, **fields):
-    """A ``cls`` (a frozen dataclass that checks its fields in
-    ``__post_init__``) on fields the caller built valid, skipping the checks."""
+    """A ``cls`` (a ``_Record`` whose ``__init__`` checks its fields) on
+    fields the caller built valid, skipping ``__init__`` and its checks."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
@@ -302,12 +331,11 @@ def parse_edge_list_text(text: str) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
+class DistanceMatrix(_Record):
     """All-pairs hop distances; UNREACHABLE marks disconnected pairs."""
 
-    n: int
-    rows: tuple[tuple[int, ...], ...]
+    def __init__(self, n: int, rows: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(n=n, rows=rows)
 
     def __getitem__(self, v: int) -> tuple[int, ...]:
         return self.rows[v]

@@ -12,25 +12,22 @@ matrix, so it runs BFS from the landmarks alone and leaves
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph_core import (
     DisconnectedGraphError,
     Graph,
     GraphInputError,
+    _Record,
     _bfs_rows,
     is_connected,
 )
 
 
-@dataclass(frozen=True)
-class ResolutionWitness:
-    """Two distinct objects sharing one distance vector."""
+class ResolutionWitness(_Record):
+    """Two distinct objects sharing one distance vector; ``kind`` is
+    "vertex" or "edge"."""
 
-    kind: str  # "vertex" or "edge"
-    a: object
-    b: object
-    shared_vector: tuple[int, ...]
+    def __init__(self, kind: str, a: object, b: object, shared_vector: tuple[int, ...]):
+        self.__dict__.update(kind=kind, a=a, b=b, shared_vector=shared_vector)
 
 
 def landmark_tuple(S, n: int) -> tuple[int, ...]:

@@ -44,7 +44,6 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain
 from math import comb, inf
@@ -54,6 +53,7 @@ from .graph_core import (
     GraphError,
     GraphInputError,
     SizeLimitError,
+    _Record,
     _unchecked,
     bits,
     connected_distances,
@@ -85,22 +85,22 @@ class BudgetExceededError(GraphError, RuntimeError):
         self.nodes_explored = nodes_explored
 
 
-@dataclass(frozen=True)
-class DistinguisherInstance:
+class DistinguisherInstance(_Record):
     """Hitting-set instance: one family per unordered object pair.
 
-    ``universe`` is the candidate landmark count (vertex ids 0..universe-1);
+    ``kind`` is "vertex" or "edge"; ``universe`` is the candidate landmark
+    count (vertex ids 0..universe-1);
     ``masks[i]`` is the distinguisher set of the i-th object pair as a
     bitmask, the pairs taken in ``itertools.combinations(objects, 2)``
     order, where the objects are ``range(G.n)`` for a vertex instance and
     ``G.edges()`` for an edge instance.  The constructor checks the
-    families; the builders below skip that (see ``graph_core._unchecked``),
-    since their masks come from a checked ``Graph``.
+    families in ``__post_init__``; the builders below skip that (see
+    ``graph_core._unchecked``), since their masks come from a checked ``Graph``.
     """
 
-    kind: str  # "vertex" or "edge"
-    universe: int
-    masks: tuple[int, ...]
+    def __init__(self, kind: str, universe: int, masks: tuple[int, ...]):
+        self.__dict__.update(kind=kind, universe=universe, masks=masks)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.universe < 0:
@@ -121,8 +121,7 @@ class DistinguisherInstance:
         return _transpose(self.masks, self.universe)
 
 
-@dataclass(frozen=True)
-class DimensionCertificate:
+class DimensionCertificate(_Record):
     """A certified-minimum resolving set.
 
     ``basis`` is the lexicographically smallest optimal set.  ``optimal``
@@ -130,11 +129,8 @@ class DimensionCertificate:
     BudgetExceededError instead of returning a certificate.
     """
 
-    kind: str
-    value: int
-    basis: tuple[int, ...]
-    optimal: bool
-    nodes_explored: int
+    def __init__(self, kind: str, value: int, basis: tuple[int, ...], optimal: bool, nodes_explored: int):
+        self.__dict__.update(kind=kind, value=value, basis=basis, optimal=optimal, nodes_explored=nodes_explored)
 
     @property
     def nonempty_value(self) -> int:

@@ -47,6 +47,19 @@ def run_capped(argv):
     return proc, time.perf_counter() - started
 
 
+def test_import_leaves_out_dataclasses_and_inspect():
+    # every metricdim process starts with this import; those two modules
+    # (and ast, dis and tokenize behind them) cost about 1 MiB and 6 ms there
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = f"import sys; sys.path.insert(0, {src!r}); import metricdim, metricdim.cli; print(*sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "metricdim.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
 class TestDimEdim:
     def test_dim_json(self, capsys, g6_file):
         code, out, _ = run(capsys, ["dim", g6_file(path_graph(4))])

@@ -111,7 +111,11 @@ class TestLayerTimes:
         assert report["lattice_instances"] == 28
         assert list(report["lattice_us_per_instance"]) == ["min_hitting_set"]
         assert report["lattice_us_per_instance"]["min_hitting_set"] > 0
-        assert sorted(report) == ["classes", "lattice_instances", "lattice_us_per_instance", "n", "pool_instances",
+        # the cold start, in fresh children
+        assert report["import_ms"] > 0 and report["import_peak_rss_mb"] > 0
+        assert isinstance(report["import_bytecode_cached"], bool)
+        assert sorted(report) == ["classes", "import_bytecode_cached", "import_ms", "import_peak_rss_mb",
+                                  "lattice_instances", "lattice_us_per_instance", "n", "pool_instances",
                                   "pool_nodes_explored", "pool_us_per_instance", "record_fill_us", "record_layers",
                                   "repeats", "us_per_class"]
 
